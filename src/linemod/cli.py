@@ -39,6 +39,16 @@ _TABLES = {"sl2": "sl2_table", "sl11": "sl11_table", "slc": "slc_table"}
 _INDUCE_ENV = {"sl2": "sl2_U", "sl11": "sl11_Uhat", "slc": "slc_U"}
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _load_presentation(spec: str):
     if spec.endswith(".alg") or "/" in spec:
         return parse_algebra(Path(spec).read_text())
@@ -141,7 +151,7 @@ def main(argv=None) -> int:
 
     p = commands.add_parser("classify-sub", help="classify two-dimensional subalgebras")
     p.add_argument("--preset", required=True, choices=sorted(_TABLES))
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     _common_flags(p)
 
     p = commands.add_parser("admissible", help="decide admissibility of a functional")
@@ -165,7 +175,7 @@ def main(argv=None) -> int:
 
     p = commands.add_parser("verify-paper", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["sl2", "sl11", "slc", "sl21", "all"])
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--oracle-degree", type=int, default=4)
     _common_flags(p)

@@ -45,7 +45,8 @@ class AdmissibilityError(LinemodError):
 
 class RouteDisagreementError(LinemodError):
     """Two independent computational routes disagreed.  This is an internal
-    inconsistency and is never caught inside the package."""
+    inconsistency; a verification suite records it as a failed check with
+    its witness, and everywhere else it propagates."""
 
 
 class UnknownPresetError(LinemodError):

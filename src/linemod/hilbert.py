@@ -13,7 +13,12 @@ import os
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InhomogeneousError, OracleCapError, OutOfCertifiedRangeError
+from .errors import (
+    InhomogeneousError,
+    LinemodError,
+    OracleCapError,
+    OutOfCertifiedRangeError,
+)
 from .linalg import SparseEchelon
 from .ncalg import EMPTY_WORD, TermOrder
 from .rewrite import Presentation, RewriteSystem, _nf_dict, complete
@@ -129,8 +134,18 @@ def hilbert_algebra(p, max_degree: int, order: TermOrder | None = None) -> Hilbe
 
 
 def oracle_cap() -> int:
+    """The oracle's monomial cap: ``LINEMOD_ORACLE_CAP`` if set, else the
+    default.  A value that is not a positive integer is rejected."""
     value = os.environ.get(ORACLE_CAP_ENV)
-    return int(value) if value else ORACLE_CAP_DEFAULT
+    if not value:
+        return ORACLE_CAP_DEFAULT
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise LinemodError(f"{ORACLE_CAP_ENV} must be a positive integer, got {value!r}")
+    return cap
 
 
 _WORD_CACHE: dict = {}
@@ -227,9 +242,6 @@ class CyclicModuleModel:
     def dims(self) -> HilbertFunction:
         return HilbertFunction(tuple(self.dim(d) for d in range(self.max_degree + 1)))
 
-    def reduce_vector(self, d: int, row: dict) -> dict:
-        return self.ideal[d].reduce(row)
-
 
 def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> CyclicModuleModel:
     """Build the degreewise linear model of the cyclic left module."""
@@ -284,26 +296,21 @@ class FilteredModel:
 
     Columns are free words ordered by decreasing total degree, so the
     echelon pivots of level <= i span exactly the intersection of the row
-    space with filtration level i.  The two-sided ideal rows are built once
-    per presentation and degree bound; left-ideal shift generators are
-    layered on top per query.
+    space with filtration level i.  The two-sided ideal rows are echelonized
+    once per presentation and degree bound (``base``); left-ideal shift
+    generators are layered on top of a copy of it per query.
     """
 
     presentation: Presentation
     max_degree: int
     word_level: dict
-    base_rows: list
-
-    def _column_key(self, w):
-        return (-self.word_level[w], w)
+    base: SparseEchelon
 
     def ideal_echelon(self, shift_generators) -> SparseEchelon:
         """Echelon of (two-sided relation ideal) + (left ideal of shifts),
         restricted to filtration level <= max_degree."""
         degrees = self.presentation.z_degrees
-        ech = SparseEchelon(column_key=self._column_key)
-        for row in self.base_rows:
-            ech.add(row)
+        ech = self.base.copy()
         for s in shift_generators:
             if s.is_zero():
                 continue
@@ -349,8 +356,7 @@ def filtered_model(p: Presentation, max_degree: int, cap: int | None = None) -> 
             )
         for w in layer:
             word_level[w] = d
-    # echelonize the two-sided rows once; the reduced pivot rows span the
-    # same space and re-insert cheaply for each shift query
+    # echelonize the two-sided rows once; each shift query starts from a copy
     base = SparseEchelon(column_key=lambda w: (-word_level[w], w))
     for rel in p.relations:
         rel_deg = max(sum(degrees[g] for g in w) for w in rel.support())
@@ -359,7 +365,7 @@ def filtered_model(p: Presentation, max_degree: int, cap: int | None = None) -> 
                 for j in range(max_degree - rel_deg - i + 1):
                     for v in words_of_degree(degrees, j):
                         base.add({u + w + v: c for w, c in rel.items()})
-    model = FilteredModel(p, max_degree, word_level, base.pivot_rows())
+    model = FilteredModel(p, max_degree, word_level, base)
     if len(_FILTERED_CACHE) > 16:
         _FILTERED_CACHE.clear()
     _FILTERED_CACHE[key] = model

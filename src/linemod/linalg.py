@@ -1,13 +1,38 @@
-"""Exact rational row reduction.
+"""Exact row reduction over the rationals, computed on integer rows.
 
-Rows are sparse maps from a column key to a nonzero Fraction.  Pivoting is
-on the first nonzero column in a fixed column order and rows are inserted
-in caller order, so ranks and echelon bases are deterministic.
+Rows are sparse maps from a column key to a nonzero rational (an ``int`` or
+a ``Fraction``).  Pivoting is on the first nonzero column in a fixed column
+order and rows are inserted in caller order, so ranks and echelon bases are
+deterministic.
+
+The kernel is fraction-free in the style of Bareiss (1968): an input row's
+denominators are cleared once, on entry, every stored pivot row is a
+primitive integer row (content divided out, positive leading entry), and an
+elimination step is ``row <- (b/g) row - (a/g) pivot`` with ``g = gcd(a, b)``.
+``Fraction`` objects are made only where results leave the kernel.
+``dense_rank``, ``in_span``, ``coords_in_span`` and ``dense_nullspace`` are
+thin wrappers over the same kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _identity(c):
+    return c
+
+
+def _integer_row(row: dict) -> tuple:
+    """Clear denominators: ``(ints, den)`` with ``row == ints / den``."""
+    den = 1
+    for v in row.values():
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return {c: v.numerator for c, v in row.items() if v}, 1
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}, den
 
 
 class SparseEchelon:
@@ -15,14 +40,15 @@ class SparseEchelon:
 
     ``column_key`` maps a column label to a sortable value; it fixes which
     nonzero entry of a row is its pivot (the minimal one).  Pivot rows are
-    normalized to leading coefficient 1 and their support never precedes
-    the pivot column, so a single ascending elimination pass reduces any
-    row completely.
+    stored as primitive integer rows whose support never precedes the pivot
+    column, so a single ascending elimination pass reduces any row
+    completely.
     """
 
     def __init__(self, column_key=None):
-        self._key = column_key if column_key is not None else (lambda c: c)
-        self._pivots = {}        # column -> normalized row (dict)
+        self._key = column_key if column_key is not None else _identity
+        self._pivots = {}        # column -> primitive integer row (dict), lead > 0
+        self._pivot_keys = {}    # column -> column_key(column)
         self._pivot_order = []   # insertion order of pivot columns
 
     @property
@@ -33,63 +59,104 @@ class SparseEchelon:
         return list(self._pivot_order)
 
     def pivot_rows(self) -> list:
-        """The normalized echelon rows, in insertion order."""
-        return [dict(self._pivots[c]) for c in self._pivot_order]
+        """The echelon rows normalized to leading coefficient 1, in
+        insertion order."""
+        out = []
+        for c in self._pivot_order:
+            row = self._pivots[c]
+            lead = row[c]
+            out.append({col: Fraction(v, lead) for col, v in row.items()})
+        return out
 
-    def reduce(self, row: dict) -> dict:
-        """Fully reduce ``row`` against the stored pivot rows."""
-        row = {c: Fraction(v) for c, v in row.items() if v}
+    def copy(self) -> "SparseEchelon":
+        """An independent echelon with the same pivots; rows added to the
+        copy leave this one unchanged."""
+        new = SparseEchelon(self._key)
+        new._pivots = dict(self._pivots)   # stored rows are never mutated
+        new._pivot_keys = dict(self._pivot_keys)
+        new._pivot_order = list(self._pivot_order)
+        return new
+
+    def _eliminate(self, row: dict) -> tuple:
+        """Reduce an integer row against the pivots.
+
+        Returns ``(reduced, scale)``: ``reduced / scale`` is the input minus
+        a combination of pivot rows, with no entry in a pivot column.
+        """
+        pivots = self._pivots
+        keys = self._pivot_keys
+        scale = 1
         while True:
             hit = None
-            hit_key = None
             for c in row:
-                if c in self._pivots:
-                    k = self._key(c)
+                if c in pivots:
+                    k = keys[c]
                     if hit is None or k < hit_key:
                         hit, hit_key = c, k
             if hit is None:
-                return row
-            coeff = row[hit]
-            for c, v in self._pivots[hit].items():
-                s = row.get(c, 0) - coeff * v
+                return row, scale
+            prow = pivots[hit]
+            a = row[hit]
+            b = prow[hit]
+            g = gcd(a, b)
+            if g != b:
+                m = b // g
+                scale *= m
+                row = {c: v * m for c, v in row.items()}
+            f = a // g
+            for c, v in prow.items():
+                s = row.get(c, 0) - f * v
                 if s:
                     row[c] = s
                 else:
-                    row.pop(c, None)
+                    del row[c]
+
+    def reduce(self, row: dict) -> dict:
+        """Fully reduce ``row`` against the stored pivot rows; the result
+        is exact, with ``Fraction`` values."""
+        ints, den = _integer_row(row)
+        red, scale = self._eliminate(ints)
+        den *= scale
+        return {c: Fraction(v, den) for c, v in red.items()}
 
     def add(self, row: dict):
         """Reduce ``row`` and, if nonzero, insert it as a new pivot row.
 
         Returns the new pivot column, or None if the row was dependent.
         """
-        red = self.reduce(row)
+        red, _ = self._eliminate(_integer_row(row)[0])
         if not red:
             return None
         pivot = min(red, key=self._key)
-        lead = red[pivot]
-        normalized = {c: v / lead for c, v in red.items()}
-        self._pivots[pivot] = normalized
+        g = gcd(*red.values())
+        if red[pivot] < 0:
+            g = -g
+        if g != 1:
+            red = {c: v // g for c, v in red.items()}
+        self._pivots[pivot] = red
+        self._pivot_keys[pivot] = self._key(pivot)
         self._pivot_order.append(pivot)
         return pivot
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+        return not self._eliminate(_integer_row(row)[0])[0]
+
+
+def _dense_echelon(rows) -> SparseEchelon:
+    ech = SparseEchelon()
+    for r in rows:
+        ech.add({j: v for j, v in enumerate(r) if v})
+    return ech
 
 
 def dense_rank(rows) -> int:
     """Rank of a list of equal-length rational vectors."""
-    ech = SparseEchelon()
-    for r in rows:
-        ech.add({j: v for j, v in enumerate(r) if v})
-    return ech.rank
+    return _dense_echelon(rows).rank
 
 
 def in_span(vector, rows) -> bool:
     """Whether ``vector`` lies in the row span of ``rows``."""
-    ech = SparseEchelon()
-    for r in rows:
-        ech.add({j: v for j, v in enumerate(r) if v})
-    return ech.contains({j: v for j, v in enumerate(vector) if v})
+    return _dense_echelon(rows).contains({j: v for j, v in enumerate(vector) if v})
 
 
 def coords_in_span(vector, rows):
@@ -102,10 +169,10 @@ def coords_in_span(vector, rows):
     n = len(rows)
     ech = SparseEchelon(column_key=lambda c: (1, c[1]) if isinstance(c, tuple) else (0, c))
     for i, r in enumerate(rows):
-        row = {j: Fraction(v) for j, v in enumerate(r) if v}
-        row[("marker", i)] = Fraction(1)
+        row = {j: v for j, v in enumerate(r) if v}
+        row[("marker", i)] = 1
         ech.add(row)
-    red = ech.reduce({j: Fraction(v) for j, v in enumerate(vector) if v})
+    red = ech.reduce({j: v for j, v in enumerate(vector) if v})
     if any(not isinstance(c, tuple) for c in red):
         return None
     coeffs = [Fraction(0)] * n
@@ -117,42 +184,30 @@ def coords_in_span(vector, rows):
 def dense_nullspace(rows, ncols) -> list:
     """Basis of the right null space of the matrix with the given rows.
 
-    Returns a list of Fraction tuples of length ``ncols``.
+    Returns a list of Fraction tuples of length ``ncols``: one vector per
+    free column, in ascending order, read off the reduced row echelon form.
     """
-    rows = [list(map(Fraction, r)) for r in rows]
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r][c]
-        rows[r] = [v / lead for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    ech = _dense_echelon(rows)
+    pivots = sorted(ech.pivot_columns())
+    pivot_set = set(pivots)
+    # back-substitution: e_p minus its reduction is the reduced-echelon row
+    # of pivot p, so its entry in a free column f is -reduce(e_p)[f]
+    reduced = [ech.reduce({p: 1}) for p in pivots]
+    zero = Fraction(0)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [zero] * ncols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
+        for p, red in zip(pivots, reduced):
+            vec[p] = red.get(fc, zero)
         basis.append(tuple(vec))
     return basis
 
 
 def normalize_integer_vector(vec) -> tuple:
     """Scale a rational vector to coprime integers with positive leading sign."""
-    from math import gcd
-
     vec = [Fraction(v) for v in vec]
     if all(v == 0 for v in vec):
         return tuple(0 for _ in vec)

@@ -32,7 +32,7 @@ from .liealg import (
     shift_generators,
     sl11_form,
 )
-from .linalg import SparseEchelon, dense_rank
+from .linalg import dense_rank
 from .ncalg import NcPoly
 from .rewrite import Presentation, RewriteSystem
 
@@ -214,9 +214,7 @@ def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> 
     index = M.system._index
     for d in range(max_degree):
         pos_next = model.positions[d + 1]
-        ech = SparseEchelon()
-        for row in model.ideal[d + 1].pivot_rows():
-            ech.add(row)
+        ech = model.ideal[d + 1].copy()
         added = 0
         for w in model.basis[d]:
             nf = _nf_dict({(g,) + w: Fraction(1)}, index)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from random import Random
 
 from .dsl import format_poly, format_word
-from .errors import AdmissibilityError, RankDeficientError
+from .errors import AdmissibilityError, RankDeficientError, RouteDisagreementError
 from .geometry import (
     COLOR_LINE_FAMILIES,
     Line,
@@ -85,6 +85,33 @@ def _check(name: str, passed: bool, **data) -> dict:
 
 def _frac(rng: Random) -> Fraction:
     return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+
+
+def _admissibility_trials(queries, table) -> tuple:
+    """Decide each (S, phi) query by both admissibility routes.
+
+    Returns (trials, admissible count, disagreement messages): a
+    RouteDisagreementError is recorded as a failed trial, not raised, so one
+    disagreement fails its check instead of aborting the whole run.
+    """
+    trials = admissible = 0
+    disagreements = []
+    for S, phi in queries:
+        trials += 1
+        try:
+            if admissible_functional(S, phi, table):
+                admissible += 1
+        except RouteDisagreementError as exc:
+            disagreements.append(str(exc))
+    return trials, admissible, disagreements
+
+
+def _route_agreement_check(queries, table) -> dict:
+    trials, admissible, disagreements = _admissibility_trials(queries, table)
+    data = {"trials": trials, "admissible": admissible, "disagreements": len(disagreements)}
+    if disagreements:
+        data["witness"] = disagreements[0]
+    return _check("functional_admissibility_routes_agree", not disagreements, **data)
 
 
 def _binomial3(d: int) -> int:
@@ -172,18 +199,11 @@ def run_sl2(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     ))
 
     rng = Random(seed + 101)
-    disagreements = 0
-    admissible_count = 0
-    trials = 0
-    for member in family_members(preset("sl2_table")):
-        for _ in range(25):
-            phi = Functional(_frac(rng), _frac(rng))
-            trials += 1
-            if admissible_functional(member["spec"], phi, preset("sl2_table")):
-                admissible_count += 1
-    checks.append(_check(
-        "functional_admissibility_routes_agree", True,
-        trials=trials, admissible=admissible_count, disagreements=disagreements,
+    table = preset("sl2_table")
+    checks.append(_route_agreement_check(
+        ((member["spec"], Functional(_frac(rng), _frac(rng)))
+         for member in family_members(table) for _ in range(25)),
+        table,
     ))
 
     passed = all(c["pass"] for c in checks)
@@ -271,18 +291,10 @@ def run_sl11(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     ))
 
     rng = Random(seed + 11)
-    trials = 0
-    admissible_count = 0
-    for alpha, beta in SL11_AB_SAMPLES:
-        S = SubalgebraSpec((0, 0, 1), (alpha, beta, 0))
-        for _ in range(100):
-            phi = Functional(_frac(rng), _frac(rng))
-            trials += 1
-            if admissible_functional(S, phi, table):
-                admissible_count += 1
-    checks.append(_check(
-        "functional_admissibility_routes_agree", True,
-        trials=trials, admissible=admissible_count, disagreements=0,
+    checks.append(_route_agreement_check(
+        ((SubalgebraSpec((0, 0, 1), (alpha, beta, 0)), Functional(_frac(rng), _frac(rng)))
+         for alpha, beta in SL11_AB_SAMPLES for _ in range(100)),
+        table,
     ))
 
     # graded functionals give graded line modules
@@ -463,6 +475,7 @@ def run_slc(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     rng = Random(seed + 17)
     grid_pass = True
     grid_data = []
+    disagreements = []
     for member in family_members(table):
         i0 = member["params"]["i"] - 1
         mu = member["params"]["mu"]
@@ -483,10 +496,13 @@ def run_slc(samples: int = 10000, seed: int = 0, max_degree: int = 6,
             "expected_count": len(expected_points),
             "pass": ok,
         })
-        for _ in range(100):
-            admissible_functional(S, Functional(_frac(rng), _frac(rng)), table)
-    checks.append(_check("two_admissible_families_on_grid", grid_pass,
-                         grid=grid_data, random_route_agreement_trials=600))
+        disagreements += _admissibility_trials(
+            ((S, Functional(_frac(rng), _frac(rng))) for _ in range(100)), table)[2]
+    extra = {}
+    if disagreements:
+        extra = {"route_disagreements": len(disagreements), "witness": disagreements[0]}
+    checks.append(_check("two_admissible_families_on_grid", grid_pass and not disagreements,
+                         grid=grid_data, random_route_agreement_trials=600, **extra))
 
     # homogenized induced modules and their line families
     iso_fixtures = []

@@ -131,6 +131,26 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_oracle_cap_is_named(capsys, monkeypatch, value):
+    monkeypatch.setenv("LINEMOD_ORACLE_CAP", value)
+    code = main(["hilbert", "--algebra", "sl11_Hhat", "--max-degree", "3",
+                 "--oracle-degree", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "LINEMOD_ORACLE_CAP" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("command", [["classify-sub", "--preset", "sl2"],
+                                     ["verify-paper", "--suite", "sl21"]])
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_non_positive_samples_is_usage_error(capsys, command, samples):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_byte_identical_reports(capsys):
     argv = ["classify-sub", "--preset", "slc", "--samples", "200", "--seed", "7"]
     _, first = run_cli(capsys, *argv)

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from linemod.linalg import (
     SparseEchelon,
     coords_in_span,
@@ -54,3 +56,180 @@ def test_normalize_integer_vector():
     assert normalize_integer_vector((Fraction(1, 2), Fraction(-1, 3), 0)) == (3, -2, 0)
     assert normalize_integer_vector((Fraction(-2), Fraction(4), 0)) == (1, -2, 0)
     assert normalize_integer_vector((0, 0)) == (0, 0)
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against an independent dense Gauss-Jordan
+# ----------------------------------------------------------------------
+
+
+def gauss_jordan(rows, cols):
+    """Reduced row echelon form over Fractions, pivoting on ``cols`` in the
+    order given.  Returns {pivot column: row dict}, each row 1 at its pivot
+    and 0 at every other pivot."""
+    mat = [[Fraction(r.get(c, 0)) for c in cols] for r in rows]
+    where = {}
+    r = 0
+    for j, c in enumerate(cols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][j]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        lead = mat[r][j]
+        mat[r] = [v / lead for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][j]:
+                f = mat[i][j]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        where[c] = r
+        r += 1
+    return {c: {cols[j]: v for j, v in enumerate(mat[i]) if v} for c, i in where.items()}
+
+
+def reference_reduce(vec, rref):
+    """``vec`` minus the element of the span that agrees with it on every
+    pivot column."""
+    out = {c: Fraction(v) for c, v in vec.items() if v}
+    for p, row in rref.items():
+        f = out.get(p, 0)
+        if f:
+            for c, v in row.items():
+                s = out.get(c, 0) - f * v
+                if s:
+                    out[c] = s
+                else:
+                    del out[c]
+    return out
+
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.integers(-10**30, 10**30),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Columns 0..n-1, a random column order, and rows of which some are
+    combinations of earlier rows (so dependent rows occur)."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rows and draw(st.booleans()):
+            coeffs = [draw(entries) for _ in rows]
+            row = {c: sum(k * r.get(c, 0) for k, r in zip(coeffs, rows)) for c in range(n)}
+        else:
+            row = {c: draw(entries) for c in range(n)}
+        rows.append({c: v for c, v in row.items() if v})
+    probe = {c: draw(entries) for c in range(n)}
+    return n, order, rows, {c: v for c, v in probe.items() if v}
+
+
+def _echelon(order, rows):
+    rank_of = {c: i for i, c in enumerate(order)}
+    ech = SparseEchelon(column_key=rank_of.__getitem__)
+    added = [ech.add(r) for r in rows]
+    return ech, added
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_echelon_matches_gauss_jordan(data):
+    n, order, rows, probe = data
+    ech, added = _echelon(order, rows)
+    rref = gauss_jordan(rows, order)
+    assert ech.rank == len(rref)
+    # add() returns the pivot a prefix gains, None when the rank stays
+    for i, pivot in enumerate(added):
+        before = set(gauss_jordan(rows[:i], order))
+        after = set(gauss_jordan(rows[: i + 1], order))
+        assert pivot == (None if after == before else (after - before).pop())
+    assert ech.pivot_columns() == [p for p in added if p is not None]
+    assert ech.reduce(probe) == reference_reduce(probe, rref)
+    assert all(type(v) is Fraction for v in ech.reduce(probe).values())
+    assert ech.contains(probe) == (not reference_reduce(probe, rref))
+    for row in rows:
+        assert ech.contains(row)
+        assert ech.reduce(row) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_pivot_rows_are_lead_one_reductions(data):
+    n, order, rows, _ = data
+    ech, added = _echelon(order, rows)
+    prefix = []
+    pivot_rows = iter(ech.pivot_rows())
+    for row, pivot in zip(rows, added):
+        if pivot is not None:
+            stored = next(pivot_rows)
+            assert stored[pivot] == 1
+            assert min(stored, key=order.index) == pivot
+            # the row as reduced when it was inserted, scaled to lead 1
+            red = reference_reduce(row, gauss_jordan(prefix, order))
+            assert stored == {c: v / red[pivot] for c, v in red.items()}
+        prefix.append(row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), matrices())
+def test_copy_is_independent(first, second):
+    n, order, rows, probe = first
+    ech, _ = _echelon(order, rows)
+    snapshot = (ech.rank, ech.pivot_columns(), ech.pivot_rows(), ech.reduce(probe))
+    dup = ech.copy()
+    extra = [{c % n: v for c, v in r.items()} for r in second[2]]
+    for row in extra:
+        dup.add(row)
+    assert (ech.rank, ech.pivot_columns(), ech.pivot_rows(), ech.reduce(probe)) == snapshot
+    rref = gauss_jordan(rows + extra, order)
+    assert dup.rank == len(rref)
+    assert dup.reduce(probe) == reference_reduce(probe, rref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_nullspace_matches_gauss_jordan(data):
+    n, _, rows, _ = data
+    dense = [tuple(r.get(c, 0) for c in range(n)) for r in rows]
+    rref = gauss_jordan(rows, list(range(n)))
+    expected = []
+    for f in range(n):
+        if f not in rref:
+            vec = [Fraction(0)] * n
+            vec[f] = Fraction(1)
+            for p, row in rref.items():
+                vec[p] = -row.get(f, 0)
+            expected.append(tuple(vec))
+    assert dense_nullspace(dense, n) == expected
+
+
+F = Fraction
+NULLSPACE_FIXTURES = [
+    (([(1, 0, 0, 0), (0, 0, 1, -1)], 4),
+     [(0, 1, 0, 0), (0, 0, 1, 1)]),
+    (([(F(1, 2), F(-3, 4)), (1, F(-3, 2))], 2),
+     [(F(3, 2), 1)]),
+    (([(2, 4, -2, 6, 0), (F(1, 3), 0, 1, F(-5, 7), 2), (3, 6, -3, 9, 0)], 5),
+     [(-3, 2, 1, 0, 0), (F(15, 7), F(-18, 7), 0, 1, 0), (-6, 3, 0, 0, 1)]),
+    (([(0, 0, 0), (0, 0, 0)], 3),
+     [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    (([], 3),
+     [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    (([(1, 2), (3, 4)], 2),
+     []),
+    (([(0, 10**20 + 1, F(1, 10**9), 7), (5, 0, 0, F(-2, 3))], 4),
+     [(0, F(-1, 100000000000000000001000000000), 1, 0),
+      (F(2, 15), F(-7, 100000000000000000001), 0, 1)]),
+]
+
+
+def test_nullspace_fixtures():
+    for (rows, ncols), expected in NULLSPACE_FIXTURES:
+        basis = dense_nullspace(rows, ncols)
+        assert basis == [tuple(F(v) for v in vec) for vec in expected]
+        assert all(type(v) is Fraction for vec in basis for v in vec)

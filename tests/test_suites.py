@@ -1,5 +1,7 @@
 import pytest
 
+from linemod import suites
+from linemod.errors import RouteDisagreementError
 from linemod.reports import render
 from linemod.suites import run_suite
 
@@ -15,6 +17,37 @@ def test_suite_deterministic():
     first = render(run_suite("sl21", samples=50, seed=5))
     second = render(run_suite("sl21", samples=50, seed=5))
     assert first == second
+
+
+# sl11 builds its check with the same helper as sl2
+@pytest.mark.parametrize("name,check_name,count_key", [
+    ("sl2", "functional_admissibility_routes_agree", "disagreements"),
+    ("slc", "two_admissible_families_on_grid", "route_disagreements"),
+])
+def test_route_disagreement_fails_its_check(monkeypatch, name, check_name, count_key):
+    calls = []
+    real = suites.admissible_functional
+
+    def flaky(S, phi, table):
+        calls.append(phi)
+        if len(calls) in (3, 7):
+            raise RouteDisagreementError(f"injected for phi {phi.values()}")
+        return real(S, phi, table)
+
+    monkeypatch.setattr(suites, "admissible_functional", flaky)
+    result = run_suite(name, samples=50, seed=3)
+    check = {c["name"]: c for c in result["checks"]}[check_name]
+    assert result["pass"] is False
+    assert check["pass"] is False
+    assert check[count_key] == 2
+    assert check["witness"] == f"injected for phi {calls[2].values()}"
+
+
+def test_route_agreement_report_without_disagreement():
+    check = {c["name"]: c for c in run_suite("sl2", samples=50, seed=3)["checks"]}[
+        "functional_admissibility_routes_agree"]
+    assert list(check) == ["name", "pass", "trials", "admissible", "disagreements"]
+    assert check["pass"] and check["trials"] == 125 and check["disagreements"] == 0
 
 
 def test_unknown_suite():
