@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .errors import (
@@ -148,35 +149,25 @@ def oracle_cap() -> int:
     return cap
 
 
-_WORD_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def words_of_degree(degrees: tuple, d: int) -> list:
     """All free words of integer degree exactly d, in lexicographic index
     order (this fixes the oracle's column order)."""
-    key = (degrees, d)
-    cached = _WORD_CACHE.get(key)
-    if cached is not None:
-        return cached
     if all(w == 1 for w in degrees):
-        out = [w for w in product(range(len(degrees)), repeat=d)]
-    else:
-        out = []
+        return list(product(range(len(degrees)), repeat=d))
+    out = []
 
-        def extend(word, deg):
-            if deg == d:
-                out.append(tuple(word))
-                return
-            for g in range(len(degrees)):
-                if deg + degrees[g] <= d:
-                    word.append(g)
-                    extend(word, deg + degrees[g])
-                    word.pop()
+    def extend(word, deg):
+        if deg == d:
+            out.append(tuple(word))
+            return
+        for g in range(len(degrees)):
+            if deg + degrees[g] <= d:
+                word.append(g)
+                extend(word, deg + degrees[g])
+                word.pop()
 
-        extend([], 0)
-    if len(_WORD_CACHE) > 64:
-        _WORD_CACHE.clear()
-    _WORD_CACHE[key] = out
+    extend([], 0)
     return out
 
 
@@ -334,28 +325,24 @@ class FilteredModel:
         return self.ideal_echelon(shift_generators).contains(row)
 
 
-_FILTERED_CACHE: dict = {}
-
-
 def filtered_model(p: Presentation, max_degree: int, cap: int | None = None) -> FilteredModel:
-    """Build (and cache) the filtered free-word model of a presentation."""
-    key = (p, max_degree)
-    cached = _FILTERED_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """The filtered free-word model of a presentation, built once per
+    (presentation, bound); the monomial cap is checked on every call."""
     cap = oracle_cap() if cap is None else cap
-    degrees = p.z_degrees
-    word_level = {}
     count = 0
     for d in range(max_degree + 1):
-        layer = words_of_degree(degrees, d)
-        count += len(layer)
+        count += len(words_of_degree(p.z_degrees, d))
         if count > cap:
             raise OracleCapError(
                 f"filtration {d} needs {count} monomials, above the cap {cap}"
             )
-        for w in layer:
-            word_level[w] = d
+    return _filtered_model(p, max_degree)
+
+
+@lru_cache(maxsize=16)
+def _filtered_model(p: Presentation, max_degree: int) -> FilteredModel:
+    degrees = p.z_degrees
+    word_level = {w: d for d in range(max_degree + 1) for w in words_of_degree(degrees, d)}
     # echelonize the two-sided rows once; each shift query starts from a copy
     base = SparseEchelon(column_key=lambda w: (-word_level[w], w))
     for rel in p.relations:
@@ -365,11 +352,7 @@ def filtered_model(p: Presentation, max_degree: int, cap: int | None = None) -> 
                 for j in range(max_degree - rel_deg - i + 1):
                     for v in words_of_degree(degrees, j):
                         base.add({u + w + v: c for w, c in rel.items()})
-    model = FilteredModel(p, max_degree, word_level, base)
-    if len(_FILTERED_CACHE) > 16:
-        _FILTERED_CACHE.clear()
-    _FILTERED_CACHE[key] = model
-    return model
+    return FilteredModel(p, max_degree, word_level, base)
 
 
 def filtered_cyclic_dims(p: Presentation, shift_generators, max_degree: int,

@@ -28,13 +28,14 @@ from .liealg import (
     Functional,
     SubalgebraSpec,
     color_form,
+    is_graded_subspace,
     require_admissible,
     shift_generators,
     sl11_form,
 )
-from .linalg import dense_rank
+from .linalg import dense_nullspace, dense_rank
 from .ncalg import NcPoly
-from .rewrite import Presentation, RewriteSystem
+from .rewrite import Presentation, RewriteSystem, _nf_dict
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,6 @@ def pair_from_line(line: geometry.Line, table: BracketTable):
     u, v = line.forms
     # the span must contain a combination supported on h and t
     rows = [(u[0], v[0]), (u[1], v[1])]
-    from .linalg import dense_nullspace
-
     null = dense_nullspace(rows, 2)
     if len(null) != 1:
         raise SubalgebraFormError("line does not meet V(h, t) in a single point")
@@ -190,17 +189,8 @@ def is_Z2_graded_line_module(M: LineModuleSpec) -> bool:
     labels = pres.group_labels()
     if any(lab is None for lab in labels):
         raise InhomogeneousError(f"{pres.name!r} carries no grading")
-    n = len(labels)
-    vecs = [_coeff_vector(g, n) for g in M.generators]
-    total = 0
-    for lab in sorted(set(labels)):
-        outside = [i for i in range(n) if labels[i] != lab]
-        if not outside:
-            total += 2
-            continue
-        rows = [tuple(v[i] for v in vecs) for i in outside]
-        total += 2 - dense_rank(rows)
-    return total == 2
+    vecs = [_coeff_vector(g, len(labels)) for g in M.generators]
+    return is_graded_subspace(SubalgebraSpec(*vecs), labels)
 
 
 def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> bool:
@@ -209,8 +199,6 @@ def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> 
     pres = M.system.presentation
     g = pres.gen_index(generator_name)
     model = cyclic_module_model(M.system, M.generators, max_degree)
-    from .rewrite import _nf_dict
-
     index = M.system._index
     for d in range(max_degree):
         pos_next = model.positions[d + 1]

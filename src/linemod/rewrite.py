@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DegenerateRelationError,
@@ -129,10 +130,11 @@ class RewriteSystem:
         self._index = _rule_index(self.rules)
 
     def rule_for(self, lhs: Word) -> Rule | None:
-        for r in self.rules:
-            if r.lhs == lhs:
-                return r
-        return None
+        return self._by_lhs.get(lhs)
+
+    @cached_property
+    def _by_lhs(self) -> dict:
+        return {r.lhs: r for r in self.rules}
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +203,10 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
     """Resolve all overlap ambiguities of degree <= max_degree.
 
     The returned system is inter-reduced: no rule lhs contains another rule
-    lhs as a subword, and every rhs is in normal form.
+    lhs as a subword, and every rhs is in normal form.  One worklist
+    processes relations and overlap pairs; each new rule schedules its pairs
+    with every live rule.  The post-condition is ``confluence_certificate``,
+    checked before returning: a system that fails it raises RuntimeError.
     """
     if order is None:
         order = presentation.default_order()
@@ -210,104 +215,69 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
     if max_degree < max_rel_degree:
         raise ValueError(f"degree bound {max_degree} is below the maximal relation degree {max_rel_degree}")
 
-    rules: list = []
+    rules: dict = {}       # lhs -> live rule, in insertion order
     index: dict = {}
     trace: list = []
     discarded = False
-    poly_queue = deque()
+    poly_queue = deque((rel, DerivedRule(EMPTY_WORD, "relation")) for rel in presentation.relations)
     pair_queue = deque()   # (lhs1, lhs2); live rules looked up on pop
-    for rel in presentation.relations:
-        poly_queue.append((rel, DerivedRule(EMPTY_WORD, "relation")))
-
-    def push_rule(poly, provenance):
-        nonlocal index, discarded
+    while poly_queue or pair_queue:
+        if not poly_queue:
+            l1, l2 = pair_queue.popleft()
+            r1, r2 = rules.get(l1), rules.get(l2)
+            if r1 is None or r2 is None:
+                continue
+            for ov in _overlaps(l1, l2):
+                if order.word_degree(ov) > max_degree:
+                    continue
+                diff = _spolynomial(ov, r1, r2, index)
+                if diff:
+                    poly_queue.append(
+                        (NcPoly(diff), DerivedRule(EMPTY_WORD, "overlap", ov, (l1, l2)))
+                    )
+            continue
+        poly, provenance = poly_queue.popleft()
         red = NcPoly(_nf_dict(poly.terms, index))
         if red.is_zero():
-            return
+            continue
         rule = _orient(red, order)
         if order.word_degree(rule.lhs) > max_degree:
             discarded = True
-            return
+            continue
         # inter-reduce: retire any rule whose lhs contains the new lhs
-        retired = []
-        kept = []
-        for r in rules:
-            if _contains(r.lhs, rule.lhs):
-                retired.append(r)
-            else:
-                kept.append(r)
-        rules[:] = kept + [rule]
-        index = _rule_index(rules)
+        for lhs in [lhs for lhs in rules if _contains(lhs, rule.lhs)]:
+            retired = rules.pop(lhs)
+            poly_queue.append((NcPoly.monomial(lhs) - retired.rhs, DerivedRule(EMPTY_WORD, "relation")))
+        rules[rule.lhs] = rule
+        index = _rule_index(rules.values())
         trace.append(DerivedRule(rule.lhs, provenance.source, provenance.overlap_word, provenance.parents))
-        for r in retired:
-            poly_queue.append((NcPoly.monomial(r.lhs) - r.rhs, DerivedRule(EMPTY_WORD, "relation")))
         # keep right-hand sides fully reduced
-        for i, r in enumerate(rules):
+        for r in list(rules.values()):
             red_rhs = NcPoly(_nf_dict(r.rhs.terms, index))
             if red_rhs != r.rhs:
-                rules[i] = Rule(r.lhs, red_rhs)
-        index = _rule_index(rules)
+                rules[r.lhs] = Rule(r.lhs, red_rhs)
+        index = _rule_index(rules.values())
         # schedule overlaps of the new rule with every live rule
-        for r in rules:
-            pair_queue.append((rule.lhs, r.lhs))
-            if r.lhs != rule.lhs:
-                pair_queue.append((r.lhs, rule.lhs))
+        for lhs in rules:
+            pair_queue.append((rule.lhs, lhs))
+            if lhs != rule.lhs:
+                pair_queue.append((lhs, rule.lhs))
 
-    def drain_queues():
-        while poly_queue or pair_queue:
-            while poly_queue:
-                poly, prov = poly_queue.popleft()
-                push_rule(poly, prov)
-            if pair_queue:
-                l1, l2 = pair_queue.popleft()
-                r1 = next((r for r in rules if r.lhs == l1), None)
-                r2 = next((r for r in rules if r.lhs == l2), None)
-                if r1 is None or r2 is None:
-                    continue
-                for ov in _overlaps(l1, l2):
-                    if order.word_degree(ov) > max_degree:
-                        continue
-                    diff = _spolynomial(ov, r1, r2, index)
-                    if diff:
-                        poly_queue.append(
-                            (NcPoly(diff), DerivedRule(EMPTY_WORD, "overlap", ov, (l1, l2)))
-                        )
-
-    drain_queues()
-
-    # verification sweep: retired-rule bookkeeping above may skip pairs, so
-    # re-check every live pair until a full pass finds nothing new
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 1000:
-            raise RuntimeError("completion failed to stabilize")
-        dirty = False
-        snapshot = list(rules)
-        for r1 in snapshot:
-            for r2 in snapshot:
-                for ov in _overlaps(r1.lhs, r2.lhs):
-                    if order.word_degree(ov) > max_degree:
-                        continue
-                    diff = _spolynomial(ov, r1, r2, index)
-                    if diff:
-                        poly_queue.append(
-                            (NcPoly(diff), DerivedRule(EMPTY_WORD, "overlap", ov, (r1.lhs, r2.lhs)))
-                        )
-                        dirty = True
-        if not dirty:
-            break
-        drain_queues()
-
-    return RewriteSystem(
+    system = RewriteSystem(
         presentation=presentation,
         order=order,
-        rules=list(rules),
+        rules=list(rules.values()),
         degree_bound=max_degree,
         confluent_up_to=max_degree,
         trace=trace,
         discarded_above_bound=discarded,
     )
+    if not confluence_certificate(system):
+        raise RuntimeError(
+            f"completion of {presentation.name!r} to degree {max_degree} "
+            "left an unresolved overlap"
+        )
+    return system
 
 
 def _contains(word: Word, sub: Word) -> bool:

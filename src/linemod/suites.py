@@ -11,6 +11,7 @@ witnessing data.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from .dsl import format_poly, format_word
@@ -65,16 +66,10 @@ from .presets import (
 )
 from .rewrite import complete, derivation_trace, normal_form
 
-_SYSTEMS: dict = {}
 
-
+@lru_cache(maxsize=8)
 def _system(name: str, bound: int):
-    key = (name, bound)
-    if key not in _SYSTEMS:
-        if len(_SYSTEMS) > 8:
-            _SYSTEMS.clear()
-        _SYSTEMS[key] = complete(preset(name), max_degree=bound)
-    return _SYSTEMS[key]
+    return complete(preset(name), max_degree=bound)
 
 
 def _check(name: str, passed: bool, **data) -> dict:

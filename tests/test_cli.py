@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -159,6 +160,24 @@ def test_byte_identical_reports(capsys):
     changed_seed = ["classify-sub", "--preset", "slc", "--samples", "200", "--seed", "8"]
     _, third = run_cli(capsys, *changed_seed)
     assert json.loads(third)["seed"] == 8
+
+
+# SHA-256 of reports recorded before completion became a single worklist:
+# they pin the rule order of `complete` and the derived-rule trace of the
+# sl21 suite (both include the package version string)
+GOLDEN_REPORTS = {
+    ("complete", "--algebra", "sl21_Hhat", "--max-degree", "8"):
+        "005bf8676ed136d558f501453dc418d904bcbed0bc772a309355dd6295377358",
+    ("verify-paper", "--suite", "sl21"):
+        "93c5ff236f8392078fb63ef2fae1caf863ad678d9f64f6d275f884fa5f5981ac",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_REPORTS))
+def test_golden_rule_order_reports(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[argv]
 
 
 def test_out_file(tmp_path, capsys):

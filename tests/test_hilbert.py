@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from linemod.errors import InhomogeneousError, OracleCapError
+from linemod import hilbert
 from linemod.hilbert import (
     HilbertFunction,
     filtered_cyclic_dims,
+    filtered_model,
     hilbert_algebra,
     hilbert_cyclic_left_module,
     line_module_dims,
@@ -83,6 +85,24 @@ def test_inhomogeneous_rejected():
 def test_oracle_cap():
     with pytest.raises(OracleCapError):
         oracle_graded_dims(preset("sl21_Hhat"), 5, cap=100)
+
+
+def test_filtered_model_cap_checked_on_every_call(monkeypatch):
+    # sl2_U has 1 + 3 + 9 = 13 monomials up to filtration 2 and 121 up to 4;
+    # a cached model must not let a call with a lower cap through
+    pres = preset("sl2_U")
+    message = "filtration 2 needs 13 monomials, above the cap 10"
+    for warm in (False, True):
+        hilbert._filtered_model.cache_clear()
+        if warm:
+            filtered_model(pres, 4)
+        with pytest.raises(OracleCapError, match=message):
+            filtered_model(pres, 4, cap=10)
+        with monkeypatch.context() as env:
+            env.setenv("LINEMOD_ORACLE_CAP", "10")
+            with pytest.raises(OracleCapError, match=message):
+                filtered_model(pres, 4)
+    assert filtered_model(pres, 4) is filtered_model(pres, 4, cap=121)
 
 
 def test_normal_words_match_dims(hhat_system):

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from linemod import rewrite
 from linemod.errors import DegenerateRelationError, OutOfCertifiedRangeError
-from linemod.ncalg import Generator, NcPoly
+from linemod.hilbert import hilbert_algebra, oracle_graded_dims
+from linemod.ncalg import Generator, NcPoly, TermOrder
 from linemod.presets import preset
 from linemod.rewrite import (
     Presentation,
@@ -139,3 +143,60 @@ def test_trace_expansion_witnesses_ideal_membership(hhat_system):
         member = prefix * (NcPoly.monomial(rule.lhs) - rule.rhs) * suffix
         total = total + member.scale(st.coefficient)
     assert poly - normal_form(poly, hhat_system) == total
+
+
+# ----------------------------------------------------------------------
+# random small presentations: completion against the brute-force oracle
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def small_presentations(draw, linear_tails=False):
+    """2-3 generators, 1-3 quadratic relations with small integer
+    coefficients; with ``linear_tails`` some relations get degree-one terms."""
+    n = draw(st.integers(2, 3))
+    quadratic = list(product(range(n), repeat=2))
+    coeff = st.integers(-3, 3)
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {w: c for w in quadratic if (c := draw(coeff))}
+        if linear_tails and draw(st.booleans()):
+            terms.update({(g,): c for g in range(n) if (c := draw(coeff))})
+        if terms:
+            relations.append(NcPoly(terms))
+    if not relations:
+        relations.append(NcPoly({(0, 1): 1, (1, 0): -1}))
+    precedence = tuple(draw(st.permutations(range(n))))
+    return _pres("fuzz", "xyz"[:n], tuple(relations)), precedence
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_presentations(), st.integers(2, 4))
+def test_completion_matches_oracle_on_random_presentations(drawn, bound):
+    pres, precedence = drawn
+    system = complete(pres, max_degree=bound)
+    assert confluence_certificate(system)
+    oracle = oracle_graded_dims(pres, bound)
+    assert hilbert_algebra(system, bound) == oracle
+    # a different term order completes to other rules, same quotient
+    permuted = TermOrder.from_precedence(pres.z_degrees, precedence)
+    other = complete(pres, order=permuted, max_degree=bound)
+    assert confluence_certificate(other)
+    assert hilbert_algebra(other, bound) == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_presentations(linear_tails=True), st.integers(3, 4))
+def test_completion_certified_with_linear_tails(drawn, bound):
+    pres, precedence = drawn
+    order = TermOrder.from_precedence(pres.z_degrees, precedence)
+    system = complete(pres, order=order, max_degree=bound)
+    assert confluence_certificate(system)
+    for rel in pres.relations:
+        assert normal_form(rel, system).is_zero()
+
+
+def test_complete_raises_when_certificate_fails(monkeypatch):
+    monkeypatch.setattr(rewrite, "confluence_certificate", lambda system: False)
+    with pytest.raises(RuntimeError, match="'sl11_Hhat' to degree 5"):
+        complete(preset("sl11_Hhat"), max_degree=5)
