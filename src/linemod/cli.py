@@ -17,7 +17,12 @@ from . import __version__
 from .dsl import format_poly, format_word, parse_algebra, parse_expression, print_algebra
 from .errors import DSLSyntaxError, LinemodError, RouteDisagreementError
 from .geometry import Line, classify_line_family_color
-from .hilbert import hilbert_algebra, hilbert_cyclic_left_module, oracle_graded_dims
+from .hilbert import (
+    hilbert_algebra,
+    hilbert_cyclic_left_module,
+    oracle_degree_within_cap,
+    oracle_graded_dims,
+)
 from .liealg import (
     Functional,
     SubalgebraSpec,
@@ -139,7 +144,9 @@ def main(argv=None) -> int:
     p = commands.add_parser("hilbert", help="graded dimensions by both routes")
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--oracle-degree", type=int, default=4)
+    p.add_argument("--oracle-degree", type=int,
+                   help="at most --max-degree; default: the largest degree <= 4 "
+                        "whose monomials fit the oracle cap")
     _common_flags(p)
 
     p = commands.add_parser("certify-line", help="certify a cyclic quotient as a line module")
@@ -265,13 +272,19 @@ def _dispatch(args) -> int:
 
     if args.command == "hilbert":
         pres = _load_presentation(args.algebra)
+        oracle_degree = args.oracle_degree
+        if oracle_degree is None:
+            oracle_degree = oracle_degree_within_cap(pres, min(4, args.max_degree))
+        elif oracle_degree > args.max_degree:
+            raise LinemodError(
+                f"--oracle-degree {oracle_degree} is above --max-degree {args.max_degree}")
         rewrite_dims = hilbert_algebra(pres, args.max_degree)
-        oracle_dims = oracle_graded_dims(pres, args.oracle_degree)
-        agree = list(rewrite_dims)[: args.oracle_degree + 1] == list(oracle_dims)
+        oracle_dims = oracle_graded_dims(pres, oracle_degree)
+        agree = list(rewrite_dims)[: oracle_degree + 1] == list(oracle_dims)
         report = build_report(
             "hilbert",
             {"algebra": pres.name, "max_degree": args.max_degree,
-             "oracle_degree": args.oracle_degree},
+             "oracle_degree": oracle_degree},
             {"rewrite_route": list(rewrite_dims), "oracle_route": list(oracle_dims),
              "routes_agree": agree},
             agree, __version__, args.seed,

@@ -288,7 +288,7 @@ def format_poly(poly: NcPoly, names, order: TermOrder) -> str:
     """Leading-first rendering with explicit * between letters."""
     if poly.is_zero():
         return "0"
-    words = sorted(poly.support(), key=order.sort_key, reverse=True)
+    words = sorted(poly.support(), key=order.heap_key)
     pieces = []
     for i, w in enumerate(words):
         c = poly.coeff(w)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .linalg import SparseEchelon
 from .ncalg import EMPTY_WORD, TermOrder
-from .rewrite import Presentation, RewriteSystem, _nf_dict, complete
+from .rewrite import Presentation, RewriteSystem, complete
 
 ORACLE_CAP_ENV = "LINEMOD_ORACLE_CAP"
 ORACLE_CAP_DEFAULT = 4096
@@ -149,6 +149,14 @@ def oracle_cap() -> int:
     return cap
 
 
+def oracle_degree_within_cap(p: Presentation, max_degree: int) -> int:
+    """The largest d <= max_degree whose degree-d monomials fit the oracle
+    cap (degree 0 always fits)."""
+    cap = oracle_cap()
+    fits = (d for d in range(max_degree + 1) if len(words_of_degree(p.z_degrees, d)) <= cap)
+    return max(fits, default=0)
+
+
 @lru_cache(maxsize=64)
 def words_of_degree(degrees: tuple, d: int) -> list:
     """All free words of integer degree exactly d, in lexicographic index
@@ -253,15 +261,13 @@ def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> C
     basis = normal_words_by_degree(system, max_degree)
     positions = [{w: i for i, w in enumerate(basis[d])} for d in range(max_degree + 1)]
     ideal = [SparseEchelon() for _ in range(max_degree + 1)]
-    index = system._index
     for d in range(max_degree + 1):
         pos = positions[d]
         for g, gdeg in zip(gens, gen_degs):
             if d < gdeg:
                 continue
             for b in basis[d - gdeg]:
-                prod_terms = {b + w: c for w, c in g.items()}
-                nf = _nf_dict(prod_terms, index)
+                nf = system.reduce({b + w: c for w, c in g.items()})
                 ideal[d].add({pos[w]: c for w, c in nf.items()})
     return CyclicModuleModel(system, gens, max_degree, basis, ideal, positions)
 

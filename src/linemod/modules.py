@@ -35,7 +35,7 @@ from .liealg import (
 )
 from .linalg import dense_nullspace, dense_rank
 from .ncalg import NcPoly
-from .rewrite import Presentation, RewriteSystem, _nf_dict
+from .rewrite import Presentation, RewriteSystem
 
 
 @dataclass(frozen=True)
@@ -199,13 +199,12 @@ def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> 
     pres = M.system.presentation
     g = pres.gen_index(generator_name)
     model = cyclic_module_model(M.system, M.generators, max_degree)
-    index = M.system._index
     for d in range(max_degree):
         pos_next = model.positions[d + 1]
         ech = model.ideal[d + 1].copy()
         added = 0
         for w in model.basis[d]:
-            nf = _nf_dict({(g,) + w: Fraction(1)}, index)
+            nf = M.system.reduce({(g,) + w: Fraction(1)})
             if ech.add({pos_next[word]: c for word, c in nf.items()}) is not None:
                 added += 1
         if added != model.dim(d):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import UngradedAlphabetError
@@ -274,22 +275,25 @@ class TermOrder:
     def word_degree(self, word: Word) -> int:
         return sum(self.degrees[g] for g in word)
 
-    def sort_key(self, word: Word):
-        """Key increasing along the order: greater word, greater key."""
-        return (
-            self.word_degree(word),
-            len(word),
-            tuple(-self.ranks[g] for g in word),
-        )
+    def heap_key(self, word: Word):
+        """Key decreasing along the order: the greatest word has the least
+        key, so a min-heap or an ascending sort takes it first.  Under
+        index-order precedence the word itself is the lexicographic part."""
+        lex = word if self._index_precedence else tuple(self.ranks[g] for g in word)
+        return (-self.word_degree(word), -len(word), lex)
+
+    @cached_property
+    def _index_precedence(self) -> bool:
+        return self.ranks == tuple(range(len(self.ranks)))
 
     def compare(self, a: Word, b: Word) -> int:
         """-1, 0 or 1 according to a < b, a == b, a > b."""
-        ka, kb = self.sort_key(a), self.sort_key(b)
-        return -1 if ka < kb else (0 if ka == kb else 1)
+        ka, kb = self.heap_key(a), self.heap_key(b)
+        return -1 if ka > kb else (0 if ka == kb else 1)
 
     def leading_word(self, poly: NcPoly) -> Word:
         """The greatest word in the support of a nonzero polynomial."""
-        return max(poly._terms, key=self.sort_key)
+        return min(poly._terms, key=self.heap_key)
 
     def max_degree(self, poly: NcPoly) -> int:
         """Largest word degree in the support (0 for zero)."""

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     DegenerateRelationError,
@@ -124,21 +125,27 @@ class RewriteSystem:
     confluent_up_to: int
     trace: list = field(default_factory=list)
     discarded_above_bound: bool = False
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._index = _rule_index(self.rules)
 
     def rule_for(self, lhs: Word) -> Rule | None:
         return self._by_lhs.get(lhs)
+
+    def reduce(self, terms: dict, steps: list | None = None) -> dict:
+        """Normal form of a word -> coefficient map under the rules; each
+        rewrite is appended to ``steps`` as a TraceStep when a list is given.
+        No degree check: ``normal_form`` is the certified query."""
+        return _reduce(terms, self._index, self.order, steps)
 
     @cached_property
     def _by_lhs(self) -> dict:
         return {r.lhs: r for r in self.rules}
 
+    @cached_property
+    def _index(self) -> dict:
+        return _rule_index(self.rules)
+
 
 # ----------------------------------------------------------------------
-# raw-dict reduction engine
+# reduction engine
 # ----------------------------------------------------------------------
 
 
@@ -162,27 +169,39 @@ def _find_match(word: Word, index: dict):
     return None
 
 
-def _nf_dict(terms: dict, index: dict) -> dict:
-    """Normal form of a word -> coefficient map under the indexed rules."""
+def _reduce(terms: dict, index: dict, order: TermOrder, steps: list | None = None) -> dict:
+    """Normal form of a word -> coefficient map under the indexed rules.
+
+    The greatest pending word is taken first and rewritten at its leftmost
+    match.  A rewrite only produces smaller words, so like terms are merged
+    before they are reduced, each word is rewritten at most once, and the
+    words taken form a strictly decreasing sequence.
+    """
+    key = order.heap_key
+    pending = dict(terms)
+    heap = [(key(w), w) for w in pending]
+    heapify(heap)
     out = {}
-    work = list(terms.items())
-    while work:
-        word, coeff = work.pop()
+    while heap:
+        word = heappop(heap)[1]
+        coeff = pending.pop(word)
         if not coeff:
             continue
         m = _find_match(word, index)
         if m is None:
-            s = out.get(word, 0) + coeff
-            if s:
-                out[word] = s
-            else:
-                del out[word]
+            out[word] = coeff
             continue
         pos, rule = m
-        prefix = word[:pos]
-        suffix = word[pos + len(rule.lhs):]
+        if steps is not None:
+            steps.append(TraceStep(word, coeff, pos, rule.lhs))
+        prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
         for w, c in rule.rhs.items():
-            work.append((prefix + w + suffix, coeff * c))
+            nw = prefix + w + suffix
+            if nw in pending:
+                pending[nw] += coeff * c
+            else:
+                pending[nw] = coeff * c
+                heappush(heap, (key(nw), nw))
     return out
 
 
@@ -230,14 +249,14 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
             for ov in _overlaps(l1, l2):
                 if order.word_degree(ov) > max_degree:
                     continue
-                diff = _spolynomial(ov, r1, r2, index)
+                diff = _spolynomial(ov, r1, r2, index, order)
                 if diff:
                     poly_queue.append(
                         (NcPoly(diff), DerivedRule(EMPTY_WORD, "overlap", ov, (l1, l2)))
                     )
             continue
         poly, provenance = poly_queue.popleft()
-        red = NcPoly(_nf_dict(poly.terms, index))
+        red = NcPoly(_reduce(poly.terms, index, order))
         if red.is_zero():
             continue
         rule = _orient(red, order)
@@ -253,7 +272,7 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
         trace.append(DerivedRule(rule.lhs, provenance.source, provenance.overlap_word, provenance.parents))
         # keep right-hand sides fully reduced
         for r in list(rules.values()):
-            red_rhs = NcPoly(_nf_dict(r.rhs.terms, index))
+            red_rhs = NcPoly(_reduce(r.rhs.terms, index, order))
             if red_rhs != r.rhs:
                 rules[r.lhs] = Rule(r.lhs, red_rhs)
         index = _rule_index(rules.values())
@@ -292,21 +311,15 @@ def _overlaps(l1: Word, l2: Word):
             yield l1 + l2[k:]
 
 
-def _spolynomial(overlap: Word, r1: Rule, r2: Rule, index: dict) -> dict:
+def _spolynomial(overlap: Word, r1: Rule, r2: Rule, index: dict, order: TermOrder) -> dict:
     """Difference of the two one-step reductions of the overlap word, in
     normal form.  Empty dict means the ambiguity resolves."""
     tail = overlap[len(r1.lhs):]
-    p1 = {w + tail: c for w, c in r1.rhs.items()}
+    diff = {w + tail: c for w, c in r1.rhs.items()}
     head = overlap[: len(overlap) - len(r2.lhs)]
-    p2 = {head + w: c for w, c in r2.rhs.items()}
-    diff = dict(p1)
-    for w, c in p2.items():
-        s = diff.get(w, 0) - c
-        if s:
-            diff[w] = s
-        else:
-            diff.pop(w, None)
-    return _nf_dict(diff, index)
+    for w, c in r2.rhs.items():
+        diff[head + w] = diff.get(head + w, 0) - c
+    return _reduce(diff, index, order)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +335,7 @@ def normal_form(x: NcPoly, system: RewriteSystem) -> NcPoly:
         raise OutOfCertifiedRangeError(
             f"degree {deg} exceeds the certified bound {system.degree_bound}"
         )
-    return NcPoly(_nf_dict(x.terms, system._index))
+    return NcPoly(system.reduce(x.terms))
 
 
 def ideal_member(x: NcPoly, system: RewriteSystem) -> bool:
@@ -359,28 +372,8 @@ def derivation_trace(x: NcPoly, system: RewriteSystem) -> list:
         raise OutOfCertifiedRangeError(
             f"degree {deg} exceeds the certified bound {system.degree_bound}"
         )
-    index = system._index
     steps = []
-    current = dict(x.terms)
-    while True:
-        matches = []
-        for word in current:
-            m = _find_match(word, index)
-            if m is not None:
-                matches.append((word, m))
-        if not matches:
-            break
-        word, (pos, rule) = max(matches, key=lambda t: system.order.sort_key(t[0]))
-        coeff = current.pop(word)
-        steps.append(TraceStep(word, coeff, pos, rule.lhs))
-        prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-        for w, c in rule.rhs.items():
-            nw = prefix + w + suffix
-            s = current.get(nw, 0) + coeff * c
-            if s:
-                current[nw] = s
-            else:
-                del current[nw]
+    system.reduce(x.terms, steps)
     return steps
 
 
@@ -402,12 +395,11 @@ def replay_trace(x: NcPoly, steps, system: RewriteSystem) -> NcPoly:
 def confluence_certificate(system: RewriteSystem) -> bool:
     """Re-check every bounded overlap of the final rules; True if all
     ambiguities resolve to the same normal form."""
-    index = system._index
     for r1 in system.rules:
         for r2 in system.rules:
             for ov in _overlaps(r1.lhs, r2.lhs):
                 if system.order.word_degree(ov) > system.confluent_up_to:
                     continue
-                if _spolynomial(ov, r1, r2, index):
+                if _spolynomial(ov, r1, r2, system._index, system.order):
                     return False
     return True

@@ -81,6 +81,35 @@ def test_hilbert_routes(capsys):
     assert report["results"]["oracle_route"] == [1, 4, 10, 20]
 
 
+def test_hilbert_default_oracle_degree_fits_the_cap(capsys):
+    # degree 4 of the nine-generator algebra has 6561 monomials, above the
+    # default cap of 4096
+    code, out = run_cli(capsys, "hilbert", "--algebra", "sl21_Hhat")
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["oracle_degree"] == 3
+    assert report["results"]["oracle_route"] == [1, 9, 45, 161]
+    assert report["results"]["routes_agree"] is True
+
+
+def test_hilbert_default_oracle_degree_within_max_degree(capsys):
+    code, out = run_cli(capsys, "hilbert", "--algebra", "sl2_A", "--max-degree", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["oracle_degree"] == 2
+    assert report["results"]["rewrite_route"] == report["results"]["oracle_route"] == [1, 4, 10]
+    assert report["results"]["routes_agree"] is True
+
+
+def test_hilbert_oracle_degree_above_max_degree_is_usage_error(capsys):
+    code = main(["hilbert", "--algebra", "sl2_A", "--max-degree", "2",
+                 "--oracle-degree", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--oracle-degree 3" in captured.err and "--max-degree 2" in captured.err
+
+
 def test_admissible(capsys):
     code, out = run_cli(
         capsys, "admissible", "--preset", "sl11",
@@ -162,14 +191,24 @@ def test_byte_identical_reports(capsys):
     assert json.loads(third)["seed"] == 8
 
 
-# SHA-256 of reports recorded before completion became a single worklist:
-# they pin the rule order of `complete` and the derived-rule trace of the
-# sl21 suite (both include the package version string)
+# SHA-256 of reports recorded before completion became a single worklist
+# and before the greatest-word-first reducer replaced the stack reducer:
+# they pin the rule order of `complete`, the derived-rule trace of the sl21
+# suite, the step sequence of `trace` and the default `hilbert` report (all
+# include the package version string)
 GOLDEN_REPORTS = {
     ("complete", "--algebra", "sl21_Hhat", "--max-degree", "8"):
         "005bf8676ed136d558f501453dc418d904bcbed0bc772a309355dd6295377358",
     ("verify-paper", "--suite", "sl21"):
         "93c5ff236f8392078fb63ef2fae1caf863ad678d9f64f6d275f884fa5f5981ac",
+    ("complete", "--algebra", "slc_H", "--order", "a2,a4,a3,a1", "--max-degree", "7"):
+        "189996ac3ab70f3081a494b178a4bdba285939b48a241462b678d77ee1aa8e3b",
+    ("trace", "--algebra", "sl21_Hhat", "--expr", "y1*y1*t", "--max-degree", "5"):
+        "e84307e3c1b62cc9d04e0b3c5088266b59a8916f9cdef08e140d57df747f145e",
+    ("trace", "--algebra", "sl11_Hhat", "--expr", "e*f*h*t"):
+        "a63177924bc15e6d627a4446c203cba64151549258a447cd20c8f39ca09bbb2d",
+    ("hilbert", "--algebra", "sl11_Hhat"):
+        "64802e4290aaf4861b75911bb4a69a88aa59112030ee80d30e7c7281032d100f",
 }
 
 
