@@ -33,7 +33,7 @@ from .liealg import (
 from .modules import InducedModuleSpec, induced_module_dims
 from .presets import PRESENTATION_NAMES, preset
 from .reports import build_report, render
-from .rewrite import complete, derivation_trace, normal_form
+from .rewrite import complete, normal_form
 from .suites import run_suite
 
 _TABLES = {"sl2": "sl2_table", "sl11": "sl11_table", "slc": "slc_table"}
@@ -249,8 +249,8 @@ def _dispatch(args) -> int:
                 True, __version__, args.seed,
             )
             return _emit(args, report, 0)
-        steps = derivation_trace(poly, system)
-        result = normal_form(poly, system)
+        steps = []
+        result = normal_form(poly, system, steps)
         report = build_report(
             "trace",
             {"algebra": pres.name, "expr": args.expr, "order": args.order},

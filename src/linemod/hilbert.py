@@ -243,7 +243,12 @@ class CyclicModuleModel:
 
 
 def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> CyclicModuleModel:
-    """Build the degreewise linear model of the cyclic left module."""
+    """Build the degreewise linear model of the cyclic left module.
+
+    Each row ``NF(b g)``, for a normal word ``b`` and a generator ``g``, is
+    read from the system's memo of normal word times letter
+    (``RewriteSystem.right_multiply``); the degree check above keeps every
+    product in the confluent range, where it equals a full reduction."""
     pres = system.presentation
     if not pres.is_z_homogeneous():
         raise InhomogeneousError(f"{pres.name!r} is not graded")
@@ -267,7 +272,7 @@ def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> C
             if d < gdeg:
                 continue
             for b in basis[d - gdeg]:
-                nf = system.reduce({b + w: c for w, c in g.items()})
+                nf = system.right_multiply(b, g)
                 ideal[d].add({pos[w]: c for w, c in nf.items()})
     return CyclicModuleModel(system, gens, max_degree, basis, ideal, positions)
 

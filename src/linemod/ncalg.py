@@ -240,10 +240,6 @@ class NcPoly:
         return max(sum(degrees[g] for g in w) for w in self._terms)
 
 
-def word_degree(word: Word, degrees: tuple) -> int:
-    return sum(degrees[g] for g in word)
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """Degree-lexicographic order on words.

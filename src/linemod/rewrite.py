@@ -135,6 +135,14 @@ class RewriteSystem:
         No degree check: ``normal_form`` is the certified query."""
         return _reduce(terms, self._index, self.order, steps)
 
+    def right_multiply(self, word: Word, terms) -> dict:
+        """Normal form of ``word * x`` for a normal word ``word`` and ``x`` a
+        word -> coefficient dict or an NcPoly, read from the memo of normal
+        word times letter.  No degree check: it equals ``reduce`` of the product only
+        within ``confluent_up_to``, where normal forms are unique."""
+        out, _ = self._products.fold(word, terms.items(), True)
+        return {w: c for w, c in out.items() if c}
+
     @cached_property
     def _by_lhs(self) -> dict:
         return {r.lhs: r for r in self.rules}
@@ -142,6 +150,10 @@ class RewriteSystem:
     @cached_property
     def _index(self) -> dict:
         return _rule_index(self.rules)
+
+    @cached_property
+    def _products(self) -> "_ProductTable":
+        return _ProductTable(self.rules)
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +217,100 @@ def _reduce(terms: dict, index: dict, order: TermOrder, steps: list | None = Non
     return out
 
 
+def _compact(c):
+    """An integral coefficient as ``int``, any other unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+class _ProductTable:
+    """Normal forms of ``v * x`` for a normal word ``v`` and a letter ``x``:
+    the right-regular representation in the normal-word basis, filled on
+    demand.
+
+    As ``v`` is normal and the rules are inter-reduced, ``v * x`` is either
+    normal or ends in exactly one lhs, ``v * x = u * lhs``; its normal form
+    is then ``u * rhs`` folded letter by letter through the table.  Every
+    product that fold asks for is below ``v * x`` in the term order, so
+    filling ends; it runs on an explicit stack, not by recursion.  Only
+    reducible products are stored, each as one flat tuple ``(word, coeff,
+    word, coeff, ...)`` with the words interned and integral coefficients
+    as ``int``.
+    """
+
+    def __init__(self, rules):
+        self._by_last = {}    # last letter -> [(len(lhs), lhs, rhs pairs)]
+        for r in rules:
+            rhs = tuple((w, _compact(c)) for w, c in r.rhs.items())
+            self._by_last.setdefault(r.lhs[-1], []).append((len(r.lhs), r.lhs, rhs))
+        self._table = {}      # reducible product -> (word, coeff, word, coeff, ...)
+        self._words = {}      # interned normal words of the stored pairs
+
+    def _match(self, word: Word):
+        """(length, rhs pairs) of the rule whose lhs ends ``word``, or None."""
+        for n, lhs, rhs in self._by_last.get(word[-1], ()):
+            if word[-n:] == lhs:
+                return n, rhs
+        return None
+
+    def fold(self, word: Word, terms, fill: bool) -> tuple:
+        """``(sum c * NF(word * w), None)`` over the (w, c) pairs of
+        ``terms``, multiplying by one letter at a time.  With ``fill``,
+        reducible products absent from the table are filled first; without
+        it, a stage that needs such products stops the fold and returns
+        ``(None, those products)``."""
+        table, out = self._table, {}
+        for w, c in terms:
+            cur = {word: c}
+            for x in w:
+                nxt, missing = {}, []
+                for v, a in cur.items():
+                    vx = v + (x,)
+                    hit = table.get(vx)
+                    if hit is None:
+                        if self._match(vx) is None:
+                            hit = (vx, 1)
+                        elif fill:
+                            self._fill(vx)
+                            hit = table[vx]
+                        else:
+                            missing.append(vx)
+                            continue
+                    pairs = iter(hit)
+                    for t, b in zip(pairs, pairs):
+                        if t in nxt:
+                            nxt[t] += a * b
+                        else:
+                            nxt[t] = a * b
+                if missing:
+                    return None, missing
+                cur = nxt
+            for t, a in cur.items():
+                if t in out:
+                    out[t] += a
+                else:
+                    out[t] = a
+        return out, None
+
+    def _fill(self, product: Word) -> None:
+        """Store the normal form of a reducible product, after the smaller
+        products its fold needs."""
+        table, words = self._table, self._words
+        stack = [product]
+        while stack:
+            top = stack[-1]
+            if top in table:
+                stack.pop()
+                continue
+            n, rhs = self._match(top)
+            out, missing = self.fold(top[:-n], rhs, False)
+            if missing:
+                stack.extend(missing)
+                continue
+            table[top] = tuple(x for t, a in out.items() if a
+                               for x in (words.setdefault(t, t), _compact(a)))
+            stack.pop()
+
+
 def _orient(poly: NcPoly, order: TermOrder) -> Rule:
     """Orient a nonzero polynomial into a rule on its greatest word."""
     lead = order.leading_word(poly)
@@ -263,19 +369,24 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
         if order.word_degree(rule.lhs) > max_degree:
             discarded = True
             continue
-        # inter-reduce: retire any rule whose lhs contains the new lhs
+        # inter-reduce: retire any rule whose lhs contains the new lhs; the
+        # index is kept in rule order by editing its letter groups in place
         for lhs in [lhs for lhs in rules if _contains(lhs, rule.lhs)]:
             retired = rules.pop(lhs)
+            index[lhs[0]] = [r for r in index[lhs[0]] if r is not retired]
             poly_queue.append((NcPoly.monomial(lhs) - retired.rhs, DerivedRule(EMPTY_WORD, "relation")))
         rules[rule.lhs] = rule
-        index = _rule_index(rules.values())
+        index.setdefault(rule.lhs[0], []).append(rule)
         trace.append(DerivedRule(rule.lhs, provenance.source, provenance.overlap_word, provenance.parents))
-        # keep right-hand sides fully reduced
+        # keep right-hand sides fully reduced, all against this index
+        changed = False
         for r in list(rules.values()):
             red_rhs = NcPoly(_reduce(r.rhs.terms, index, order))
             if red_rhs != r.rhs:
                 rules[r.lhs] = Rule(r.lhs, red_rhs)
-        index = _rule_index(rules.values())
+                changed = True
+        if changed:
+            index = _rule_index(rules.values())
         # schedule overlaps of the new rule with every live rule
         for lhs in rules:
             pair_queue.append((rule.lhs, lhs))
@@ -327,15 +438,16 @@ def _spolynomial(overlap: Word, r1: Rule, r2: Rule, index: dict, order: TermOrde
 # ----------------------------------------------------------------------
 
 
-def normal_form(x: NcPoly, system: RewriteSystem) -> NcPoly:
+def normal_form(x: NcPoly, system: RewriteSystem, steps: list | None = None) -> NcPoly:
     """The unique normal form of ``x`` (unique when the degree of ``x`` is
-    within the certified bound, which is enforced)."""
+    within the certified bound, which is enforced).  The same pass appends
+    its rewrites to ``steps`` when a list is given (see ``derivation_trace``)."""
     deg = system.order.max_degree(x)
     if deg > system.degree_bound:
         raise OutOfCertifiedRangeError(
             f"degree {deg} exceeds the certified bound {system.degree_bound}"
         )
-    return NcPoly(system.reduce(x.terms))
+    return NcPoly(system.reduce(x.terms, steps))
 
 
 def ideal_member(x: NcPoly, system: RewriteSystem) -> bool:
@@ -367,13 +479,8 @@ def derivation_trace(x: NcPoly, system: RewriteSystem) -> list:
     deterministic.  Expanding the steps witnesses that x - normal_form(x)
     lies in the two-sided ideal.
     """
-    deg = system.order.max_degree(x)
-    if deg > system.degree_bound:
-        raise OutOfCertifiedRangeError(
-            f"degree {deg} exceeds the certified bound {system.degree_bound}"
-        )
     steps = []
-    system.reduce(x.terms, steps)
+    normal_form(x, system, steps)
     return steps
 
 

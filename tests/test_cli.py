@@ -209,6 +209,11 @@ GOLDEN_REPORTS = {
         "a63177924bc15e6d627a4446c203cba64151549258a447cd20c8f39ca09bbb2d",
     ("hilbert", "--algebra", "sl11_Hhat"):
         "64802e4290aaf4861b75911bb4a69a88aa59112030ee80d30e7c7281032d100f",
+    ("certify-line", "--algebra", "slc_H", "--gen", "a1 - a4", "--gen", "a2 + a3",
+     "--max-degree", "9"):
+        "0f6e394de16593436ed95cfda8822c8c25c9647474adcb7b00b295d89e94e80b",
+    ("verify-paper", "--suite", "sl2", "--samples", "50", "--seed", "3"):
+        "494c3b03f9acb1dd9a89ffd67bcdf47d3642283c86bed9ff0007bb45fe71d4ac",
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from linemod import rewrite
 from linemod.errors import DegenerateRelationError, OutOfCertifiedRangeError
-from linemod.hilbert import hilbert_algebra, oracle_graded_dims
+from linemod.hilbert import hilbert_algebra, normal_words_by_degree, oracle_graded_dims
 from linemod.ncalg import Generator, NcPoly, TermOrder
 from linemod.presets import preset
 from linemod.rewrite import (
@@ -280,3 +280,69 @@ def test_engine_matches_stack_reference(name, precedence, data):
     nf = normal_form(poly, system)
     assert replay_trace(poly, steps, system) == nf
     assert stack_normal_form(poly, system) == nf
+
+
+# ----------------------------------------------------------------------
+# the memo of normal word times letter against the reduction engine
+# ----------------------------------------------------------------------
+
+
+def assert_products_match_engine(system, bound):
+    """right_multiply(v, x) equals a full reduction of v*x for every normal
+    word v of degree below ``bound`` and every letter x."""
+    words = normal_words_by_degree(system, bound - 1)
+    letters = range(len(system.presentation.generators))
+    for d in range(bound):
+        for v in words[d]:
+            for x in letters:
+                assert system.right_multiply(v, {(x,): 1}) == system.reduce({v + (x,): 1}), (v, x)
+
+
+PRODUCT_SYSTEMS = [
+    ("slc_H", None, 8),
+    ("slc_H", "a2 a4 a3 a1", 8),
+    ("sl11_Hhat", None, 7),
+    ("sl2_A", None, 7),
+    ("sl21_Hhat", None, 5),
+]
+
+
+@pytest.mark.parametrize("name, precedence, bound", PRODUCT_SYSTEMS)
+def test_product_memo_matches_engine(name, precedence, bound):
+    pres = preset(name)
+    order = _precedence(pres, precedence.split()) if precedence else None
+    assert_products_match_engine(complete(pres, order=order, max_degree=bound), bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_presentations(), st.integers(2, 5))
+def test_product_memo_matches_engine_on_random_presentations(drawn, bound):
+    pres, precedence = drawn
+    order = TermOrder.from_precedence(pres.z_degrees, precedence)
+    assert_products_match_engine(complete(pres, order=order, max_degree=bound), bound)
+
+
+@pytest.mark.parametrize("name, precedence", ENGINE_SYSTEMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_right_multiply_by_polynomials(name, precedence, data):
+    # words of several letters fold through the memo; slc_U also lowers degree
+    system = _engine_system(name, precedence)
+    words = normal_words_by_degree(system, 3)
+    v = data.draw(st.sampled_from([w for d in range(4) for w in words[d]]))
+    ngens = len(system.presentation.generators)
+    terms = data.draw(st.dictionaries(
+        st.lists(st.integers(0, ngens - 1), max_size=3).map(tuple),
+        st.fractions(min_value=-5, max_value=5, max_denominator=3),
+        max_size=5,
+    ))
+    expected = system.reduce({v + w: c for w, c in terms.items()})
+    assert NcPoly(system.right_multiply(v, terms)) == NcPoly(expected)
+
+
+def test_product_memo_fills_long_chains_without_recursion():
+    # x^k * y moves y past k letters; each step needs the product below it
+    k = 3000
+    rel = NcPoly({(0, 1): 1, (1, 0): -1})
+    system = complete(_pres("kxy", ["x", "y"], (rel,)), max_degree=k + 1)
+    assert system.right_multiply((0,) * k, {(1,): 2}) == {(1,) + (0,) * k: 2}
