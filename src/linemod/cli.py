@@ -44,14 +44,21 @@ _TABLES = {"sl2": "sl2_table", "sl11": "sl11_table", "slc": "slc_table"}
 _INDUCE_ENV = {"sl2": "sl2_U", "sl11": "sl11_Uhat", "slc": "slc_U"}
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int, kind: str):
+    """An argparse type for integers >= ``minimum``, described as ``kind``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _load_presentation(spec: str):
@@ -165,14 +172,14 @@ def main(argv=None) -> int:
     p.add_argument("--preset", required=True, choices=sorted(_TABLES))
     p.add_argument("--sub", required=True, help="two comma-separated degree-one expressions")
     p.add_argument("--phi", required=True, help="two comma-separated rationals")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_non_negative_int, default=4)
     _common_flags(p)
 
     p = commands.add_parser("induce", help="filtration dimensions of an induced module")
     p.add_argument("--preset", required=True, choices=sorted(_TABLES))
     p.add_argument("--sub", required=True)
     p.add_argument("--phi", required=True)
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=_non_negative_int, default=6)
     _common_flags(p)
 
     p = commands.add_parser("classify-line", help="classify a line against the color families")

@@ -300,7 +300,8 @@ class FilteredModel:
     echelon pivots of level <= i span exactly the intersection of the row
     space with filtration level i.  The two-sided ideal rows are echelonized
     once per presentation and degree bound (``base``); left-ideal shift
-    generators are layered on top of a copy of it per query.
+    rows are layered on top of a copy of it per query.  The pivot set of a
+    row space does not depend on the order its rows are added in.
     """
 
     presentation: Presentation
@@ -308,18 +309,28 @@ class FilteredModel:
     word_level: dict
     base: SparseEchelon
 
+    def _shift_rows(self, shift_generators):
+        """The rows u*s of the left ideal of the shifts, restricted to
+        filtration level <= max_degree: by degree of u, and for each word u
+        one row per shift generator."""
+        degrees = self.presentation.z_degrees
+        shifts = []
+        for s in shift_generators:
+            if not s.is_zero():
+                s_deg = max(sum(degrees[g] for g in w) for w in s.support())
+                shifts.append((s, self.max_degree - s_deg))
+        for i in range(max((top for _, top in shifts), default=-1) + 1):
+            for u in words_of_degree(degrees, i):
+                for s, top in shifts:
+                    if i <= top:
+                        yield {u + w: c for w, c in s.items()}
+
     def ideal_echelon(self, shift_generators) -> SparseEchelon:
         """Echelon of (two-sided relation ideal) + (left ideal of shifts),
         restricted to filtration level <= max_degree."""
-        degrees = self.presentation.z_degrees
         ech = self.base.copy()
-        for s in shift_generators:
-            if s.is_zero():
-                continue
-            s_deg = max(sum(degrees[g] for g in w) for w in s.support())
-            for i in range(self.max_degree - s_deg + 1):
-                for u in words_of_degree(degrees, i):
-                    ech.add({u + w: c for w, c in s.items()})
+        for row in self._shift_rows(shift_generators):
+            ech.add(row)
         return ech
 
     def quotient_dims(self, shift_generators) -> HilbertFunction:
@@ -332,8 +343,21 @@ class FilteredModel:
             dims.append(total - cut)
         return HilbertFunction(tuple(dims))
 
-    def contains(self, row: dict, shift_generators) -> bool:
-        return self.ideal_echelon(shift_generators).contains(row)
+    def is_proper(self, shift_generators) -> bool:
+        """Whether the identity lies outside the ideal, i.e.
+        ``quotient_dims(shift_generators)[0] == 1``.
+
+        The empty word is the last column, so it is a pivot exactly when
+        the ideal spans 1; once a pivot it stays one, so shift rows are
+        added only until the first row that pivots there.
+        """
+        if EMPTY_WORD in self.base.pivot_columns():
+            return False
+        ech = self.base.copy()
+        for row in self._shift_rows(shift_generators):
+            if ech.add(row) == EMPTY_WORD:
+                return False
+        return True
 
 
 def filtered_model(p: Presentation, max_degree: int, cap: int | None = None) -> FilteredModel:

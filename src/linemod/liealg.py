@@ -20,7 +20,7 @@ from .errors import (
     RouteDisagreementError,
     SubalgebraFormError,
 )
-from .hilbert import filtered_cyclic_dims
+from .hilbert import filtered_model
 from .linalg import coords_in_span, dense_nullspace, dense_rank, in_span
 from .ncalg import NcPoly
 from .rewrite import Presentation, RewriteSystem, complete, normal_form
@@ -267,9 +267,10 @@ def shift_generators(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> tup
 def properness_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable,
                           max_degree: int = 4) -> bool:
     """Bounded-degree route: the cyclic module U/(U {x - phi(x)}) is nonzero,
-    i.e. the identity is not spanned by the filtered left ideal."""
-    dims = filtered_cyclic_dims(T.enveloping, shift_generators(S, phi, T), max_degree)
-    return dims[0] == 1
+    i.e. the identity is not spanned by the filtered left ideal.  The span
+    stops at the first row that puts the identity in it."""
+    model = filtered_model(T.enveloping, max_degree)
+    return model.is_proper(shift_generators(S, phi, T))
 
 
 def admissible_functional(S: SubalgebraSpec, phi: Functional, T: BracketTable,

@@ -16,11 +16,11 @@ from fractions import Fraction
 from . import geometry
 from .errors import InhomogeneousError, RankDeficientError, SubalgebraFormError
 from .hilbert import (
+    CyclicModuleModel,
     HilbertFunction,
     cyclic_module_model,
     filtered_cyclic_dims,
     filtered_model,
-    hilbert_cyclic_left_module,
     line_module_dims,
 )
 from .liealg import (
@@ -64,6 +64,13 @@ class LineModuleSpec:
         if n != 4:
             raise ValueError("lines live in P^3; the algebra must have four generators")
         return geometry.Line(tuple(_coeff_vector(g, n) for g in self.generators))
+
+    def model(self, max_degree: int) -> CyclicModuleModel:
+        """The degreewise linear model of the module to ``max_degree``.
+
+        Its data in degrees <= d are those of the model built to d, so the
+        certificates below accept one model built to their largest bound."""
+        return cyclic_module_model(self.system, self.generators, max_degree)
 
 
 def _coeff_vector(poly: NcPoly, n: int) -> tuple:
@@ -171,9 +178,21 @@ def pair_from_line(line: geometry.Line, table: BracketTable):
 # ----------------------------------------------------------------------
 
 
-def certify_line_module(M: LineModuleSpec, max_degree: int) -> CertificationReport:
+def _model_to(M: LineModuleSpec, max_degree: int,
+              model: CyclicModuleModel | None) -> CyclicModuleModel:
+    """``model`` (a model of M to at least ``max_degree``), or a new one."""
+    if model is None:
+        return M.model(max_degree)
+    if (model.system is not M.system or model.generators != M.generators
+            or model.max_degree < max_degree):
+        raise ValueError(f"model is not one of this line module to degree {max_degree}")
+    return model
+
+
+def certify_line_module(M: LineModuleSpec, max_degree: int,
+                        model: CyclicModuleModel | None = None) -> CertificationReport:
     """Dimension certificate: the cyclic quotient has dims d+1 up to the bound."""
-    dims = hilbert_cyclic_left_module(M.system, M.generators, max_degree)
+    dims = _model_to(M, max_degree, model).dims().truncate(max_degree)
     return CertificationReport.from_dims(
         "line-module-dimensions",
         line_module_dims(max_degree),
@@ -193,12 +212,13 @@ def is_Z2_graded_line_module(M: LineModuleSpec) -> bool:
     return is_graded_subspace(SubalgebraSpec(*vecs), labels)
 
 
-def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> bool:
+def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int,
+                    model: CyclicModuleModel | None = None) -> bool:
     """Whether multiplication by the named (central) degree-one generator is
     injective on the module in every degree below the bound."""
     pres = M.system.presentation
     g = pres.gen_index(generator_name)
-    model = cyclic_module_model(M.system, M.generators, max_degree)
+    model = _model_to(M, max_degree, model)
     for d in range(max_degree):
         pos_next = model.positions[d + 1]
         ech = model.ideal[d + 1].copy()
@@ -257,28 +277,29 @@ def annihilator_contains_generators(I: InducedModuleSpec, M: LineModuleSpec,
     hom = len(graded.generators) - 1
     if graded.generator_names()[:hom] != env.generator_names():
         raise ValueError("graded and enveloping alphabets do not match")
-    model = filtered_model(env, max_degree)
-    shifts = shift_generators(I.subalgebra, I.phi, I.table)
+    ideal = filtered_model(env, max_degree).ideal_echelon(
+        shift_generators(I.subalgebra, I.phi, I.table))
     for g in M.generators:
         row = {}
         for w, c in g.items():
             target = () if w[0] == hom else w
             row[target] = row.get(target, 0) + c
-        if not model.contains({w: c for w, c in row.items() if c}, shifts):
+        if not ideal.contains({w: c for w, c in row.items() if c}):
             return False
     return True
 
 
-def certify_homogenization_iso(I: InducedModuleSpec, M: LineModuleSpec,
-                               max_degree: int) -> CertificationReport:
+def certify_homogenization_iso(I: InducedModuleSpec, M: LineModuleSpec, max_degree: int,
+                               model: CyclicModuleModel | None = None) -> CertificationReport:
     """Certificate that the homogenized induced module is the line module.
 
     Passes iff the filtration dimensions match the module's graded
     dimensions degree by degree and the annihilator containment holds, the
     bounded-degree content of the surjection-plus-equal-dimensions proof.
+    ``model`` is passed on to ``certify_line_module``.
     """
     induced = induced_module_dims(I, max_degree)
-    line_report = certify_line_module(M, max_degree)
+    line_report = certify_line_module(M, max_degree, model)
     ann = annihilator_contains_generators(I, M)
     report = CertificationReport.from_dims(
         "homogenized-induced-module-matches-line-module",

@@ -143,6 +143,17 @@ def test_induce_inadmissible_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["admissible", "induce"])
+def test_negative_max_degree_is_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "sl11", "--sub", "h, e", "--phi", "0,0",
+              "--max-degree", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree" in captured.err and "'-1'" in captured.err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("algebra a { generators x; relations { x* ; } }")
@@ -214,6 +225,19 @@ GOLDEN_REPORTS = {
         "0f6e394de16593436ed95cfda8822c8c25c9647474adcb7b00b295d89e94e80b",
     ("verify-paper", "--suite", "sl2", "--samples", "50", "--seed", "3"):
         "494c3b03f9acb1dd9a89ffd67bcdf47d3642283c86bed9ff0007bb45fe71d4ac",
+    # recorded before properness stopped at the first unit pivot and shift
+    # rows came in order of degree
+    ("admissible", "--preset", "sl11", "--sub", "h, e + f", "--phi", "4, 2"):
+        "a1c164566389ea297cb9d0884b8601fcb8df79fb1f1617ab4dd6d2f4ab56f0aa",
+    ("admissible", "--preset", "sl2", "--sub", "h, e", "--phi", "1, 3"):
+        "36548969843d2a9d7a807b7910ab563d5e9694bbd2415addae1adfe44f5847a5",
+    ("induce", "--preset", "slc", "--sub", "a3, a1 + a2", "--phi", "1/2, 7",
+     "--max-degree", "4"):
+        "48bcc1892739331802917d365449d82437a57cd26f56c35efbde06cef9db2bc2",
+    ("verify-paper", "--suite", "sl11", "--samples", "50", "--seed", "3"):
+        "f75c7443a8216df5e9a60d08f52e23df5ebf5b552d3abf29cbe083c263e0c395",
+    ("verify-paper", "--suite", "slc", "--samples", "50", "--seed", "3"):
+        "8fabd01231fb3df26cdef05b12ec44576d6489726def3acf862cfe92e65a18dc",
 }
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linemod.errors import InhomogeneousError, OracleCapError
 from linemod import hilbert
@@ -15,6 +17,7 @@ from linemod.hilbert import (
     oracle_graded_dims,
     words_of_degree,
 )
+from linemod.liealg import Functional, SubalgebraSpec, shift_generators
 from linemod.ncalg import Generator, NcPoly
 from linemod.presets import preset
 from linemod.rewrite import Presentation, complete
@@ -201,3 +204,153 @@ def test_cyclic_dims_generator_basis_invariant(hhat_system):
                 break
         mixed = (g1.scale(a) + g2.scale(b), g1.scale(c) + g2.scale(d))
         assert hilbert_cyclic_left_module(hhat_system, mixed, 5) == base
+
+
+# ----------------------------------------------------------------------
+# the early-exit properness test against the full filtered echelon
+# ----------------------------------------------------------------------
+
+
+def _old_order_echelon(model, shifts):
+    """The ideal echelon built generator by generator: all rows of one
+    shift generator before any row of the next, another insertion order
+    for the same row space."""
+    degrees = model.presentation.z_degrees
+    ech = model.base.copy()
+    for s in shifts:
+        if s.is_zero():
+            continue
+        s_deg = max(sum(degrees[g] for g in w) for w in s.support())
+        for i in range(model.max_degree - s_deg + 1):
+            for u in words_of_degree(degrees, i):
+                ech.add({u + w: c for w, c in s.items()})
+    return ech
+
+
+def _check_filtered_routes(model, shifts):
+    dims = model.quotient_dims(shifts)
+    assert model.is_proper(shifts) == (dims[0] == 1)
+    old = _old_order_echelon(model, shifts)
+    assert set(model.ideal_echelon(shifts).pivot_columns()) == set(old.pivot_columns())
+    levels = [model.word_level[c] for c in old.pivot_columns()]
+    assert list(dims) == [
+        sum(1 for lv in model.word_level.values() if lv <= i) - sum(1 for lv in levels if lv <= i)
+        for i in range(model.max_degree + 1)
+    ]
+    return dims
+
+
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _pairs(draw):
+    """(table, enveloping presentation, S, phi) with admissible functionals
+    drawn on purpose: phi(e) = 0 on the sl2 Borel planes, lambda =
+    gamma^2/(alpha beta) for sl11, phi(a_i) = mu/2 or phi(a_j + mu a_k) = 0
+    for slc; each one otherwise free.  The basis of S is then mixed."""
+    env = draw(st.sampled_from(["sl2_U", "sl11_U", "sl11_Uhat", "slc_U"]))
+    admissible = draw(st.booleans())
+    if env == "sl2_U":
+        table = preset("sl2_table")
+        s = draw(_small)
+        v1, v2 = (0, -2 * s, 1), (1, -s * s, s)      # [v1, v2] = 2 v2
+        phi = (draw(_small), 0 if admissible else draw(_small))
+    elif env.startswith("sl11"):
+        table = preset("sl11_table")
+        alpha, beta, gamma = draw(_small), draw(_small), draw(_small)
+        if not alpha and not beta:
+            alpha = Fraction(1)
+        if admissible and alpha * beta:
+            lam = gamma * gamma / (alpha * beta)
+        else:
+            lam = draw(_small)
+            if admissible:
+                gamma = Fraction(0)
+        v1, v2 = (0, 0, 1), (alpha, beta, 0)
+        phi = (lam, gamma)
+    else:
+        table = preset("slc_table")
+        i = draw(st.integers(0, 2))
+        j, k = [m for m in range(3) if m != i]
+        mu = draw(st.sampled_from([1, -1]))
+        v1 = tuple(1 if m == i else 0 for m in range(3))
+        v2 = tuple(1 if m == j else mu if m == k else 0 for m in range(3))
+        phi = (draw(_small), draw(_small))
+        if admissible:
+            phi = draw(st.sampled_from([(phi[0], 0), (Fraction(mu, 2), phi[1])]))
+    a, b, c, d = (draw(st.integers(-3, 3)) for _ in range(4))
+    if a * d == b * c:
+        a, b, c, d = 1, 0, 0, 1
+    S = SubalgebraSpec(tuple(a * x + b * y for x, y in zip(v1, v2)),
+                       tuple(c * x + d * y for x, y in zip(v1, v2)))
+    mixed = Functional(a * phi[0] + b * phi[1], c * phi[0] + d * phi[1])
+    return table, preset(env), S, mixed
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs(), st.integers(2, 4))
+def test_is_proper_matches_quotient_dims_on_enveloping_algebras(drawn, bound):
+    table, env, S, phi = drawn
+    _check_filtered_routes(filtered_model(env, bound), shift_generators(S, phi, table))
+
+
+@pytest.mark.parametrize("env,table,sub,admissible,inadmissible", [
+    ("sl2_U", "sl2_table", ((0, 0, 1), (1, 0, 0)), (3, 0), (3, 1)),
+    ("sl11_U", "sl11_table", ((0, 0, 1), (1, 1, 0)), (4, 2), (1, 0)),
+    ("sl11_Uhat", "sl11_table", ((0, 0, 1), (1, 1, 0)), (4, 2), None),
+    ("slc_U", "slc_table", ((0, 0, 1), (1, 1, 0)), (Fraction(1, 2), 7), (0, 1)),
+])
+def test_is_proper_gives_both_answers(env, table, sub, admissible, inadmissible):
+    model = filtered_model(preset(env), 4)
+    S = SubalgebraSpec(*sub)
+    shifts = shift_generators(S, Functional(*admissible), preset(table))
+    assert model.is_proper(shifts)
+    assert _check_filtered_routes(model, shifts)[0] == 1
+    if inadmissible is not None:
+        shifts = shift_generators(S, Functional(*inadmissible), preset(table))
+        assert not model.is_proper(shifts)
+        assert _check_filtered_routes(model, shifts)[0] == 0
+
+
+@st.composite
+def _filtered_presentations(draw):
+    """2-3 generators, 1-3 relations with quadratic, linear and constant
+    terms (so the two-sided ideal itself often spans 1), and 0-2 shift
+    generators of degree at most one."""
+    n = draw(st.integers(2, 3))
+    coeff = st.integers(-2, 2)
+    words = list(product(range(n), repeat=2)) + [(g,) for g in range(n)] + [()]
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {w: c for w in words if (c := draw(coeff))}
+        if any(len(w) == 2 for w in terms):
+            relations.append(NcPoly(terms))
+    if not relations:
+        relations.append(NcPoly({(0, 1): 1, (1, 0): -1, (): 1}))
+    gens = tuple(Generator(i, name) for i, name in enumerate("xyz"[:n]))
+    pres = Presentation(name="fuzz", generators=gens, relations=tuple(relations))
+    shifts = []
+    for _ in range(draw(st.integers(0, 2))):
+        terms = {w: c for w in [(g,) for g in range(n)] + [()] if (c := draw(coeff))}
+        shifts.append(NcPoly(terms))
+    return pres, tuple(shifts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_filtered_presentations(), st.integers(2, 4))
+def test_is_proper_matches_quotient_dims_on_random_presentations(drawn, bound):
+    pres, shifts = drawn
+    _check_filtered_routes(filtered_model(pres, bound), shifts)
+
+
+def test_is_proper_when_the_relations_alone_span_one():
+    # x*y = 1 and y*x = 0: x*y*x is both x and 0, so x lies in the ideal
+    # and so does x*y = 1, inside filtration level 4
+    x_y = Presentation(
+        name="collapse",
+        generators=(Generator(0, "x"), Generator(1, "y")),
+        relations=(NcPoly({(0, 1): 1, (): -1}), NcPoly({(1, 0): 1})),
+    )
+    assert _check_filtered_routes(filtered_model(x_y, 3), ())[0] == 1
+    assert _check_filtered_routes(filtered_model(x_y, 4), ())[0] == 0

@@ -91,6 +91,23 @@ def test_torsion_checks(hhat_system):
     assert not torsion_free_on(contains_t, "t", 5)
 
 
+def test_checks_read_a_model_built_to_a_larger_bound(color_system, hhat_system):
+    M = LineModuleSpec(color_system, (deg1((1, 0, 0, -1)), deg1((0, 1, 1, 0))))
+    model = M.model(5)
+    for d in (3, 4, 5):
+        assert certify_line_module(M, d, model) == certify_line_module(M, d)
+        for name in ("a1", "a2", "a3", "a4"):
+            assert torsion_free_on(M, name, d, model) == torsion_free_on(M, name, d)
+    other = LineModuleSpec(color_system, (deg1((1, 0, 0, 0)), deg1((0, 1, 1, 0))))
+    with pytest.raises(ValueError):
+        torsion_free_on(other, "a4", 4, model)
+    with pytest.raises(ValueError):
+        certify_line_module(M, 6, model)
+    same_gens = LineModuleSpec(hhat_system, M.generators)
+    with pytest.raises(ValueError):
+        certify_line_module(same_gens, 4, model)
+
+
 def test_induced_dims_examples():
     table = preset("sl11_table")
     S, phi = pair(1, 1, 4, 2)
