@@ -52,13 +52,16 @@ def _int_at_least(minimum: int, kind: str):
         except ValueError:
             value = minimum - 1
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+# below the degree of the enveloping relations (2 for every table) the
+# filtered route cannot see 1 enter the ideal, so it cannot decide
+_properness_degree = _int_at_least(2, "an integer >= 2, the degree of the enveloping relations")
 
 
 def _load_presentation(spec: str):
@@ -172,7 +175,7 @@ def main(argv=None) -> int:
     p.add_argument("--preset", required=True, choices=sorted(_TABLES))
     p.add_argument("--sub", required=True, help="two comma-separated degree-one expressions")
     p.add_argument("--phi", required=True, help="two comma-separated rationals")
-    p.add_argument("--max-degree", type=_non_negative_int, default=4)
+    p.add_argument("--max-degree", type=_properness_degree, default=4)
     _common_flags(p)
 
     p = commands.add_parser("induce", help="filtration dimensions of an induced module")

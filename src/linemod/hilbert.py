@@ -1,10 +1,11 @@
 """Graded and filtered dimensions by two independent routes.
 
-The working route counts rewrite normal forms; the audit route spans the
-graded pieces of the defining ideal inside the free algebra and row-reduces
-with exact rational arithmetic, never consulting the rewrite system.  The
-filtered variant realizes cyclic quotients of genuinely inhomogeneous
-presentations (enveloping algebras) the same brute-force way.
+The working route counts rewrite normal forms; the audit route builds each
+graded piece of the defining ideal inside the free algebra from the pieces
+below it (left shifts of their echelon rows plus relations times free
+words) and row-reduces with exact rational arithmetic, never consulting the
+rewrite system.  The filtered variant realizes cyclic quotients of genuinely
+inhomogeneous presentations (enveloping algebras) the same brute-force way.
 """
 
 from __future__ import annotations
@@ -86,13 +87,15 @@ def normal_words_by_degree(system: RewriteSystem, max_degree: int) -> dict:
     generation order and form a basis of the quotient in certified degrees.
     """
     degrees = system.order.degrees
-    lhs_by_last = {}
+    ngens = len(degrees)
+    # per last letter: (length, set of the lhs of that length ending in it)
+    by_last = [{} for _ in range(ngens)]
     for r in system.rules:
-        lhs_by_last.setdefault(r.lhs[-1], []).append(r.lhs)
+        by_last[r.lhs[-1]].setdefault(len(r.lhs), set()).add(r.lhs)
+    tails = [sorted(by_len.items()) for by_len in by_last]
     out = {d: [] for d in range(max_degree + 1)}
     out[0].append(EMPTY_WORD)
     frontier = [(EMPTY_WORD, 0)]
-    ngens = len(degrees)
     while frontier:
         new_frontier = []
         for word, deg in frontier:
@@ -101,12 +104,11 @@ def normal_words_by_degree(system: RewriteSystem, max_degree: int) -> dict:
                 if nd > max_degree:
                     continue
                 nw = word + (g,)
-                ok = True
-                for lhs in lhs_by_last.get(g, ()):
-                    if len(lhs) <= len(nw) and nw[-len(lhs):] == lhs:
-                        ok = False
+                # a slice longer than nw is nw itself, too short to be an lhs
+                for n, lhs_set in tails[g]:
+                    if nw[-n:] in lhs_set:
                         break
-                if ok:
+                else:
                     out[nd].append(nw)
                     new_frontier.append((nw, nd))
         frontier = new_frontier
@@ -182,35 +184,63 @@ def words_of_degree(degrees: tuple, d: int) -> list:
 def oracle_graded_dims(p: Presentation, max_degree: int, cap: int | None = None) -> HilbertFunction:
     """Graded dimensions by row-reducing the ideal's graded pieces.
 
-    For each degree d, the rows u*r*v over all relations r and all word
-    pairs (u, v) of complementary degree span the degree-d piece of the
-    two-sided ideal; the quotient dimension is the number of degree-d words
-    minus the rank.  This route never consults the rewrite system.
+    Columns of degree d are the free words of degree d in
+    ``words_of_degree`` order, where the words beginning with a letter x
+    form one block ordered like the words of degree d - deg x.  The
+    degree-d piece of the two-sided ideal is built from the pieces below:
+
+        I_d = sum_x x * I_{d - deg x} + sum_r r * F_{d - deg r}
+
+    (a row u*r*v with u nonempty is x*(u'*r*v)).  The shift rows x*p of the
+    stored echelon rows p are independent, pivoting at x*pivot(p); the
+    relation rows r*v are reduced against them.  The quotient dimension is
+    the number of degree-d words minus the rank.  This route never consults
+    the rewrite system.
     """
     if not p.is_z_homogeneous():
         raise InhomogeneousError(f"{p.name!r} is not graded")
     cap = oracle_cap() if cap is None else cap
     degrees = p.z_degrees
+    reach = max(degrees, default=1)
+    relations = [(next(iter(rel.z_degrees(degrees))), rel.items()) for rel in p.relations]
+    counts = []     # counts[d]: number of words of degree d
+    starts = []     # starts[d][x]: column of the first degree-d word beginning with x
+    lower = {}      # degree -> echelon rows that a later degree still shifts
     dims = []
     for d in range(max_degree + 1):
-        columns = words_of_degree(degrees, d)
-        if len(columns) > cap:
+        counts.append(sum(counts[d - g] for g in degrees if g <= d) if d else 1)
+        if counts[d] > cap:
             raise OracleCapError(
-                f"degree {d} has {len(columns)} monomials, above the cap {cap}; "
+                f"degree {d} has {counts[d]} monomials, above the cap {cap}; "
                 f"set {ORACLE_CAP_ENV} or pass cap= to allow this"
             )
-        col_pos = {w: i for i, w in enumerate(columns)}
+        block, start = [], 0
+        for g in degrees:
+            block.append(start)
+            if g <= d:
+                start += counts[d - g]
+        starts.append(block)
         ech = SparseEchelon()
-        for rel in p.relations:
-            rel_deg = next(iter(rel.z_degrees(degrees)))
+        for x, g in enumerate(degrees):
+            for row in lower.get(d - g, ()):
+                ech.add({block[x] + c: v for c, v in row.items()})
+        for rel_deg, terms in relations:
             if rel_deg > d:
                 continue
-            for i in range(d - rel_deg + 1):
-                for u in words_of_degree(degrees, i):
-                    for v in words_of_degree(degrees, d - rel_deg - i):
-                        row = {col_pos[u + w + v]: c for w, c in rel.items()}
-                        ech.add(row)
-        dims.append(len(columns) - ech.rank)
+            # column(w v) = offset(w) + column(v) among the words of degree d - rel_deg
+            offsets = []
+            for w, c in terms:
+                off, m = 0, d
+                for x in w:
+                    off += starts[m][x]
+                    m -= degrees[x]
+                offsets.append((off, c))
+            for j in range(counts[d - rel_deg]):
+                ech.add({off + j: c for off, c in offsets})
+        dims.append(counts[d] - ech.rank)
+        if d < max_degree:
+            lower[d] = ech.integer_rows()
+        lower.pop(d - reach, None)   # degree d + 1 and above shift no lower
     return HilbertFunction(tuple(dims))
 
 

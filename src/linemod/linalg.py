@@ -68,6 +68,11 @@ class SparseEchelon:
             out.append({col: Fraction(v, lead) for col, v in row.items()})
         return out
 
+    def integer_rows(self) -> list:
+        """The stored primitive integer rows, in insertion order; callers
+        must not mutate them."""
+        return [self._pivots[c] for c in self._pivot_order]
+
     def copy(self) -> "SparseEchelon":
         """An independent echelon with the same pivots; rows added to the
         copy leave this one unchanged."""

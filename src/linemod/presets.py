@@ -186,10 +186,8 @@ _SL21_NAMES = ("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4")
 
 
 def _matrix_unit(i, j):
-    return tuple(
-        tuple(Fraction(1) if (r, c) == (i, j) else Fraction(0) for c in range(3))
-        for r in range(3)
-    )
+    # the basis matrices hold only 0 and 1, so products stay on ints
+    return tuple(tuple(int((r, c) == (i, j)) for c in range(3)) for r in range(3))
 
 
 def _mat_mul(A, B):
@@ -216,13 +214,14 @@ def _sl21_basis_matrices():
 
 
 def _sl21_expand(M) -> tuple:
-    """Coordinates of a supertrace-zero matrix over the eight basis matrices."""
+    """Coordinates of a supertrace-zero integer matrix over the eight basis
+    matrices, as Fractions."""
     if M[2][2] != M[0][0] + M[1][1]:
         raise ValueError("matrix does not have supertrace zero")
-    return (
+    return tuple(Fraction(v) for v in (
         M[0][0], M[1][1], M[0][1], M[1][0],
         M[0][2], M[2][0], M[1][2], M[2][1],
-    )
+    ))
 
 
 def sl21_structure():

@@ -160,9 +160,12 @@ def run_sl2(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     expected = list(line_module_dims(max_degree))
     results = []
     all_pass = True
+    dims_by_gens = {}   # the upper fixture at lambda 2 and s=0 are one module
     for tag, E, H, lam in fixtures:
         gens = (E, H - NcPoly.monomial((3,), lam))
-        dims = hilbert_cyclic_left_module(system, gens, max_degree)
+        if gens not in dims_by_gens:
+            dims_by_gens[gens] = hilbert_cyclic_left_module(system, gens, max_degree)
+        dims = dims_by_gens[gens]
         ok = list(dims) == expected
         all_pass = all_pass and ok
         results.append({"borel": tag, "lambda": lam, "dims": list(dims), "pass": ok})

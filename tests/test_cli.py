@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from linemod.cli import main
+from linemod.presets import preset
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +155,25 @@ def test_negative_max_degree_is_usage_error(capsys, command):
     assert "--max-degree" in captured.err and "'-1'" in captured.err
 
 
+@pytest.mark.parametrize("bound", ["0", "1"])
+def test_admissible_bound_below_the_relations_is_usage_error(capsys, bound):
+    # below degree 2 the filtered route cannot see 1 enter the ideal
+    with pytest.raises(SystemExit) as exc:
+        main(["admissible", "--preset", "sl2", "--sub", "h, e", "--phi", "1, 3",
+              "--max-degree", bound])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree" in captured.err and f"{bound!r}" in captured.err
+
+
+def test_admissible_tables_have_quadratic_enveloping_relations():
+    # the lower bound of admissible --max-degree is this degree
+    for name in ("sl2_table", "sl11_table", "slc_table"):
+        env = preset(name).enveloping
+        assert max(len(w) for rel in env.relations for w in rel.support()) == 2
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("algebra a { generators x; relations { x* ; } }")
@@ -238,6 +258,13 @@ GOLDEN_REPORTS = {
         "f75c7443a8216df5e9a60d08f52e23df5ebf5b552d3abf29cbe083c263e0c395",
     ("verify-paper", "--suite", "slc", "--samples", "50", "--seed", "3"):
         "8fabd01231fb3df26cdef05b12ec44576d6489726def3acf862cfe92e65a18dc",
+    # recorded before the oracle built each degree from the echelons below it
+    ("hilbert", "--algebra", "sl2_A", "--max-degree", "6", "--oracle-degree", "6"):
+        "7e6392a87ee7fa6dc32ab4e5ea49597440e152863144c6d4b361fdb81ec2f4ef",
+    ("hilbert", "--algebra", "slc_H", "--max-degree", "6", "--oracle-degree", "5"):
+        "0c65c930608b384901a9a71345c0980f075bb3656793b7eb43ed16a75ba70d01",
+    ("hilbert", "--algebra", "sl21_Hhat", "--max-degree", "6", "--oracle-degree", "3"):
+        "57ca7a31f5edd7db3fde9fd9045723883729dbdd0676fb0696bee5822e102282",
 }
 
 

@@ -18,6 +18,7 @@ from linemod.hilbert import (
     words_of_degree,
 )
 from linemod.liealg import Functional, SubalgebraSpec, shift_generators
+from linemod.linalg import SparseEchelon
 from linemod.ncalg import Generator, NcPoly
 from linemod.presets import preset
 from linemod.rewrite import Presentation, complete
@@ -69,6 +70,63 @@ def test_two_routes_sl21(sl21_system):
     rewrite = hilbert_algebra(sl21_system, 4)
     oracle = oracle_graded_dims(preset("sl21_Hhat"), 4, cap=7000)
     assert list(oracle) == list(rewrite)
+
+
+def test_oracle_reaches_sl21_degree_five(sl21_system):
+    oracle = oracle_graded_dims(preset("sl21_Hhat"), 5, cap=60000)
+    assert list(oracle) == [1, 9, 45, 161, 459, 1113]
+    assert list(oracle) == list(hilbert_algebra(sl21_system, 5))
+
+
+def _naive_oracle(pres, max_degree):
+    """Every row u*r*v, over all relations r and all word pairs (u, v) of
+    complementary degree, over columns enumerated independently of
+    ``words_of_degree``."""
+    degrees = pres.z_degrees
+    words = {d: [] for d in range(max_degree + 1)}
+    for n in range(max_degree + 1):
+        for w in product(range(len(degrees)), repeat=n):
+            deg = sum(degrees[g] for g in w)
+            if deg <= max_degree:
+                words[deg].append(w)
+    dims = []
+    for d in range(max_degree + 1):
+        pos = {w: i for i, w in enumerate(words[d])}
+        ech = SparseEchelon()
+        for rel in pres.relations:
+            rel_deg = next(iter(rel.z_degrees(degrees)))
+            for i in range(d - rel_deg + 1):
+                for u, v in product(words[i], words[d - rel_deg - i]):
+                    ech.add({pos[u + w + v]: c for w, c in rel.items()})
+        dims.append(len(pos) - ech.rank)
+    return dims
+
+
+@st.composite
+def _weighted_presentations(draw):
+    """2-3 generators of degree 1 or 2 and 1-3 homogeneous relations of
+    degree 2 or 3 each, so weighted degrees and cubic relations mix."""
+    degrees = tuple(draw(st.lists(st.integers(1, 2), min_size=2, max_size=3)))
+    n = len(degrees)
+    coeff = st.integers(-2, 2)
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        rel_deg = draw(st.integers(2, 3))
+        words = [w for k in range(1, rel_deg + 1) for w in product(range(n), repeat=k)
+                 if sum(degrees[g] for g in w) == rel_deg]
+        terms = {w: c for w in words if (c := draw(coeff))}
+        if terms:
+            relations.append(NcPoly(terms))
+    if not relations:
+        relations.append(NcPoly({(0, 1): 1, (1, 0): -1}))
+    gens = tuple(Generator(i, name, g) for i, (name, g) in enumerate(zip("xyz", degrees)))
+    return Presentation(name="weighted", generators=gens, relations=tuple(relations))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weighted_presentations(), st.integers(2, 5))
+def test_oracle_matches_all_rows_on_weighted_presentations(pres, bound):
+    assert list(oracle_graded_dims(pres, bound)) == _naive_oracle(pres, bound)
 
 
 def test_zero_relation_ideal_is_free():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from linemod.dsl import format_poly
 from linemod.errors import UnknownPresetError
 from linemod.liealg import table_consistent_with_presentation
 from linemod.ncalg import NcPoly
-from linemod.presets import PRESENTATION_NAMES, preset, sl2_pencil_quadric
+from linemod.presets import PRESENTATION_NAMES, preset, sl21_structure, sl2_pencil_quadric
 
 DATA = Path(__file__).parent / "data"
 
@@ -116,3 +117,42 @@ def test_presentation_names_all_load():
     for name in PRESENTATION_NAMES:
         p = preset(name)
         assert p.name == name
+
+
+def _fraction_sl21_structure():
+    """Reference: supercommutators of the eight basis matrices computed
+    directly on 3x3 Fraction matrices."""
+    def unit(i, j):
+        return [[Fraction(int((r, c) == (i, j))) for c in range(3)] for r in range(3)]
+
+    def plus(A, B, s=1):
+        return [[A[r][c] + s * B[r][c] for c in range(3)] for r in range(3)]
+
+    def times(A, B):
+        return [[sum(A[r][m] * B[m][c] for m in range(3)) for c in range(3)] for r in range(3)]
+
+    basis = [plus(unit(0, 0), unit(2, 2)), plus(unit(1, 1), unit(2, 2)), unit(0, 1), unit(1, 0),
+             unit(0, 2), unit(2, 0), unit(1, 2), unit(2, 1)]
+    coords = ((0, 0), (1, 1), (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
+    table, signs = [], []
+    for i in range(8):
+        signs.append(tuple(-1 if i >= 4 and j >= 4 else 1 for j in range(8)))
+        row = []
+        for j in range(8):
+            M = plus(times(basis[i], basis[j]), times(basis[j], basis[i]), -signs[i][j])
+            row.append(tuple(M[r][c] for r, c in coords))
+        table.append(tuple(row))
+    return tuple(table), tuple(signs)
+
+
+def test_sl21_structure_matches_fraction_matrices():
+    table, signs = sl21_structure()
+    assert (table, signs) == _fraction_sl21_structure()
+    assert all(type(v) is Fraction for row in table for entry in row for v in entry)
+    assert all(type(s) is int for row in signs for s in row)
+    # SHA-256 of the reprs, which spell out every value's type
+    assert hashlib.sha256(repr((table, signs)).encode()).hexdigest() == (
+        "e66a9a9ed955c261529f0f859e539cd60167db3823180fd929829b0db5e815ea")
+    relations = repr([sorted(r.items()) for r in preset("sl21_Hhat").relations])
+    assert hashlib.sha256(relations.encode()).hexdigest() == (
+        "218e50954f4543d1f4f12ea43bcaf17ca5ae28459cc4c1440890b17359872f47")

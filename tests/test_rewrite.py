@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from linemod import rewrite
 from linemod.errors import DegenerateRelationError, OutOfCertifiedRangeError
-from linemod.hilbert import hilbert_algebra, normal_words_by_degree, oracle_graded_dims
+from linemod.hilbert import (
+    hilbert_algebra,
+    normal_words_by_degree,
+    oracle_graded_dims,
+    words_of_degree,
+)
 from linemod.ncalg import Generator, NcPoly, TermOrder
 from linemod.presets import preset
 from linemod.rewrite import (
@@ -346,3 +351,38 @@ def test_product_memo_fills_long_chains_without_recursion():
     rel = NcPoly({(0, 1): 1, (1, 0): -1})
     system = complete(_pres("kxy", ["x", "y"], (rel,)), max_degree=k + 1)
     assert system.right_multiply((0,) * k, {(1,): 2}) == {(1,) + (0,) * k: 2}
+
+
+# ----------------------------------------------------------------------
+# normal words against a naive filter of all words
+# ----------------------------------------------------------------------
+
+
+def _naive_normal_words(system, max_degree):
+    """The words of ``words_of_degree`` that contain no rule lhs as a
+    factor, in that order (generation order when every degree is 1)."""
+    lhs = [r.lhs for r in system.rules]
+
+    def normal(w):
+        return not any(w[i:i + len(l)] == l for l in lhs for i in range(len(w) - len(l) + 1))
+
+    degrees = system.order.degrees
+    return {d: [w for w in words_of_degree(degrees, d) if normal(w)]
+            for d in range(max_degree + 1)}
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("sl2_A", 6), ("sl11_H", 6), ("sl11_Hhat", 6), ("slc_H", 6), ("sl21_Hhat", 4),
+])
+def test_normal_words_match_naive_filter_on_presets(name, bound):
+    system = complete(preset(name), max_degree=bound)
+    assert normal_words_by_degree(system, bound) == _naive_normal_words(system, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_presentations(), st.integers(2, 5))
+def test_normal_words_match_naive_filter_on_random_presentations(drawn, bound):
+    pres, precedence = drawn
+    order = TermOrder.from_precedence(pres.z_degrees, precedence)
+    system = complete(pres, order=order, max_degree=bound)
+    assert normal_words_by_degree(system, bound) == _naive_normal_words(system, bound)

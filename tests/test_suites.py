@@ -1,6 +1,6 @@
 import pytest
 
-from linemod import suites
+from linemod import hilbert, suites
 from linemod.errors import RouteDisagreementError
 from linemod.reports import render
 from linemod.suites import run_suite
@@ -68,3 +68,22 @@ def test_sl21_zero_divisor_rule_derived():
     checks = {c["name"]: c for c in result["checks"]}
     derived = {d["rule"] for d in checks["zero_divisor_certificate"]["derived_rules"]}
     assert "t*y1*y1" in derived
+
+
+def test_sl2_suite_builds_each_line_module_once(monkeypatch):
+    # the upper fixture at lambda 2 and the Borel fixture s=0 are both
+    # (e, h - 2t): one model, two report entries
+    builds = []
+    real = hilbert.cyclic_module_model
+
+    def counted(system, generators, max_degree):
+        builds.append(tuple(generators))
+        return real(system, generators, max_degree)
+
+    monkeypatch.setattr(hilbert, "cyclic_module_model", counted)
+    result = run_suite("sl2", samples=50, seed=3)
+    assert len(builds) == len(set(builds)) == 14
+    check = {c["name"]: c for c in result["checks"]}["line_modules_from_borel_pairs"]
+    tags = [(f["borel"], f["lambda"]) for f in check["fixtures"]]
+    assert ("upper", 2) in tags and ("s=0", 2) in tags
+    assert len(tags) == 15
