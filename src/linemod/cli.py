@@ -105,21 +105,15 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def _parse_subspace(text: str, presentation):
+def _parse_forms(text: str, presentation, flag: str, what: str) -> tuple:
+    """The coefficient vectors of two comma-separated degree-one expressions
+    given to ``flag``; ``what`` names them in the error for any other."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise LinemodError("--sub expects two comma-separated expressions")
-    vectors = []
+        raise LinemodError(f"{flag} expects two comma-separated expressions")
     n = len(presentation.generators)
-    for part in parts:
-        poly = parse_expression(part.strip(), presentation)
-        vec = [Fraction(0)] * n
-        for w, c in poly.items():
-            if len(w) != 1:
-                raise LinemodError("subalgebra basis entries must be degree-one expressions")
-            vec[w[0]] += c
-        vectors.append(tuple(vec))
-    return SubalgebraSpec(*vectors)
+    return tuple(parse_expression(part.strip(), presentation).linear_coefficients(n, what)
+                 for part in parts)
 
 
 def main(argv=None) -> int:
@@ -340,7 +334,8 @@ def _dispatch(args) -> int:
 
     if args.command in ("admissible", "induce"):
         table = preset(_TABLES[args.preset])
-        S = _parse_subspace(args.sub, table.enveloping)
+        S = SubalgebraSpec(*_parse_forms(args.sub, table.enveloping, "--sub",
+                                         "subalgebra basis entries"))
         phi_parts = args.phi.split(",")
         if len(phi_parts) != 2:
             raise LinemodError("--phi expects two comma-separated rationals")
@@ -374,20 +369,7 @@ def _dispatch(args) -> int:
         return _emit(args, report, 0)
 
     if args.command == "classify-line":
-        pres = preset("slc_H")
-        parts = args.line.split(",")
-        if len(parts) != 2:
-            raise LinemodError("--line expects two comma-separated expressions")
-        forms = []
-        for part in parts:
-            poly = parse_expression(part.strip(), pres)
-            vec = [Fraction(0)] * 4
-            for w, c in poly.items():
-                if len(w) != 1:
-                    raise LinemodError("line forms must be degree-one expressions")
-                vec[w[0]] += c
-            forms.append(tuple(vec))
-        line = Line(tuple(forms))
+        line = Line(_parse_forms(args.line, preset("slc_H"), "--line", "line forms"))
         tags = classify_line_family_color(line)
         report = build_report(
             "classify-line",

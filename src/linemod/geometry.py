@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankDeficientError
-from .linalg import dense_nullspace, dense_rank, in_span, normalize_integer_vector
+from .linalg import dense_nullspace, dense_rank, in_span, normalize_integer_vector, reduced_echelon
 
 
 @dataclass(frozen=True)
@@ -34,25 +34,7 @@ class Line:
     def canonical(self) -> tuple:
         """Reduced echelon basis of the form span, integer normalized;
         equal lines have equal canonical bases."""
-        rows = [list(self.forms[0]), list(self.forms[1])]
-        pivots = []
-        r = 0
-        for c in range(4):
-            pr = next((i for i in range(r, 2) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            lead = rows[r][c]
-            rows[r] = [x / lead for x in rows[r]]
-            for i in range(2):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == 2:
-                break
-        return tuple(normalize_integer_vector(row) for row in rows)
+        return tuple(normalize_integer_vector(row) for row in reduced_echelon(self.forms, 4))
 
     def __eq__(self, other):
         return isinstance(other, Line) and self.canonical() == other.canonical()

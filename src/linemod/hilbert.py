@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import (
     InhomogeneousError,
@@ -155,8 +155,17 @@ def oracle_degree_within_cap(p: Presentation, max_degree: int) -> int:
     """The largest d <= max_degree whose degree-d monomials fit the oracle
     cap (degree 0 always fits)."""
     cap = oracle_cap()
-    fits = (d for d in range(max_degree + 1) if len(words_of_degree(p.z_degrees, d)) <= cap)
-    return max(fits, default=0)
+    counts = word_counts(p.z_degrees, max_degree)
+    return max((d for d, count in enumerate(counts) if count <= cap), default=0)
+
+
+def word_counts(degrees: tuple, max_degree: int) -> list:
+    """The number of free words of each degree 0..max_degree, by the
+    recurrence on the first letter (no word list is built)."""
+    counts = []
+    for d in range(max_degree + 1):
+        counts.append(sum(counts[d - g] for g in degrees if g <= d) if d else 1)
+    return counts
 
 
 @lru_cache(maxsize=64)
@@ -203,12 +212,11 @@ def oracle_graded_dims(p: Presentation, max_degree: int, cap: int | None = None)
     degrees = p.z_degrees
     reach = max(degrees, default=1)
     relations = [(next(iter(rel.z_degrees(degrees))), rel.items()) for rel in p.relations]
-    counts = []     # counts[d]: number of words of degree d
+    counts = word_counts(degrees, max_degree)
     starts = []     # starts[d][x]: column of the first degree-d word beginning with x
     lower = {}      # degree -> echelon rows that a later degree still shifts
     dims = []
     for d in range(max_degree + 1):
-        counts.append(sum(counts[d - g] for g in degrees if g <= d) if d else 1)
         if counts[d] > cap:
             raise OracleCapError(
                 f"degree {d} has {counts[d]} monomials, above the cap {cap}; "
@@ -347,8 +355,7 @@ class FilteredModel:
         shifts = []
         for s in shift_generators:
             if not s.is_zero():
-                s_deg = max(sum(degrees[g] for g in w) for w in s.support())
-                shifts.append((s, self.max_degree - s_deg))
+                shifts.append((s, self.max_degree - s.max_z_degree(degrees)))
         for i in range(max((top for _, top in shifts), default=-1) + 1):
             for u in words_of_degree(degrees, i):
                 for s, top in shifts:
@@ -394,9 +401,7 @@ def filtered_model(p: Presentation, max_degree: int, cap: int | None = None) -> 
     """The filtered free-word model of a presentation, built once per
     (presentation, bound); the monomial cap is checked on every call."""
     cap = oracle_cap() if cap is None else cap
-    count = 0
-    for d in range(max_degree + 1):
-        count += len(words_of_degree(p.z_degrees, d))
+    for d, count in enumerate(accumulate(word_counts(p.z_degrees, max_degree))):
         if count > cap:
             raise OracleCapError(
                 f"filtration {d} needs {count} monomials, above the cap {cap}"
@@ -411,7 +416,7 @@ def _filtered_model(p: Presentation, max_degree: int) -> FilteredModel:
     # echelonize the two-sided rows once; each shift query starts from a copy
     base = SparseEchelon(column_key=lambda w: (-word_level[w], w))
     for rel in p.relations:
-        rel_deg = max(sum(degrees[g] for g in w) for w in rel.support())
+        rel_deg = rel.max_z_degree(degrees)
         for i in range(max_degree - rel_deg + 1):
             for u in words_of_degree(degrees, i):
                 for j in range(max_degree - rel_deg - i + 1):

@@ -215,6 +215,19 @@ def color_form(S: SubalgebraSpec, T: BracketTable):
     raise SubalgebraFormError("subspace contains no grading basis vector")
 
 
+def canonical_pair(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> tuple:
+    """A classified pair in canonical form: the parameters of ``sl11_form``
+    or ``color_form`` (by the kind of T), and phi's values on the canonical
+    basis."""
+    if T.kind == "super":
+        params, C = sl11_form(S, T)
+    elif T.kind == "color":
+        params, C = color_form(S, T)
+    else:
+        raise ValueError(f"no canonical pairs for bracket kind {T.kind!r}")
+    return params, tuple(x * phi.on_v1 + y * phi.on_v2 for x, y in C)
+
+
 # ----------------------------------------------------------------------
 # admissible functionals
 # ----------------------------------------------------------------------
@@ -223,9 +236,7 @@ def color_form(S: SubalgebraSpec, T: BracketTable):
 def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
     """Per-family closed condition.  Returns (bool, reason string)."""
     if T.kind == "super":
-        (alpha, beta), C = sl11_form(S, T)
-        lam = C[0][0] * phi.on_v1 + C[0][1] * phi.on_v2
-        gamma = C[1][0] * phi.on_v1 + C[1][1] * phi.on_v2
+        (alpha, beta), (lam, gamma) = canonical_pair(S, phi, T)
         if gamma * gamma == alpha * beta * lam:
             return True, ""
         return False, (
@@ -233,9 +244,7 @@ def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
             f"alpha*beta*phi(h) = {alpha * beta * lam}"
         )
     if T.kind == "color":
-        (i, j, k, mu), C = color_form(S, T)
-        val_i = C[0][0] * phi.on_v1 + C[0][1] * phi.on_v2
-        val_w = C[1][0] * phi.on_v1 + C[1][1] * phi.on_v2
+        (i, j, k, mu), (val_i, val_w) = canonical_pair(S, phi, T)
         if val_w == 0 or 2 * val_i == mu:
             return True, ""
         return False, (
@@ -256,12 +265,8 @@ def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
 
 def shift_generators(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> tuple:
     """The left-ideal generators x - phi(x) over the enveloping alphabet."""
-    out = []
-    for vec, value in zip(S.basis(), phi.values()):
-        poly = NcPoly({(i,): c for i, c in enumerate(vec) if c})
-        poly = poly - NcPoly.one().scale(value)
-        out.append(poly)
-    return tuple(out)
+    return tuple(NcPoly.linear(vec) - NcPoly.one().scale(value)
+                 for vec, value in zip(S.basis(), phi.values()))
 
 
 def properness_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable,
@@ -317,8 +322,20 @@ class ClassificationReport:
         self.completeness_pass = not self.counterexamples
 
 
-def _small_fraction(rng: Random) -> Fraction:
+def random_fraction(rng: Random) -> Fraction:
+    """A small random rational, the sampling unit of the audits and suites."""
     return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+
+
+def random_mix(rng: Random, u, v) -> tuple:
+    """Two vectors spanning the span of u and v: a random invertible integer
+    2x2 combination of them."""
+    while True:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d - b * c != 0:
+            break
+    return (tuple(a * x + b * y for x, y in zip(u, v)),
+            tuple(c * x + d * y for x, y in zip(u, v)))
 
 
 def _random_rank2(rng: Random) -> SubalgebraSpec:
@@ -329,18 +346,12 @@ def _random_rank2(rng: Random) -> SubalgebraSpec:
     """
     roll = rng.random()
     if roll < 0.80:
-        rows = [(1, 0, _small_fraction(rng)), (0, 1, _small_fraction(rng))]
+        rows = [(1, 0, random_fraction(rng)), (0, 1, random_fraction(rng))]
     elif roll < 0.97:
-        rows = [(1, _small_fraction(rng), 0), (0, 0, 1)]
+        rows = [(1, random_fraction(rng), 0), (0, 0, 1)]
     else:
         rows = [(0, 1, 0), (0, 0, 1)]
-    while True:
-        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-        if a * d - b * c != 0:
-            break
-    v1 = tuple(a * x + b * y for x, y in zip(*rows))
-    v2 = tuple(c * x + d * y for x, y in zip(*rows))
-    return SubalgebraSpec(v1, v2)
+    return SubalgebraSpec(*random_mix(rng, *rows))
 
 
 def family_member(S: SubalgebraSpec, T: BracketTable) -> bool:

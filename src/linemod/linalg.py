@@ -10,8 +10,8 @@ denominators are cleared once, on entry, every stored pivot row is a
 primitive integer row (content divided out, positive leading entry), and an
 elimination step is ``row <- (b/g) row - (a/g) pivot`` with ``g = gcd(a, b)``.
 ``Fraction`` objects are made only where results leave the kernel.
-``dense_rank``, ``in_span``, ``coords_in_span`` and ``dense_nullspace`` are
-thin wrappers over the same kernel.
+``dense_rank``, ``in_span``, ``coords_in_span``, ``reduced_echelon`` and
+``dense_nullspace`` are thin wrappers over the same kernel.
 """
 
 from __future__ import annotations
@@ -186,29 +186,34 @@ def coords_in_span(vector, rows):
     return coeffs
 
 
+def reduced_echelon(rows, ncols) -> list:
+    """The reduced row echelon form of the matrix with the given rows.
+
+    Returns one Fraction tuple of length ``ncols`` per pivot, in ascending
+    pivot order: 1 at its pivot and 0 at every other pivot column.
+    """
+    ech = _dense_echelon(rows)
+    zero, one = Fraction(0), Fraction(1)
+    out = []
+    for p in sorted(ech.pivot_columns()):
+        # back-substitution: e_p minus its reduction is the row of pivot p
+        red = ech.reduce({p: 1})
+        out.append(tuple((one if c == p else zero) - red.get(c, zero) for c in range(ncols)))
+    return out
+
+
 def dense_nullspace(rows, ncols) -> list:
     """Basis of the right null space of the matrix with the given rows.
 
     Returns a list of Fraction tuples of length ``ncols``: one vector per
     free column, in ascending order, read off the reduced row echelon form.
     """
-    ech = _dense_echelon(rows)
-    pivots = sorted(ech.pivot_columns())
-    pivot_set = set(pivots)
-    # back-substitution: e_p minus its reduction is the reduced-echelon row
-    # of pivot p, so its entry in a free column f is -reduce(e_p)[f]
-    reduced = [ech.reduce({p: 1}) for p in pivots]
-    zero = Fraction(0)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[fc] = Fraction(1)
-        for p, red in zip(pivots, reduced):
-            vec[p] = red.get(fc, zero)
-        basis.append(tuple(vec))
-    return basis
+    # the null vector of free column f: 1 at f and, at each pivot p, minus
+    # the entry of p's row in column f
+    row_of = {next(c for c, v in enumerate(row) if v): row for row in reduced_echelon(rows, ncols)}
+    zero, one = Fraction(0), Fraction(1)
+    return [tuple(-row_of[c][f] if c in row_of else (one if c == f else zero) for c in range(ncols))
+            for f in range(ncols) if f not in row_of]
 
 
 def normalize_integer_vector(vec) -> tuple:

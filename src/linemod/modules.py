@@ -27,13 +27,12 @@ from .liealg import (
     BracketTable,
     Functional,
     SubalgebraSpec,
-    color_form,
+    canonical_pair,
     is_graded_subspace,
     require_admissible,
     shift_generators,
-    sl11_form,
 )
-from .linalg import dense_nullspace, dense_rank
+from .linalg import dense_rank
 from .ncalg import NcPoly
 from .rewrite import Presentation, RewriteSystem
 
@@ -47,23 +46,26 @@ class LineModuleSpec:
     generators: tuple
 
     def __post_init__(self):
-        gens = tuple(self.generators)
-        if len(gens) != 2:
+        object.__setattr__(self, "generators", tuple(self.generators))
+        if len(self.generators) != 2:
             raise ValueError("a line module spec needs exactly two generators")
         degrees = self.system.presentation.z_degrees
-        for g in gens:
+        for g in self.generators:
             if g.is_zero() or g.z_degrees(degrees) != {1}:
                 raise InhomogeneousError("line module generators must be homogeneous of degree one")
-        if dense_rank([_coeff_vector(g, len(degrees)) for g in gens]) != 2:
+        if dense_rank(self.coefficients()) != 2:
             raise RankDeficientError("line module generators are linearly dependent")
-        object.__setattr__(self, "generators", gens)
+
+    def coefficients(self) -> tuple:
+        """The coefficient vectors of the two generators."""
+        n = len(self.system.presentation.generators)
+        return tuple(g.linear_coefficients(n, "line module generators") for g in self.generators)
 
     def line(self) -> geometry.Line:
         """The line in P^3 cut out by the two generators."""
-        n = len(self.system.presentation.generators)
-        if n != 4:
+        if len(self.system.presentation.generators) != 4:
             raise ValueError("lines live in P^3; the algebra must have four generators")
-        return geometry.Line(tuple(_coeff_vector(g, n) for g in self.generators))
+        return geometry.Line(self.coefficients())
 
     def model(self, max_degree: int) -> CyclicModuleModel:
         """The degreewise linear model of the module to ``max_degree``.
@@ -71,13 +73,6 @@ class LineModuleSpec:
         Its data in degrees <= d are those of the model built to d, so the
         certificates below accept one model built to their largest bound."""
         return cyclic_module_model(self.system, self.generators, max_degree)
-
-
-def _coeff_vector(poly: NcPoly, n: int) -> tuple:
-    vec = [Fraction(0)] * n
-    for w, c in poly.items():
-        vec[w[0]] += c
-    return tuple(vec)
 
 
 @dataclass
@@ -105,10 +100,6 @@ class CertificationReport:
 # ----------------------------------------------------------------------
 
 
-def _degree_one(system: RewriteSystem, coeffs) -> NcPoly:
-    return NcPoly({(i,): c for i, c in enumerate(coeffs) if c})
-
-
 def build_L_h_phi(S: SubalgebraSpec, phi: Functional, system: RewriteSystem,
                   table: BracketTable) -> LineModuleSpec:
     """The module over the homogenized algebra attached to a pair (S, phi)
@@ -118,14 +109,10 @@ def build_L_h_phi(S: SubalgebraSpec, phi: Functional, system: RewriteSystem,
     ideal generators are h - phi(h) t and alpha e + beta f - phi(...) t,
     with phi re-expressed on that canonical basis.
     """
-    (alpha, beta), C = sl11_form(S, table)
-    lam = C[0][0] * phi.on_v1 + C[0][1] * phi.on_v2
-    gamma = C[1][0] * phi.on_v1 + C[1][1] * phi.on_v2
-    pres = system.presentation
-    t = len(pres.generators) - 1
-    g1 = _degree_one(system, (0, 0, 1, 0)) - NcPoly.monomial((t,), lam)
-    odd = NcPoly({(0,): alpha, (1,): beta})
-    g2 = odd - NcPoly.monomial((t,), gamma)
+    (alpha, beta), (lam, gamma) = canonical_pair(S, phi, table)
+    t = len(system.presentation.generators) - 1
+    g1 = NcPoly.gen(2) - NcPoly.monomial((t,), lam)
+    g2 = NcPoly.linear((alpha, beta)) - NcPoly.monomial((t,), gamma)
     return LineModuleSpec(system, (g1, g2))
 
 
@@ -133,9 +120,7 @@ def build_color_line_module(S: SubalgebraSpec, phi: Functional, system: RewriteS
                             table: BracketTable) -> LineModuleSpec:
     """The module over the color homogenization attached to a pair (S, phi):
     generators a_i - phi(a_i) a4 and (a_j + mu a_k) - phi(...) a4."""
-    (i, j, k, mu), C = color_form(S, table)
-    val_i = C[0][0] * phi.on_v1 + C[0][1] * phi.on_v2
-    val_w = C[1][0] * phi.on_v1 + C[1][1] * phi.on_v2
+    (i, j, k, mu), (val_i, val_w) = canonical_pair(S, phi, table)
     t = len(system.presentation.generators) - 1
     g1 = NcPoly.gen(i) - NcPoly.monomial((t,), val_i)
     g2 = NcPoly.gen(j) + NcPoly.gen(k).scale(mu) - NcPoly.monomial((t,), val_w)
@@ -147,30 +132,19 @@ def pair_from_line(line: geometry.Line, table: BracketTable):
 
     The line must meet V(h, t) and not lie in V(t); the result is the
     canonical pair (S, phi) with S = span(h, alpha e + beta f) and phi given
-    on that basis.  Coordinates are (e, f, h, t).
+    on that basis.  Coordinates are (e, f, h, t).  A pair's line is cut out
+    by the forms x - phi(x) t, so the line read backwards is a pair whose
+    canonical form is the answer.
     """
+    if line.in_plane((0, 0, 0, 1)):
+        raise SubalgebraFormError("line lies in V(t)")
     u, v = line.forms
-    # the span must contain a combination supported on h and t
-    rows = [(u[0], v[0]), (u[1], v[1])]
-    null = dense_nullspace(rows, 2)
-    if len(null) != 1:
-        raise SubalgebraFormError("line does not meet V(h, t) in a single point")
-    x, y = null[0]
-    w1 = tuple(x * a + y * b for a, b in zip(u, v))
-    if not w1[2]:
-        raise SubalgebraFormError("line lies in V(t)")
-    lam = -w1[3] / w1[2]
-    # independent complement, normalized to zero h coordinate
-    other = u if y != 0 else v
-    w2 = tuple(a - other[2] / w1[2] * b for a, b in zip(other, w1))
-    alpha, beta, gamma = w2[0], w2[1], -w2[3]
-    if not alpha and not beta:
-        raise SubalgebraFormError("line lies in V(t)")
+    (alpha, beta), (lam, gamma) = canonical_pair(
+        SubalgebraSpec(u[:3], v[:3]), Functional(-u[3], -v[3]), table)
     # canonical projective representative: leading odd coefficient 1
     scale = alpha if alpha else beta
-    alpha, beta, gamma = alpha / scale, beta / scale, gamma / scale
-    S = SubalgebraSpec((0, 0, 1), (alpha, beta, 0))
-    return S, Functional(lam, gamma)
+    S = SubalgebraSpec((0, 0, 1), (alpha / scale, beta / scale, 0))
+    return S, Functional(lam, gamma / scale)
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +182,7 @@ def is_Z2_graded_line_module(M: LineModuleSpec) -> bool:
     labels = pres.group_labels()
     if any(lab is None for lab in labels):
         raise InhomogeneousError(f"{pres.name!r} carries no grading")
-    vecs = [_coeff_vector(g, len(labels)) for g in M.generators]
-    return is_graded_subspace(SubalgebraSpec(*vecs), labels)
+    return is_graded_subspace(SubalgebraSpec(*M.coefficients()), labels)
 
 
 def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import UngradedAlphabetError
+from .errors import LinemodError, UngradedAlphabetError
 
 # A word is a tuple of generator indices; the empty tuple is the unit.
 Word = tuple
@@ -128,6 +128,12 @@ class NcPoly:
     def monomial(word: Word, coeff=1) -> "NcPoly":
         return NcPoly({tuple(word): Fraction(coeff)})
 
+    @staticmethod
+    def linear(coeffs) -> "NcPoly":
+        """The degree-one form ``sum_i coeffs[i] x_i``; inverse of
+        ``linear_coefficients``."""
+        return NcPoly({(i,): c for i, c in enumerate(coeffs) if c})
+
     # -- access ------------------------------------------------------------
 
     @property
@@ -143,6 +149,16 @@ class NcPoly:
 
     def support(self) -> set:
         return set(self._terms)
+
+    def linear_coefficients(self, n: int, what: str) -> tuple:
+        """The coefficient vector, of length ``n``, of a degree-one form;
+        raises LinemodError naming ``what`` on any other word."""
+        vec = [Fraction(0)] * n
+        for w, c in self._terms.items():
+            if len(w) != 1:
+                raise LinemodError(f"{what} must be degree-one expressions")
+            vec[w[0]] += c
+        return tuple(vec)
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -38,6 +38,8 @@ from .liealg import (
     closed_form_admissible,
     color_minor_identity,
     family_members,
+    random_fraction,
+    random_mix,
     table_consistent_with_presentation,
 )
 from .modules import (
@@ -78,8 +80,11 @@ def _check(name: str, passed: bool, **data) -> dict:
     return out
 
 
-def _frac(rng: Random) -> Fraction:
-    return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+def _classification_check(name: str, rep, passed: bool, **extra) -> dict:
+    """A check on a subalgebra classification report, with its fields."""
+    return _check(name, passed, family=rep.family, members=rep.members, samples=rep.samples,
+                  closed_sample_count=rep.closed_sample_count,
+                  counterexamples=rep.counterexamples, **extra)
 
 
 def _admissibility_trials(queries, table) -> tuple:
@@ -111,10 +116,6 @@ def _route_agreement_check(queries, table) -> dict:
 
 def _binomial3(d: int) -> int:
     return (d + 1) * (d + 2) * (d + 3) // 6
-
-
-def _deg1(coeffs) -> NcPoly:
-    return NcPoly({(i,): Fraction(c) for i, c in enumerate(coeffs) if c})
 
 
 def _two_route_check(name: str, preset_name: str, expected, max_degree: int,
@@ -151,11 +152,11 @@ def run_sl2(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     # line modules from borel pairs: V(E, H - lambda t)
     fixtures = []
     for lam in SL2_LAMBDAS:
-        fixtures.append(("upper", _deg1((1, 0, 0, 0)), _deg1((0, 0, 1, 0)), lam))
-    fixtures.append(("lower", _deg1((0, 1, 0, 0)), _deg1((0, 0, -1, 0)), Fraction(3)))
+        fixtures.append(("upper", NcPoly.gen(0), NcPoly.gen(2), lam))
+    fixtures.append(("lower", NcPoly.gen(1), NcPoly.linear((0, 0, -1)), Fraction(3)))
     for s in SL2_BOREL_S:
-        E = NcPoly({(0,): Fraction(1), (2,): Fraction(s), (1,): Fraction(-s * s)})
-        H = NcPoly({(2,): Fraction(1), (1,): Fraction(-2 * s)})
+        E = NcPoly.linear((1, -s * s, s))
+        H = NcPoly.linear((0, -2 * s, 1))
         fixtures.append((f"s={s}", E, H, Fraction(2)))
     expected = list(line_module_dims(max_degree))
     results = []
@@ -186,20 +187,13 @@ def run_sl2(samples: int = 10000, seed: int = 0, max_degree: int = 6,
                          cases=pencil))
 
     rep = classify_2dim_subalgebras(preset("sl2_table"), samples=samples, seed=seed)
-    checks.append(_check(
-        "two_dim_subalgebras_are_borel",
-        rep.sufficiency_pass and rep.completeness_pass,
-        family=rep.family,
-        members=rep.members,
-        samples=rep.samples,
-        closed_sample_count=rep.closed_sample_count,
-        counterexamples=rep.counterexamples,
-    ))
+    checks.append(_classification_check(
+        "two_dim_subalgebras_are_borel", rep, rep.sufficiency_pass and rep.completeness_pass))
 
     rng = Random(seed + 101)
     table = preset("sl2_table")
     checks.append(_route_agreement_check(
-        ((member["spec"], Functional(_frac(rng), _frac(rng)))
+        ((member["spec"], Functional(random_fraction(rng), random_fraction(rng)))
          for member in family_members(table) for _ in range(25)),
         table,
     ))
@@ -241,12 +235,12 @@ def run_sl11(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     expected = list(line_module_dims(max_degree))
     fixtures = []
     all_pass = True
-    pairs = [(1, 0, _frac(rng), Fraction(0)), (0, 1, _frac(rng), Fraction(0))]
+    pairs = [(1, 0, random_fraction(rng), Fraction(0)), (0, 1, random_fraction(rng), Fraction(0))]
     while len(pairs) < 20:
-        alpha, beta = _frac(rng), _frac(rng)
+        alpha, beta = random_fraction(rng), random_fraction(rng)
         if not alpha and not beta:
             continue
-        pairs.append((alpha, beta, _frac(rng), _frac(rng)))
+        pairs.append((alpha, beta, random_fraction(rng), random_fraction(rng)))
     meets_all = True
     avoid_all = True
     for alpha, beta, lam, gamma in pairs:
@@ -277,20 +271,14 @@ def run_sl11(samples: int = 10000, seed: int = 0, max_degree: int = 6,
 
     rep = classify_2dim_subalgebras(table, samples=samples, seed=seed)
     graded_ok = all(m["graded"] for m in rep.members)
-    checks.append(_check(
-        "subalgebra_classification_and_grading",
+    checks.append(_classification_check(
+        "subalgebra_classification_and_grading", rep,
         rep.sufficiency_pass and rep.completeness_pass and graded_ok,
-        family=rep.family,
-        members=rep.members,
-        samples=rep.samples,
-        closed_sample_count=rep.closed_sample_count,
-        counterexamples=rep.counterexamples,
-        all_members_graded=graded_ok,
-    ))
+        all_members_graded=graded_ok))
 
     rng = Random(seed + 11)
     checks.append(_route_agreement_check(
-        ((SubalgebraSpec((0, 0, 1), (alpha, beta, 0)), Functional(_frac(rng), _frac(rng)))
+        (_sl11_pair(alpha, beta, random_fraction(rng), random_fraction(rng))
          for alpha, beta in SL11_AB_SAMPLES for _ in range(100)),
         table,
     ))
@@ -325,13 +313,12 @@ def run_sl11(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     ht_torsion = not torsion_free_on(span_ht, "t", max_degree, ht_model)
     mixed_ok = True
     for d1, d2, alpha, beta in ((1, 0, 1, 1), (1, 2, 1, 0), (1, -1, 2, -3)):
-        M = LineModuleSpec(hhat, (
-            _deg1((0, 0, d1, -d2)), _deg1((alpha, beta, 0, 0))))
+        M = LineModuleSpec(hhat, (NcPoly.linear((0, 0, d1, -d2)), NcPoly.linear((alpha, beta))))
         model = M.model(max_degree)
         mixed_ok = mixed_ok and is_Z2_graded_line_module(M)
         mixed_ok = mixed_ok and certify_line_module(M, max_degree, model).passed
         mixed_ok = mixed_ok and torsion_free_on(M, "t", max_degree, model)
-    degenerate = LineModuleSpec(hhat, (NcPoly.gen(3), _deg1((1, 1, 0, 0))))
+    degenerate = LineModuleSpec(hhat, (NcPoly.gen(3), NcPoly.linear((1, 1))))
     degenerate_torsion = not torsion_free_on(degenerate, "t", max_degree)
     checks.append(_check(
         "graded_rank2_shapes_and_their_modules",
@@ -390,20 +377,11 @@ def run_sl11(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     round_trips = 0
     round_pass = True
     for _ in range(1000):
-        alpha, beta = _frac(rng), _frac(rng)
+        alpha, beta = random_fraction(rng), random_fraction(rng)
         if not alpha and not beta:
             alpha = Fraction(1)
-        lam, gamma = _frac(rng), _frac(rng)
-        u = (0, 0, 1, -lam)
-        v = (alpha, beta, 0, -gamma)
-        while True:
-            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-            if a * d - b * c != 0:
-                break
-        mixed = Line((
-            tuple(a * x + b * y for x, y in zip(u, v)),
-            tuple(c * x + d * y for x, y in zip(u, v)),
-        ))
+        lam, gamma = random_fraction(rng), random_fraction(rng)
+        mixed = Line(random_mix(rng, (0, 0, 1, -lam), (alpha, beta, 0, -gamma)))
         S, phi = pair_from_line(mixed, table)
         rebuilt = build_L_h_phi(S, phi, hhat, table).line()
         round_pass = round_pass and (rebuilt == mixed)
@@ -417,7 +395,7 @@ def run_sl11(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     for s in SL11_QUADRIC_LINE_PARAMS:
         line = Line(((1, 0, -s, 0), (0, -2 * s, 0, 1)))
         on_q = line_on_quadric(line, quad)
-        gens = (_deg1((1, 0, -s, 0)), _deg1((0, -2 * s, 0, 1)))
+        gens = (NcPoly.linear((1, 0, -s)), NcPoly.linear((0, -2 * s, 0, 1)))
         dims = hilbert_cyclic_left_module(hhat, gens, max_degree)
         ok = on_q and list(dims) == expected
         quad_pass = quad_pass and ok
@@ -459,16 +437,10 @@ def run_slc(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     none_graded = all(m["graded"] is False for m in rep.members)
     six = len(rep.members) == 6
     minors = color_minor_identity()
-    checks.append(_check(
-        "six_subalgebras_none_graded",
+    checks.append(_classification_check(
+        "six_subalgebras_none_graded", rep,
         rep.sufficiency_pass and rep.completeness_pass and none_graded and six and minors,
-        family=rep.family,
-        members=rep.members,
-        samples=rep.samples,
-        closed_sample_count=rep.closed_sample_count,
-        counterexamples=rep.counterexamples,
-        rank_identity=minors,
-    ))
+        rank_identity=minors))
 
     # exactly two one-parameter families of admissible functionals, on a
     # half-integer grid, plus route agreement on random functionals
@@ -498,7 +470,8 @@ def run_slc(samples: int = 10000, seed: int = 0, max_degree: int = 6,
             "pass": ok,
         })
         disagreements += _admissibility_trials(
-            ((S, Functional(_frac(rng), _frac(rng))) for _ in range(100)), table)[2]
+            ((S, Functional(random_fraction(rng), random_fraction(rng))) for _ in range(100)),
+            table)[2]
     extra = {}
     if disagreements:
         extra = {"route_disagreements": len(disagreements), "witness": disagreements[0]}

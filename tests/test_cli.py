@@ -174,6 +174,20 @@ def test_admissible_tables_have_quadratic_enveloping_relations():
         assert max(len(w) for rel in env.relations for w in rel.support()) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["admissible", "--preset", "sl11", "--sub", "h*e, e", "--phi", "1, 2"],
+     "subalgebra basis entries must be degree-one expressions"),
+    (["classify-line", "--preset", "slc", "--line", "a1*a2, a3"],
+     "line forms must be degree-one expressions"),
+])
+def test_non_degree_one_forms_are_usage_errors(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("algebra a { generators x; relations { x* ; } }")

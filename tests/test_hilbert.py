@@ -14,7 +14,9 @@ from linemod.hilbert import (
     hilbert_cyclic_left_module,
     line_module_dims,
     normal_words_by_degree,
+    oracle_degree_within_cap,
     oracle_graded_dims,
+    word_counts,
     words_of_degree,
 )
 from linemod.liealg import Functional, SubalgebraSpec, shift_generators
@@ -173,6 +175,18 @@ def test_normal_words_match_dims(hhat_system):
 
 def test_words_of_degree_order():
     assert words_of_degree((1, 1), 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_word_counts_build_no_word_lists(monkeypatch):
+    monkeypatch.delenv("LINEMOD_ORACLE_CAP", raising=False)
+    # degree 4 of the nine-generator algebra has 6561 words, above the
+    # default cap; the check counts them without listing them
+    words_of_degree.cache_clear()
+    assert oracle_degree_within_cap(preset("sl21_Hhat"), 4) == 3
+    assert words_of_degree.cache_info().currsize == 0
+    for degrees in ((1, 2), (1, 1, 1), (2, 3)):
+        assert word_counts(degrees, 8) == [len(words_of_degree(degrees, d)) for d in range(9)]
+    assert word_counts((1, 2), -1) == []
 
 
 def test_cyclic_module_line(hhat_system):

@@ -9,6 +9,7 @@ from linemod.liealg import (
     SubalgebraSpec,
     admissible_functional,
     bracket,
+    canonical_pair,
     classify_2dim_subalgebras,
     closed_form_admissible,
     color_form,
@@ -88,6 +89,14 @@ def test_canonical_forms():
         sl11_form(SubalgebraSpec((1, 0, 0), (0, 1, 0)), SL11)
     with pytest.raises(SubalgebraFormError):
         color_form(SubalgebraSpec((1, 0, 0), (0, 1, 0)), SLC)
+    # with phi's values on the canonical basis: span(e + f + h, h) is
+    # span(h, e + f) for sl11 and span(a3, a1 + a2) for the color algebra
+    S = SubalgebraSpec((1, 1, 1), (0, 0, 1))
+    assert canonical_pair(S, Functional(5, 2), SL11) == ((1, 1), (2, 3))
+    assert canonical_pair(S, Functional(Fraction(15, 2), Fraction(1, 2)), SLC) == (
+        (2, 0, 1, 1), (Fraction(1, 2), 7))
+    with pytest.raises(ValueError):
+        canonical_pair(SubalgebraSpec((1, 0, 0), (0, 0, 1)), Functional(0, 0), SL2)
 
 
 def test_admissibility_closed_form_examples():

@@ -9,6 +9,7 @@ from linemod.linalg import (
     dense_rank,
     in_span,
     normalize_integer_vector,
+    reduced_echelon,
 )
 
 
@@ -197,6 +198,10 @@ def test_nullspace_matches_gauss_jordan(data):
     n, _, rows, _ = data
     dense = [tuple(r.get(c, 0) for c in range(n)) for r in rows]
     rref = gauss_jordan(rows, list(range(n)))
+    # the reduced echelon rows, in ascending pivot order
+    echelon = reduced_echelon(dense, n)
+    assert echelon == [tuple(rref[p].get(c, 0) for c in range(n)) for p in sorted(rref)]
+    assert all(type(v) is Fraction for row in echelon for v in row)
     expected = []
     for f in range(n):
         if f not in rref:

@@ -185,9 +185,18 @@ def test_pair_line_round_trip(hhat_system):
         S2, phi2 = pair_from_line(M.line(), table)
         M2 = build_L_h_phi(S2, phi2, hhat_system, table)
         assert M2.line() == M.line()
+        # the representative with leading odd coefficient 1
+        scale = alpha if alpha else beta
+        assert (S2, phi2) == pair(alpha / scale, beta / scale, lam, gamma / scale)
 
 
 def test_pair_from_line_rejects_t_plane():
     table = preset("sl11_table")
     with pytest.raises(SubalgebraFormError):
         pair_from_line(Line(((0, 0, 0, 1), (1, 1, 0, 0))), table)
+
+
+def test_pair_from_line_rejects_line_missing_h_t():
+    # V(e, f) does not meet V(h, t)
+    with pytest.raises(SubalgebraFormError):
+        pair_from_line(Line(((1, 0, 0, 0), (0, 1, 0, 0))), preset("sl11_table"))

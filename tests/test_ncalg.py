@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from linemod.errors import UngradedAlphabetError
+from linemod.errors import LinemodError, UngradedAlphabetError
 from linemod.ncalg import EMPTY_WORD, Generator, NcPoly, TermOrder, group_degree
 
 ORDER = TermOrder.from_precedence((1, 1, 1, 1))
@@ -98,6 +98,21 @@ def test_homogeneity_flags():
     assert NcPoly({(0, 1): 1, (2, 3): 1}).is_z_homogeneous(degrees)
     assert not NcPoly({(0,): 1, (2, 3): 1}).is_z_homogeneous(degrees)
     assert NcPoly({(0,): 1, (2, 3): 1}).max_z_degree(degrees) == 2
+
+
+@given(st.lists(coeffs | st.just(Fraction(0)), min_size=1, max_size=5))
+def test_linear_forms_round_trip(vec):
+    form = NcPoly.linear(vec)
+    assert form.support() == {(i,) for i, c in enumerate(vec) if c}
+    assert form.linear_coefficients(len(vec), "forms") == tuple(vec)
+    assert NcPoly.linear(form.linear_coefficients(len(vec), "forms")) == form
+
+
+@pytest.mark.parametrize("poly", [NcPoly.one(), NcPoly({(0, 1): 1, (2,): 3})])
+def test_linear_coefficients_reject_other_degrees(poly):
+    with pytest.raises(LinemodError) as exc:
+        poly.linear_coefficients(4, "line forms")
+    assert str(exc.value) == "line forms must be degree-one expressions"
 
 
 def test_scalar_arithmetic():
