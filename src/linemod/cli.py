@@ -102,7 +102,12 @@ def _common_flags(sub):
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """One rational given to ``--phi``."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise LinemodError(f"--phi expects two comma-separated rationals, got {text!r}") from None
 
 
 def _parse_forms(text: str, presentation, flag: str, what: str) -> tuple:
@@ -148,7 +153,7 @@ def main(argv=None) -> int:
     p = commands.add_parser("hilbert", help="graded dimensions by both routes")
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--oracle-degree", type=int,
+    p.add_argument("--oracle-degree", type=_non_negative_int,
                    help="at most --max-degree; default: the largest degree <= 4 "
                         "whose monomials fit the oracle cap")
     _common_flags(p)
@@ -187,8 +192,8 @@ def main(argv=None) -> int:
     p = commands.add_parser("verify-paper", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["sl2", "sl11", "slc", "sl21", "all"])
     p.add_argument("--samples", type=_positive_int, default=10000)
-    p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--oracle-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_non_negative_int, default=6)
+    p.add_argument("--oracle-degree", type=_non_negative_int, default=4)
     _common_flags(p)
 
     p = commands.add_parser("emit-presets", help="write the built-in presentations as .alg files")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
     SubalgebraFormError,
 )
 from .hilbert import filtered_model
-from .linalg import coords_in_span, dense_nullspace, dense_rank, in_span
+from .linalg import coords_in_span, dense_nullspace, normalize_integer_vector
 from .ncalg import NcPoly
 from .rewrite import Presentation, RewriteSystem, complete, normal_form
 
@@ -47,6 +48,17 @@ class BracketTable:
     grading_group: str | None = None
     labels: tuple | None = None
 
+    def __post_init__(self):
+        # the nonzero structure constants as (i, j, k, c), integral ones as int
+        terms = []
+        for i, row in enumerate(self.table):
+            for j, entry in enumerate(row):
+                for k, c in enumerate(entry):
+                    if c:
+                        c = Fraction(c)
+                        terms.append((i, j, k, c.numerator if c.denominator == 1 else c))
+        object.__setattr__(self, "_terms", tuple(terms))
+
     @property
     def dimension(self) -> int:
         return len(self.basis_names)
@@ -62,36 +74,62 @@ class BracketTable:
         return rel
 
 
+def _bracket(x, y, T: BracketTable, zero) -> tuple:
+    """The bracket with every coordinate starting at ``zero``: with 0, int
+    vectors on an integer table stay in int arithmetic."""
+    out = [zero] * T.dimension
+    for i, j, k, c in T._terms:
+        if x[i] and y[j]:
+            out[k] += c * x[i] * y[j]
+    return tuple(out)
+
+
 def bracket(x, y, T: BracketTable) -> tuple:
     """Bilinear extension of the structure-constant table."""
-    n = T.dimension
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if not x[i]:
-            continue
-        for j in range(n):
-            c = x[i] * y[j]
-            if not c:
-                continue
-            for k, v in enumerate(T.table[i][j]):
-                if v:
-                    out[k] += c * v
-    return tuple(out)
+    return _bracket(x, y, T, Fraction(0))
 
 
 @dataclass(frozen=True)
 class SubalgebraSpec:
-    """A two-dimensional subspace given by two coefficient vectors."""
+    """A two-dimensional subspace given by two coefficient vectors.
+
+    The primitive integer multiples ``a`` of v1 and ``b`` of v2 and the
+    plane's Plücker coordinates ``p_ij = a_i b_j - a_j b_i`` (i < j) are
+    computed once, on construction, and rank and membership are read from
+    them in integer arithmetic: the basis has rank 2 iff some ``p_ij`` is
+    nonzero, and then ``w`` lies in the plane iff every 3x3 minor
+    ``w_i p_jk - w_j p_ik + w_k p_ij`` of ``(w; a; b)`` vanishes.
+    """
 
     v1: tuple
     v2: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "v1", tuple(Fraction(c) for c in self.v1))
-        object.__setattr__(self, "v2", tuple(Fraction(c) for c in self.v2))
+        v1 = tuple(Fraction(c) for c in self.v1)
+        v2 = tuple(Fraction(c) for c in self.v2)
+        object.__setattr__(self, "v1", v1)
+        object.__setattr__(self, "v2", v2)
+        a, b = normalize_integer_vector(v1), normalize_integer_vector(v2)
+        object.__setattr__(self, "_ints", (a, b))
+        object.__setattr__(self, "_plucker", {
+            (i, j): a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(len(a)), 2)})
+
+    def _rank_on(self, coords) -> int:
+        """Rank of the basis restricted to the given coordinates."""
+        p = self._plucker
+        if any(p[ij] for ij in combinations(coords, 2)):
+            return 2
+        a, b = self._ints
+        return 1 if any(a[i] or b[i] for i in coords) else 0
+
+    def _contains(self, w) -> bool:
+        """Whether ``w`` lies in the span; the basis must have rank 2."""
+        p = self._plucker
+        return all(w[i] * p[j, k] - w[j] * p[i, k] + w[k] * p[i, j] == 0
+                   for i, j, k in combinations(range(len(w)), 3))
 
     def rank(self) -> int:
-        return dense_rank([self.v1, self.v2])
+        return self._rank_on(range(len(self.v1)))
 
     def require_rank2(self):
         if self.rank() != 2:
@@ -118,14 +156,11 @@ class Functional:
 
 
 def is_subalgebra(S: SubalgebraSpec, T: BracketTable) -> bool:
-    """Closure under the bracket, tested on all four ordered basis pairs."""
+    """Closure under the bracket, tested on all four ordered pairs of the
+    integer basis."""
     S.require_rank2()
-    base = [S.v1, S.v2]
-    for x in base:
-        for y in base:
-            if not in_span(bracket(x, y, T), base):
-                return False
-    return True
+    base = S._ints
+    return all(S._contains(_bracket(x, y, T, 0)) for x in base for y in base)
 
 
 def is_graded_subspace(S: SubalgebraSpec, labels) -> bool:
@@ -135,14 +170,9 @@ def is_graded_subspace(S: SubalgebraSpec, labels) -> bool:
     n = len(S.v1)
     total = 0
     for lab in sorted(set(labels)):
-        outside = [i for i in range(n) if labels[i] != lab]
-        if not outside:
-            total += 2
-            continue
-        # dim of S intersected with the component: solutions (x, y) of
-        # x v1 + y v2 = 0 on the coordinates outside the component
-        rows = [(S.v1[i], S.v2[i]) for i in outside]
-        total += 2 - dense_rank(rows)
+        # dim of S intersected with the component: 2 minus the rank of the
+        # basis on the coordinates outside the component
+        total += 2 - S._rank_on([i for i in range(n) if labels[i] != lab])
     return total == 2
 
 
@@ -233,30 +263,44 @@ def canonical_pair(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> tuple
 # ----------------------------------------------------------------------
 
 
-def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
-    """Per-family closed condition.  Returns (bool, reason string)."""
-    if T.kind == "super":
-        (alpha, beta), (lam, gamma) = canonical_pair(S, phi, T)
+def closed_form_on_pair(kind: str, pair) -> tuple:
+    """The per-family closed condition on a canonical pair, as returned by
+    ``canonical_pair`` for a table of the given kind.  Returns (bool,
+    reason string)."""
+    if kind == "super":
+        (alpha, beta), (lam, gamma) = pair
         if gamma * gamma == alpha * beta * lam:
             return True, ""
         return False, (
             f"phi(alpha*e+beta*f)^2 = {gamma * gamma} differs from "
             f"alpha*beta*phi(h) = {alpha * beta * lam}"
         )
-    if T.kind == "color":
-        (i, j, k, mu), (val_i, val_w) = canonical_pair(S, phi, T)
+    if kind == "color":
+        (i, j, k, mu), (val_i, val_w) = pair
         if val_w == 0 or 2 * val_i == mu:
             return True, ""
         return False, (
             f"phi(a_j + mu a_k) = {val_w} is nonzero and phi(a_i) = {val_i} "
             f"differs from mu/2 = {Fraction(mu, 2)}"
         )
+    raise ValueError(f"no canonical pairs for bracket kind {kind!r}")
+
+
+def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
+    """Per-family closed condition.  Returns (bool, reason string)."""
+    if T.kind in ("super", "color"):
+        return closed_form_on_pair(T.kind, canonical_pair(S, phi, T))
     if T.kind == "lie":
         if not is_subalgebra(S, T):
             raise SubalgebraFormError("subspace is not closed under the bracket")
-        w = bracket(S.v1, S.v2, T)
-        coeffs = coords_in_span(w, [S.v1, S.v2])
-        value = coeffs[0] * phi.on_v1 + coeffs[1] * phi.on_v2
+        # the coordinates of [v1, v2] over (v1, v2) by Cramer's rule on
+        # coordinates i, j where the Plücker coordinate p_ij is nonzero
+        i, j = next(ij for ij, p in S._plucker.items() if p)
+        v1, v2 = S.v1, S.v2
+        w = bracket(v1, v2, T)
+        det = v1[i] * v2[j] - v1[j] * v2[i]
+        value = ((w[i] * v2[j] - w[j] * v2[i]) * phi.on_v1
+                 + (v1[i] * w[j] - v1[j] * w[i]) * phi.on_v2) / det
         if value == 0:
             return True, ""
         return False, f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
@@ -371,8 +415,8 @@ def family_member(S: SubalgebraSpec, T: BracketTable) -> bool:
     if T.kind == "lie":
         # solvable nonabelian plane: the derived subalgebra is one
         # dimensional and inside the plane (a Borel of sl2)
-        w = bracket(S.v1, S.v2, T)
-        return any(w) and in_span(w, [S.v1, S.v2])
+        w = _bracket(*S._ints, T, 0)
+        return any(w) and S._contains(w)
     raise ValueError(f"unknown bracket kind {T.kind!r}")
 
 

@@ -217,19 +217,13 @@ def dense_nullspace(rows, ncols) -> list:
 
 
 def normalize_integer_vector(vec) -> tuple:
-    """Scale a rational vector to coprime integers with positive leading sign."""
-    vec = [Fraction(v) for v in vec]
-    if all(v == 0 for v in vec):
-        return tuple(0 for _ in vec)
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    """Scale a vector of ints and Fractions to coprime integers with positive
+    leading sign (the zero vector stays zero)."""
+    den = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (den // v.denominator) for v in vec]
+    g = gcd(*ints)
+    if not g:
+        return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)

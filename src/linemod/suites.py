@@ -34,8 +34,9 @@ from .liealg import (
     Functional,
     SubalgebraSpec,
     admissible_functional,
+    canonical_pair,
     classify_2dim_subalgebras,
-    closed_form_admissible,
+    closed_form_on_pair,
     color_minor_identity,
     family_members,
     random_fraction,
@@ -450,15 +451,13 @@ def run_slc(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     grid_data = []
     disagreements = []
     for member in family_members(table):
-        i0 = member["params"]["i"] - 1
         mu = member["params"]["mu"]
         S = member["spec"]
-        admissible_points = set()
-        for x in grid:
-            for y in grid:
-                ok, _ = closed_form_admissible(S, Functional(x, y), table)
-                if ok:
-                    admissible_points.add((x, y))
+        # a member's basis is its canonical basis, so phi = (x, y) on it is
+        # already the canonical pair's value part
+        params, _ = canonical_pair(S, Functional(0, 0), table)
+        admissible_points = {(x, y) for x in grid for y in grid
+                             if closed_form_on_pair(table.kind, (params, (x, y)))[0]}
         expected_points = {(x, y) for x in grid for y in grid
                            if y == 0 or x == Fraction(mu, 2)}
         ok = admissible_points == expected_points

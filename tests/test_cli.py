@@ -167,6 +167,32 @@ def test_admissible_bound_below_the_relations_is_usage_error(capsys, bound):
     assert "--max-degree" in captured.err and f"{bound!r}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["admissible", "induce"])
+@pytest.mark.parametrize("phi, bad", [("1/0,2", "1/0"), ("abc,2", "abc"), ("3, 2/0", "2/0")])
+def test_bad_phi_rational_is_named(capsys, command, phi, bad):
+    code = main([command, "--preset", "sl2", "--sub", "h, e", "--phi", phi])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --phi expects two comma-separated rationals, got {bad!r}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["hilbert", "--algebra", "sl2_A", "--oracle-degree", "-1"], "--oracle-degree"),
+    (["verify-paper", "--suite", "sl2", "--oracle-degree", "-1"], "--oracle-degree"),
+    (["verify-paper", "--suite", "sl2", "--max-degree", "-1"], "--max-degree"),
+])
+def test_negative_degree_flags_are_usage_errors(capsys, argv, flag):
+    # a negative oracle degree used to pass with an empty oracle route, and a
+    # negative suite bound ended in a KeyError
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a non-negative integer, got '-1'" in captured.err
+
+
 def test_admissible_tables_have_quadratic_enveloping_relations():
     # the lower bound of admissible --max-degree is this degree
     for name in ("sl2_table", "sl11_table", "slc_table"):
@@ -279,6 +305,13 @@ GOLDEN_REPORTS = {
         "0c65c930608b384901a9a71345c0980f075bb3656793b7eb43ed16a75ba70d01",
     ("hilbert", "--algebra", "sl21_Hhat", "--max-degree", "6", "--oracle-degree", "3"):
         "57ca7a31f5edd7db3fde9fd9045723883729dbdd0676fb0696bee5822e102282",
+    # recorded before closure was tested on integer Plücker coordinates
+    ("classify-sub", "--preset", "sl2", "--samples", "2000", "--seed", "5"):
+        "dac4189c118d98c9400b3511c5ffd950cb53c0c0425331d4409752aedebb6a1c",
+    ("classify-sub", "--preset", "sl11", "--samples", "2000", "--seed", "5"):
+        "c4277a553b6b605a09d70a71f0b842e73b06bcc1a04a45940313a8d5205742c9",
+    ("classify-sub", "--preset", "slc", "--samples", "2000", "--seed", "5"):
+        "8afd0542f8f2ae509521e79e5e0e1ce1865bcdaca10c5b1efe6e2de6d4eb42a9",
 }
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linemod.errors import RankDeficientError, SubalgebraFormError
 from linemod.liealg import (
@@ -12,19 +13,23 @@ from linemod.liealg import (
     canonical_pair,
     classify_2dim_subalgebras,
     closed_form_admissible,
+    closed_form_on_pair,
     color_form,
     color_minor_identity,
+    family_members,
     is_graded_subspace,
     is_subalgebra,
     properness_admissible,
     sl11_form,
     table_consistent_with_presentation,
 )
+from linemod.linalg import coords_in_span, dense_rank, in_span
 from linemod.presets import preset
 
 SL2 = preset("sl2_table")
 SL11 = preset("sl11_table")
 SLC = preset("slc_table")
+SL21 = preset("sl21_table")
 
 
 def test_bracket_examples():
@@ -160,3 +165,136 @@ def test_tables_consistent():
     assert table_consistent_with_presentation(SL2)
     assert table_consistent_with_presentation(SL11)
     assert table_consistent_with_presentation(SLC)
+
+
+# ----------------------------------------------------------------------
+# the integer Plücker closure test against the Fraction echelon reference
+# ----------------------------------------------------------------------
+
+
+def _reference_rank(S):
+    return dense_rank([S.v1, S.v2])
+
+
+def _reference_bracket(x, y, T):
+    """The bracket read straight off the nested structure-constant table."""
+    n = T.dimension
+    return tuple(sum((x[i] * y[j] * Fraction(T.table[i][j][k])
+                      for i in range(n) for j in range(n)), Fraction(0))
+                 for k in range(n))
+
+
+def _reference_is_subalgebra(S, T):
+    """Closure by Fraction echelons: rank, then in_span for the four brackets."""
+    if _reference_rank(S) != 2:
+        raise RankDeficientError("subspace basis is rank deficient")
+    base = [S.v1, S.v2]
+    return all(in_span(_reference_bracket(x, y, T), base) for x in base for y in base)
+
+
+def _reference_is_graded(S, labels):
+    total = 0
+    for lab in sorted(set(labels)):
+        rows = [(S.v1[i], S.v2[i]) for i in range(len(labels)) if labels[i] != lab]
+        total += 2 - dense_rank(rows)
+    return total == 2
+
+
+# zero-heavy so that closed planes and rank-deficient bases come up often
+_entries = st.one_of(st.just(Fraction(0)),
+                     st.fractions(min_value=-6, max_value=6, max_denominator=6))
+_scales = st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool)
+
+
+@st.composite
+def _planes(draw, T):
+    """Two vectors spanning a random plane of T's algebra, or a degenerate
+    pair: an echelon chart (any pair of pivot columns) or, for the
+    three-dimensional tables, a classified member, under a random integer
+    2x2 mix (singular ones included) and rational rescaling."""
+    n = T.dimension
+    members = family_members(T) if n == 3 else []
+    if members and draw(st.booleans()):
+        spec = draw(st.sampled_from(members))["spec"]
+        r1, r2 = spec.v1, spec.v2
+    else:
+        p, q = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        r1 = [Fraction(0)] * n
+        r2 = [Fraction(0)] * n
+        r1[p] = r2[q] = Fraction(1)
+        for c in range(p + 1, n):
+            if c != q:
+                r1[c] = draw(_entries)
+        for c in range(q + 1, n):
+            r2[c] = draw(_entries)
+    a, b, c, d = (draw(st.integers(-3, 3)) for _ in range(4))
+    s, t = draw(_scales), draw(_scales)
+    return (tuple(s * (a * x + b * y) for x, y in zip(r1, r2)),
+            tuple(t * (c * x + d * y) for x, y in zip(r1, r2)))
+
+
+@pytest.mark.parametrize("T", [SL2, SL11, SLC, SL21], ids=lambda T: T.name)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_closure_matches_fraction_echelons(T, data):
+    v1, v2 = data.draw(_planes(T))
+    S = SubalgebraSpec(v1, v2)
+    for x in S.basis():
+        for y in S.basis():
+            assert bracket(x, y, T) == _reference_bracket(x, y, T)
+    assert S.rank() == _reference_rank(S)
+    try:
+        expected = _reference_is_subalgebra(S, T)
+    except RankDeficientError:
+        with pytest.raises(RankDeficientError):
+            is_subalgebra(S, T)
+        return
+    assert is_subalgebra(S, T) == expected
+    if T.labels:
+        assert is_graded_subspace(S, T.labels) == _reference_is_graded(S, T.labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), phi=st.tuples(_entries, _entries))
+def test_lie_closed_form_matches_fraction_coordinates(data, phi):
+    v1, v2 = data.draw(_planes(SL2))
+    S = SubalgebraSpec(v1, v2)
+    phi = Functional(*phi)
+    if _reference_rank(S) != 2 or not _reference_is_subalgebra(S, SL2):
+        with pytest.raises((RankDeficientError, SubalgebraFormError)):
+            closed_form_admissible(S, phi, SL2)
+        return
+    coeffs = coords_in_span(_reference_bracket(S.v1, S.v2, SL2), [S.v1, S.v2])
+    value = coeffs[0] * phi.on_v1 + coeffs[1] * phi.on_v2
+    ok, reason = closed_form_admissible(S, phi, SL2)
+    assert ok == (value == 0)
+    if not ok:
+        assert reason == f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
+
+
+def test_integer_closure_rescales_and_rank():
+    # denominators and common factors are cleared without changing the plane
+    S = SubalgebraSpec((Fraction(2, 3), Fraction(4, 3), 0), (0, 0, Fraction(-5, 7)))
+    assert S.rank() == 2
+    assert SubalgebraSpec((1, 2, 0), (Fraction(-1, 2), -1, 0)).rank() == 1
+    assert SubalgebraSpec((0, 0, 0), (0, 0, 0)).rank() == 0
+    # span(e + 2f, h) is not closed in sl2; span(e, h) scaled is
+    assert not is_subalgebra(S, SL2)
+    assert is_subalgebra(SubalgebraSpec((Fraction(3, 4), 0, 0), (0, 0, Fraction(-2, 9))), SL2)
+
+
+def test_closed_form_on_pair():
+    assert closed_form_on_pair("super", ((1, 1), (Fraction(4), Fraction(2)))) == (True, "")
+    assert closed_form_on_pair("color", ((2, 0, 1, -1), (Fraction(-1, 2), 3))) == (True, "")
+    ok, reason = closed_form_on_pair("color", ((2, 0, 1, 1), (Fraction(0), Fraction(1))))
+    assert not ok and reason == ("phi(a_j + mu a_k) = 1 is nonzero and phi(a_i) = 0 "
+                                 "differs from mu/2 = 1/2")
+    with pytest.raises(ValueError):
+        closed_form_on_pair("lie", ((), ()))
+    # a classified member's basis is its canonical basis: the slc grid reads
+    # phi's values on it as the canonical pair's values
+    for T in (SL11, SLC):
+        for member in family_members(T):
+            phi = Functional(Fraction(3, 2), -7)
+            assert canonical_pair(member["spec"], phi, T)[1] == phi.values()
