@@ -62,6 +62,9 @@ _non_negative_int = _int_at_least(0, "a non-negative integer")
 # below the degree of the enveloping relations (2 for every table) the
 # filtered route cannot see 1 enter the ideal, so it cannot decide
 _properness_degree = _int_at_least(2, "an integer >= 2, the degree of the enveloping relations")
+# a degree-one line-module check holds for every cyclic module on two
+# independent forms, so a suite bound below 2 certifies nothing
+_suite_degree = _int_at_least(2, "an integer >= 2, the first degree a line-module check can fail")
 
 
 def _load_presentation(spec: str):
@@ -119,6 +122,12 @@ def _parse_forms(text: str, presentation, flag: str, what: str) -> tuple:
     n = len(presentation.generators)
     return tuple(parse_expression(part.strip(), presentation).linear_coefficients(n, what)
                  for part in parts)
+
+
+def _require_oracle_within(args):
+    if args.oracle_degree > args.max_degree:
+        raise LinemodError(
+            f"--oracle-degree {args.oracle_degree} is above --max-degree {args.max_degree}")
 
 
 def main(argv=None) -> int:
@@ -192,8 +201,9 @@ def main(argv=None) -> int:
     p = commands.add_parser("verify-paper", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=["sl2", "sl11", "slc", "sl21", "all"])
     p.add_argument("--samples", type=_positive_int, default=10000)
-    p.add_argument("--max-degree", type=_non_negative_int, default=6)
-    p.add_argument("--oracle-degree", type=_non_negative_int, default=4)
+    p.add_argument("--max-degree", type=_suite_degree, default=6)
+    p.add_argument("--oracle-degree", type=_non_negative_int, default=4,
+                   help="at most --max-degree")
     _common_flags(p)
 
     p = commands.add_parser("emit-presets", help="write the built-in presentations as .alg files")
@@ -284,9 +294,8 @@ def _dispatch(args) -> int:
         oracle_degree = args.oracle_degree
         if oracle_degree is None:
             oracle_degree = oracle_degree_within_cap(pres, min(4, args.max_degree))
-        elif oracle_degree > args.max_degree:
-            raise LinemodError(
-                f"--oracle-degree {oracle_degree} is above --max-degree {args.max_degree}")
+        else:
+            _require_oracle_within(args)
         rewrite_dims = hilbert_algebra(pres, args.max_degree)
         oracle_dims = oracle_graded_dims(pres, oracle_degree)
         agree = list(rewrite_dims)[: oracle_degree + 1] == list(oracle_dims)
@@ -386,6 +395,7 @@ def _dispatch(args) -> int:
         return _emit(args, report, 0)
 
     if args.command == "verify-paper":
+        _require_oracle_within(args)
         result = run_suite(args.suite, samples=args.samples, seed=args.seed,
                            max_degree=args.max_degree,
                            oracle_degree=args.oracle_degree)

@@ -1,9 +1,12 @@
 """Lines and quadrics in P^3 over the rationals.
 
 Lines are stored dually, as the pencil of two independent linear forms in
-the coordinate functions; incidence then reduces to one determinant and
-containment checks to linear algebra.  Plucker coordinates are available
-for reports.
+the coordinate functions.  The forms span a plane of k^4, and everything
+about the line is read from that plane's integer Plücker coordinates
+``q_ij`` (its dual Plücker coordinates): equality from the primitive
+``q``, containment in a plane from the three-term minors, incidence from
+the Klein pairing, and the point span and point Plücker coordinates from
+the Hodge dual of ``q``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankDeficientError
-from .linalg import dense_nullspace, dense_rank, in_span, normalize_integer_vector, reduced_echelon
+from .linalg import IntegerPlane, fraction_vector, normalize_integer_vector
 
 
 @dataclass(frozen=True)
@@ -22,19 +25,19 @@ class Line:
     forms: tuple
 
     def __post_init__(self):
-        u, v = self.forms
-        u = tuple(Fraction(c) for c in u)
-        v = tuple(Fraction(c) for c in v)
+        u, v = (fraction_vector(f) for f in self.forms)
         if len(u) != 4 or len(v) != 4:
             raise ValueError("forms must have four coordinates")
-        if dense_rank([u, v]) != 2:
+        plane = IntegerPlane(u, v)
+        if plane.rank() != 2:
             raise RankDeficientError("the two forms are linearly dependent")
         object.__setattr__(self, "forms", (u, v))
+        object.__setattr__(self, "_plane", plane)
 
     def canonical(self) -> tuple:
-        """Reduced echelon basis of the form span, integer normalized;
-        equal lines have equal canonical bases."""
-        return tuple(normalize_integer_vector(row) for row in reduced_echelon(self.forms, 4))
+        """The primitive dual Plücker vector (q01, q02, q03, q12, q13, q23)
+        with positive leading entry; equal lines have equal vectors."""
+        return normalize_integer_vector(tuple(self._plane.plucker.values()))
 
     def __eq__(self, other):
         return isinstance(other, Line) and self.canonical() == other.canonical()
@@ -42,37 +45,41 @@ class Line:
     def __hash__(self):
         return hash(self.canonical())
 
+    def _point_plucker(self) -> dict:
+        """Point Plücker coordinates p_ij, the Hodge dual of q."""
+        q = self._plane.plucker
+        return {(0, 1): q[2, 3], (0, 2): -q[1, 3], (0, 3): q[1, 2],
+                (1, 2): q[0, 3], (1, 3): -q[0, 2], (2, 3): q[0, 1]}
+
     def points(self) -> tuple:
-        """Two projective points spanning the line, integer normalized."""
-        basis = dense_nullspace(self.forms, 4)
-        if len(basis) != 2:
-            raise RankDeficientError("line does not have a two-dimensional point span")
-        return tuple(normalize_integer_vector(p) for p in basis)
+        """Two projective points spanning the line, integer normalized:
+        the null vectors of the forms at the free columns f < g of their
+        reduced echelon form, which are rows g and f of the point Plücker
+        matrix (row r is the point of the line that is zero at r)."""
+        p = self._point_plucker()
+        f, g = (c for c in range(4) if c not in self._plane.pivot())
+        rows = ([p[r, c] if r < c else -p.get((c, r), 0) for c in range(4)] for r in (g, f))
+        return tuple(map(normalize_integer_vector, rows))
 
     def contains_point(self, point) -> bool:
-        return all(_pair(f, point) == 0 for f in self.forms)
+        return all(sum(a * b for a, b in zip(f, point)) == 0 for f in self.forms)
 
     def in_plane(self, plane_form) -> bool:
         """Whether the line lies inside the plane cut out by the form."""
-        return in_span(plane_form, list(self.forms))
+        return self._plane.contains(plane_form)
 
     def plucker(self) -> tuple:
         """Point Plucker coordinates p01, p02, p03, p12, p13, p23."""
-        p, q = self.points()
-        coords = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                coords.append(p[i] * q[j] - p[j] * q[i])
-        return normalize_integer_vector(coords)
-
-
-def _pair(form, point) -> Fraction:
-    return sum(Fraction(a) * Fraction(b) for a, b in zip(form, point))
+        return normalize_integer_vector(tuple(self._point_plucker().values()))
 
 
 def lines_meet(L1: Line, L2: Line) -> bool:
-    """Two lines meet iff their four forms fail to span all of k^4."""
-    return dense_rank(list(L1.forms) + list(L2.forms)) <= 3
+    """Two lines meet iff their four forms fail to span all of k^4, that is
+    iff the Klein pairing of their dual Plücker vectors, det(u1, v1, u2, v2),
+    vanishes."""
+    a, b = L1._plane.plucker, L2._plane.plucker
+    return (a[0, 1] * b[2, 3] - a[0, 2] * b[1, 3] + a[0, 3] * b[1, 2]
+            + a[1, 2] * b[0, 3] - a[1, 3] * b[0, 2] + a[2, 3] * b[0, 1]) == 0
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,7 @@ class Quadric:
     matrix: tuple
 
     def __post_init__(self):
-        M = tuple(tuple(Fraction(c) for c in row) for row in self.matrix)
+        M = tuple(map(fraction_vector, self.matrix))
         if len(M) != 4 or any(len(r) != 4 for r in M):
             raise ValueError("quadric matrix must be 4x4")
         if all(c == 0 for row in M for c in row):
@@ -94,12 +101,10 @@ class Quadric:
         object.__setattr__(self, "matrix", M)
 
     def evaluate(self, point) -> Fraction:
-        p = [Fraction(c) for c in point]
-        return sum(self.matrix[i][j] * p[i] * p[j] for i in range(4) for j in range(4))
+        return self.polarize(point, point)
 
     def polarize(self, p, q) -> Fraction:
-        p = [Fraction(c) for c in p]
-        q = [Fraction(c) for c in q]
+        p, q = fraction_vector(p), fraction_vector(q)
         return sum(self.matrix[i][j] * p[i] * q[j] for i in range(4) for j in range(4))
 
     def contains_point(self, point) -> bool:
@@ -119,43 +124,33 @@ def quadric_from_coeffs(coeffs: dict) -> Quadric:
     return Quadric(tuple(tuple(row) for row in M))
 
 
+def _restriction(Q: Quadric, p, q) -> tuple:
+    """The quadratic form of Q on the span of p and q: Q(p), Q(q), Q(p, q)."""
+    return Q.evaluate(p), Q.evaluate(q), Q.polarize(p, q)
+
+
 def line_on_quadric(L: Line, Q: Quadric) -> bool:
     """Whether the line lies on the quadric: the restriction of the
     quadratic form to the point span vanishes identically."""
-    p, q = L.points()
-    return Q.evaluate(p) == 0 and Q.evaluate(q) == 0 and Q.polarize(p, q) == 0
+    return not any(_restriction(Q, *L.points()))
 
 
 def pencil_membership(L: Line, base: Quadric, direction: Quadric):
     """Solve for c with L on V(base + c * direction); returns the list of
     rational solutions c, plus 'infinity' if L lies on the direction quadric.
 
-    The three restriction coefficients are linear in c, so membership in a
-    pencil of quadrics reduces to a rational linear system.
+    The three restriction coefficients ``b + c d`` are linear in c: each
+    vanishes for every c (b = d = 0), for none (d = 0 != b), or at -b/d.
     """
     p, q = L.points()
-    conditions = [
-        (base.evaluate(p), direction.evaluate(p)),
-        (base.evaluate(q), direction.evaluate(q)),
-        (base.polarize(p, q), direction.polarize(p, q)),
-    ]
-    solutions = None
-    for b, d in conditions:
-        if d == 0:
-            if b != 0:
-                solutions = set()
-                break
-            continue
-        c = Fraction(-b, 1) / d
-        if solutions is None:
-            solutions = {c}
-        else:
-            solutions &= {c}
-            if not solutions:
-                break
-    out: list = sorted(solutions) if solutions else ([] if solutions is not None else ["any"])
-    if line_on_quadric(L, direction):
-        out = list(out) + ["infinity"]
+    pairs = list(zip(_restriction(base, p, q), _restriction(direction, p, q)))
+    if any(d == 0 != b for b, d in pairs):
+        out = []
+    else:
+        roots = {-b / d for b, d in pairs if d}
+        out = sorted(roots) if len(roots) == 1 else ([] if roots else ["any"])
+    if not any(d for _, d in pairs):
+        out.append("infinity")
     return out
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from random import Random
 
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     SubalgebraFormError,
 )
 from .hilbert import filtered_model
-from .linalg import coords_in_span, dense_nullspace, normalize_integer_vector
+from .linalg import IntegerPlane, dense_nullspace, fraction_vector
 from .ncalg import NcPoly
 from .rewrite import Presentation, RewriteSystem, complete, normal_form
 
@@ -93,43 +92,21 @@ def bracket(x, y, T: BracketTable) -> tuple:
 class SubalgebraSpec:
     """A two-dimensional subspace given by two coefficient vectors.
 
-    The primitive integer multiples ``a`` of v1 and ``b`` of v2 and the
-    plane's Plücker coordinates ``p_ij = a_i b_j - a_j b_i`` (i < j) are
-    computed once, on construction, and rank and membership are read from
-    them in integer arithmetic: the basis has rank 2 iff some ``p_ij`` is
-    nonzero, and then ``w`` lies in the plane iff every 3x3 minor
-    ``w_i p_jk - w_j p_ik + w_k p_ij`` of ``(w; a; b)`` vanishes.
+    Rank, membership and coordinates are read in integer arithmetic from
+    the ``IntegerPlane`` of the two vectors, built once on construction.
     """
 
     v1: tuple
     v2: tuple
 
     def __post_init__(self):
-        v1 = tuple(Fraction(c) for c in self.v1)
-        v2 = tuple(Fraction(c) for c in self.v2)
+        v1, v2 = fraction_vector(self.v1), fraction_vector(self.v2)
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
-        a, b = normalize_integer_vector(v1), normalize_integer_vector(v2)
-        object.__setattr__(self, "_ints", (a, b))
-        object.__setattr__(self, "_plucker", {
-            (i, j): a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(len(a)), 2)})
-
-    def _rank_on(self, coords) -> int:
-        """Rank of the basis restricted to the given coordinates."""
-        p = self._plucker
-        if any(p[ij] for ij in combinations(coords, 2)):
-            return 2
-        a, b = self._ints
-        return 1 if any(a[i] or b[i] for i in coords) else 0
-
-    def _contains(self, w) -> bool:
-        """Whether ``w`` lies in the span; the basis must have rank 2."""
-        p = self._plucker
-        return all(w[i] * p[j, k] - w[j] * p[i, k] + w[k] * p[i, j] == 0
-                   for i, j, k in combinations(range(len(w)), 3))
+        object.__setattr__(self, "_plane", IntegerPlane(v1, v2))
 
     def rank(self) -> int:
-        return self._rank_on(range(len(self.v1)))
+        return self._plane.rank()
 
     def require_rank2(self):
         if self.rank() != 2:
@@ -159,8 +136,8 @@ def is_subalgebra(S: SubalgebraSpec, T: BracketTable) -> bool:
     """Closure under the bracket, tested on all four ordered pairs of the
     integer basis."""
     S.require_rank2()
-    base = S._ints
-    return all(S._contains(_bracket(x, y, T, 0)) for x in base for y in base)
+    plane = S._plane
+    return all(plane.contains(_bracket(x, y, T, 0)) for x in plane.ints for y in plane.ints)
 
 
 def is_graded_subspace(S: SubalgebraSpec, labels) -> bool:
@@ -172,7 +149,7 @@ def is_graded_subspace(S: SubalgebraSpec, labels) -> bool:
     for lab in sorted(set(labels)):
         # dim of S intersected with the component: 2 minus the rank of the
         # basis on the coordinates outside the component
-        total += 2 - S._rank_on([i for i in range(n) if labels[i] != lab])
+        total += 2 - S._plane.rank_on([i for i in range(n) if labels[i] != lab])
     return total == 2
 
 
@@ -224,11 +201,9 @@ def color_form(S: SubalgebraSpec, T: BracketTable):
     S is not of that shape.
     """
     S.require_rank2()
-    base = [S.v1, S.v2]
     for i in range(3):
-        unit = tuple(Fraction(1 if m == i else 0) for m in range(3))
-        coeffs = coords_in_span(unit, base)
-        if coeffs is None:
+        unit = tuple(1 if m == i else 0 for m in range(3))
+        if not S._plane.contains(unit):
             continue
         j, k = [m for m in range(3) if m != i]
         null = dense_nullspace([(S.v1[i], S.v2[i])], 2)
@@ -241,7 +216,7 @@ def color_form(S: SubalgebraSpec, T: BracketTable):
         if mu not in (1, -1):
             raise SubalgebraFormError(f"complement slope {mu} is not +-1")
         c1 = (null[0][0] / u2[j], null[0][1] / u2[j])
-        return (i, j, k, mu), (tuple(coeffs), c1)
+        return (i, j, k, mu), (S._plane.solve(unit), c1)
     raise SubalgebraFormError("subspace contains no grading basis vector")
 
 
@@ -293,14 +268,8 @@ def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
     if T.kind == "lie":
         if not is_subalgebra(S, T):
             raise SubalgebraFormError("subspace is not closed under the bracket")
-        # the coordinates of [v1, v2] over (v1, v2) by Cramer's rule on
-        # coordinates i, j where the Plücker coordinate p_ij is nonzero
-        i, j = next(ij for ij, p in S._plucker.items() if p)
-        v1, v2 = S.v1, S.v2
-        w = bracket(v1, v2, T)
-        det = v1[i] * v2[j] - v1[j] * v2[i]
-        value = ((w[i] * v2[j] - w[j] * v2[i]) * phi.on_v1
-                 + (v1[i] * w[j] - v1[j] * w[i]) * phi.on_v2) / det
+        x, y = S._plane.solve(bracket(S.v1, S.v2, T))
+        value = x * phi.on_v1 + y * phi.on_v2
         if value == 0:
             return True, ""
         return False, f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
@@ -415,8 +384,8 @@ def family_member(S: SubalgebraSpec, T: BracketTable) -> bool:
     if T.kind == "lie":
         # solvable nonabelian plane: the derived subalgebra is one
         # dimensional and inside the plane (a Borel of sl2)
-        w = _bracket(*S._ints, T, 0)
-        return any(w) and S._contains(w)
+        w = _bracket(*S._plane.ints, T, 0)
+        return any(w) and S._plane.contains(w)
     raise ValueError(f"unknown bracket kind {T.kind!r}")
 
 

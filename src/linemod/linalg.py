@@ -10,13 +10,17 @@ denominators are cleared once, on entry, every stored pivot row is a
 primitive integer row (content divided out, positive leading entry), and an
 elimination step is ``row <- (b/g) row - (a/g) pivot`` with ``g = gcd(a, b)``.
 ``Fraction`` objects are made only where results leave the kernel.
-``dense_rank``, ``in_span``, ``coords_in_span``, ``reduced_echelon`` and
-``dense_nullspace`` are thin wrappers over the same kernel.
+``reduced_echelon`` and ``dense_nullspace`` are thin wrappers over it.
+
+Two-dimensional subspaces (subalgebra planes, lines of ``P^3`` as planes of
+forms) need no echelon: an ``IntegerPlane`` reads rank, membership and
+coordinates from the integer Plücker coordinates of its basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 
@@ -147,52 +151,15 @@ class SparseEchelon:
         return not self._eliminate(_integer_row(row)[0])[0]
 
 
-def _dense_echelon(rows) -> SparseEchelon:
-    ech = SparseEchelon()
-    for r in rows:
-        ech.add({j: v for j, v in enumerate(r) if v})
-    return ech
-
-
-def dense_rank(rows) -> int:
-    """Rank of a list of equal-length rational vectors."""
-    return _dense_echelon(rows).rank
-
-
-def in_span(vector, rows) -> bool:
-    """Whether ``vector`` lies in the row span of ``rows``."""
-    return _dense_echelon(rows).contains({j: v for j, v in enumerate(vector) if v})
-
-
-def coords_in_span(vector, rows):
-    """Coefficients expressing ``vector`` over ``rows``, or None.
-
-    Solves sum_i c_i rows[i] = vector exactly by augmenting each row with
-    a marker column carrying its index; markers sort after real columns so
-    they are never chosen as pivots while real columns remain.
-    """
-    n = len(rows)
-    ech = SparseEchelon(column_key=lambda c: (1, c[1]) if isinstance(c, tuple) else (0, c))
-    for i, r in enumerate(rows):
-        row = {j: v for j, v in enumerate(r) if v}
-        row[("marker", i)] = 1
-        ech.add(row)
-    red = ech.reduce({j: v for j, v in enumerate(vector) if v})
-    if any(not isinstance(c, tuple) for c in red):
-        return None
-    coeffs = [Fraction(0)] * n
-    for c, v in red.items():
-        coeffs[c[1]] = -v
-    return coeffs
-
-
 def reduced_echelon(rows, ncols) -> list:
     """The reduced row echelon form of the matrix with the given rows.
 
     Returns one Fraction tuple of length ``ncols`` per pivot, in ascending
     pivot order: 1 at its pivot and 0 at every other pivot column.
     """
-    ech = _dense_echelon(rows)
+    ech = SparseEchelon()
+    for r in rows:
+        ech.add({j: v for j, v in enumerate(r) if v})
     zero, one = Fraction(0), Fraction(1)
     out = []
     for p in sorted(ech.pivot_columns()):
@@ -227,3 +194,63 @@ def normalize_integer_vector(vec) -> tuple:
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)
+
+
+def fraction_vector(vec) -> tuple:
+    """``vec`` as a tuple of Fractions; entries that already are Fractions
+    are kept, not copied."""
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in vec)
+
+
+class IntegerPlane:
+    """The span of two rational vectors ``u`` and ``v``, read in integer
+    arithmetic.
+
+    ``ints`` holds the primitive integer multiples ``a`` of u and ``b`` of v,
+    and ``plucker`` the Plücker coordinates ``p_ij = a_i b_j - a_j b_i`` for
+    i < j, in lexicographic order.  The vectors are independent iff some
+    ``p_ij`` is nonzero.  Then ``w`` lies in their span iff every 3x3 minor
+    ``w_i p_jk - w_j p_ik + w_k p_ij`` of ``(w; a; b)`` vanishes, and its
+    coordinates over ``(u, v)`` follow by Cramer's rule on the first nonzero
+    ``p_ij``.
+    """
+
+    __slots__ = ("basis", "ints", "plucker")
+
+    def __init__(self, u, v):
+        a, b = normalize_integer_vector(u), normalize_integer_vector(v)
+        self.basis = (u, v)
+        self.ints = (a, b)
+        self.plucker = {(i, j): a[i] * b[j] - a[j] * b[i]
+                        for i, j in combinations(range(len(a)), 2)}
+
+    def rank_on(self, coords) -> int:
+        """Rank of the two vectors restricted to the given ascending
+        coordinates."""
+        p = self.plucker
+        if any(p[ij] for ij in combinations(coords, 2)):
+            return 2
+        a, b = self.ints
+        return 1 if any(a[i] or b[i] for i in coords) else 0
+
+    def rank(self) -> int:
+        return self.rank_on(range(len(self.basis[0])))
+
+    def contains(self, w) -> bool:
+        """Whether ``w`` lies in the span; the rank must be 2."""
+        p = self.plucker
+        return all(w[i] * p[j, k] - w[j] * p[i, k] + w[k] * p[i, j] == 0
+                   for i, j, k in combinations(range(len(w)), 3))
+
+    def pivot(self) -> tuple:
+        """The first ``(i, j)`` with ``p_ij`` nonzero; the rank must be 2."""
+        return next(ij for ij, p in self.plucker.items() if p)
+
+    def solve(self, w) -> tuple:
+        """The Fractions ``(x, y)`` with ``w = x u + y v``, by Cramer's rule
+        on the coordinates of the pivot; ``w`` must lie in the span."""
+        i, j = self.pivot()
+        u, v = self.basis
+        det = u[i] * v[j] - u[j] * v[i]
+        return (Fraction(w[i] * v[j] - w[j] * v[i], det),
+                Fraction(u[i] * w[j] - u[j] * w[i], det))

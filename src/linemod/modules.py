@@ -32,7 +32,7 @@ from .liealg import (
     require_admissible,
     shift_generators,
 )
-from .linalg import dense_rank
+from .linalg import IntegerPlane
 from .ncalg import NcPoly
 from .rewrite import Presentation, RewriteSystem
 
@@ -53,7 +53,7 @@ class LineModuleSpec:
         for g in self.generators:
             if g.is_zero() or g.z_degrees(degrees) != {1}:
                 raise InhomogeneousError("line module generators must be homogeneous of degree one")
-        if dense_rank(self.coefficients()) != 2:
+        if IntegerPlane(*self.coefficients()).rank() != 2:
             raise RankDeficientError("line module generators are linearly dependent")
 
     def coefficients(self) -> tuple:

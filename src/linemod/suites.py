@@ -545,16 +545,11 @@ def run_slc(samples: int = 10000, seed: int = 0, max_degree: int = 6,
 def _random_line_in_plane_through_point(rng: Random, plane, point) -> Line:
     """A random line inside V(plane), through the given point when one is
     required; the second form is sampled until independent."""
-    plane = tuple(Fraction(c) for c in plane)
     while True:
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
         if point is not None:
-            value = sum(c * Fraction(p) for c, p in zip(coeffs, point))
-            support = [i for i, p in enumerate(point) if p]
-            if not support:
-                continue
-            pivot = support[0]
-            coeffs[pivot] -= value / Fraction(point[pivot])
+            pivot = next(i for i, p in enumerate(point) if p)
+            coeffs[pivot] -= sum(c * p for c, p in zip(coeffs, point)) / point[pivot]
         try:
             return Line((plane, tuple(coeffs)))
         except RankDeficientError:

@@ -180,17 +180,40 @@ def test_bad_phi_rational_is_named(capsys, command, phi, bad):
 @pytest.mark.parametrize("argv, flag", [
     (["hilbert", "--algebra", "sl2_A", "--oracle-degree", "-1"], "--oracle-degree"),
     (["verify-paper", "--suite", "sl2", "--oracle-degree", "-1"], "--oracle-degree"),
-    (["verify-paper", "--suite", "sl2", "--max-degree", "-1"], "--max-degree"),
 ])
 def test_negative_degree_flags_are_usage_errors(capsys, argv, flag):
-    # a negative oracle degree used to pass with an empty oracle route, and a
-    # negative suite bound ended in a KeyError
+    # a negative oracle degree used to pass with an empty oracle route
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: must be a non-negative integer, got '-1'" in captured.err
+
+
+_SUITE_BOUND = "must be an integer >= 2, the first degree a line-module check can fail"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["verify-paper", "--suite", "sl2", "--max-degree", "-1"],
+                 f"argument --max-degree: {_SUITE_BOUND}, got '-1'", id="max-degree-negative"),
+    # every cyclic module on two independent linear forms passes degree 1
+    pytest.param(["verify-paper", "--suite", "sl2", "--max-degree", "1", "--samples", "5"],
+                 f"argument --max-degree: {_SUITE_BOUND}, got '1'", id="max-degree-1"),
+    pytest.param(["verify-paper", "--suite", "sl2", "--max-degree", "3", "--oracle-degree", "5"],
+                 "error: --oracle-degree 5 is above --max-degree 3\n", id="oracle-above-max"),
+])
+def test_vacuous_suite_bounds_are_usage_errors(capsys, argv, message):
+    # a negative bound once ended in a KeyError; the others exited 0 with
+    # "pass": true
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_admissible_tables_have_quadratic_enveloping_relations():
@@ -312,6 +335,18 @@ GOLDEN_REPORTS = {
         "c4277a553b6b605a09d70a71f0b842e73b06bcc1a04a45940313a8d5205742c9",
     ("classify-sub", "--preset", "slc", "--samples", "2000", "--seed", "5"):
         "8afd0542f8f2ae509521e79e5e0e1ce1865bcdaca10c5b1efe6e2de6d4eb42a9",
+    # recorded before lines were read from integer dual Plücker coordinates:
+    # a line in the a4 plane given by a mixed rational basis, a line with
+    # several tags, a line with no family, and one more audit
+    ("classify-line", "--preset", "slc", "--line",
+     "2*a4 + a1 + 2*a2 + 3*a3, 1/3*a1 + 2/3*a2 + a3"):
+        "a40760abeb9ae2ec6b4a2cc55c940f8c7bb877bdfd813d53181b912cdfe4ad2d",
+    ("classify-line", "--preset", "slc", "--line", "a4 - 2*a1, 3*a1"):
+        "03ad25724a55f005e0b78ee8b1cb42ef5d86c9562656579367bec11fd49a0048",
+    ("classify-line", "--preset", "slc", "--line", "a1 + 2*a2 - a4, 3*a2 + a3"):
+        "beae154f28b7de2d642aee12594961e41dde37af415c931946bf679f643a569b",
+    ("classify-sub", "--preset", "sl11", "--samples", "200"):
+        "2ba58c1d03b7187a9c1e5f63e69ed9808228aad48d9b9fb75a263ff12f81acc6",
 }
 
 

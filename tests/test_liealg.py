@@ -23,7 +23,7 @@ from linemod.liealg import (
     sl11_form,
     table_consistent_with_presentation,
 )
-from linemod.linalg import coords_in_span, dense_rank, in_span
+from linemod.linalg import SparseEchelon
 from linemod.presets import preset
 
 SL2 = preset("sl2_table")
@@ -172,31 +172,62 @@ def test_tables_consistent():
 # ----------------------------------------------------------------------
 
 
+def _sparse(vector) -> dict:
+    return {j: v for j, v in enumerate(vector) if v}
+
+
+def _echelon(rows) -> SparseEchelon:
+    ech = SparseEchelon()
+    for r in rows:
+        ech.add(_sparse(r))
+    return ech
+
+
 def _reference_rank(S):
-    return dense_rank([S.v1, S.v2])
+    return _echelon([S.v1, S.v2]).rank
 
 
 def _reference_bracket(x, y, T):
-    """The bracket read straight off the nested structure-constant table."""
-    n = T.dimension
-    return tuple(sum((x[i] * y[j] * Fraction(T.table[i][j][k])
-                      for i in range(n) for j in range(n)), Fraction(0))
-                 for k in range(n))
+    """The bracket read straight off the nested structure-constant table,
+    skipping its zero entries."""
+    out = [Fraction(0)] * T.dimension
+    for i, row in enumerate(T.table):
+        for j, entry in enumerate(row):
+            for k, c in enumerate(entry):
+                if c:
+                    out[k] += x[i] * y[j] * Fraction(c)
+    return tuple(out)
 
 
 def _reference_is_subalgebra(S, T):
-    """Closure by Fraction echelons: rank, then in_span for the four brackets."""
+    """Closure by Fraction echelons: rank, then membership of the four
+    brackets."""
     if _reference_rank(S) != 2:
         raise RankDeficientError("subspace basis is rank deficient")
     base = [S.v1, S.v2]
-    return all(in_span(_reference_bracket(x, y, T), base) for x in base for y in base)
+    ech = _echelon(base)
+    return all(ech.contains(_sparse(_reference_bracket(x, y, T))) for x in base for y in base)
+
+
+def _reference_coords(vector, rows):
+    """Coefficients of ``vector`` over ``rows``: each row carries a marker
+    column, sorted after the real ones, that records its index."""
+    ech = SparseEchelon(column_key=lambda c: (1, c[1]) if isinstance(c, tuple) else (0, c))
+    for i, r in enumerate(rows):
+        ech.add({**_sparse(r), ("marker", i): 1})
+    red = ech.reduce(_sparse(vector))
+    assert all(isinstance(c, tuple) for c in red)
+    coeffs = [Fraction(0)] * len(rows)
+    for c, v in red.items():
+        coeffs[c[1]] = -v
+    return coeffs
 
 
 def _reference_is_graded(S, labels):
     total = 0
     for lab in sorted(set(labels)):
         rows = [(S.v1[i], S.v2[i]) for i in range(len(labels)) if labels[i] != lab]
-        total += 2 - dense_rank(rows)
+        total += 2 - _echelon(rows).rank
     return total == 2
 
 
@@ -265,7 +296,7 @@ def test_lie_closed_form_matches_fraction_coordinates(data, phi):
         with pytest.raises((RankDeficientError, SubalgebraFormError)):
             closed_form_admissible(S, phi, SL2)
         return
-    coeffs = coords_in_span(_reference_bracket(S.v1, S.v2, SL2), [S.v1, S.v2])
+    coeffs = _reference_coords(_reference_bracket(S.v1, S.v2, SL2), [S.v1, S.v2])
     value = coeffs[0] * phi.on_v1 + coeffs[1] * phi.on_v2
     ok, reason = closed_form_admissible(S, phi, SL2)
     assert ok == (value == 0)

@@ -3,29 +3,43 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from linemod.linalg import (
+    IntegerPlane,
     SparseEchelon,
-    coords_in_span,
     dense_nullspace,
-    dense_rank,
-    in_span,
+    fraction_vector,
     normalize_integer_vector,
     reduced_echelon,
 )
 
 
 def test_rank_and_membership():
-    rows = [(1, 0, 2), (0, 1, 3)]
-    assert dense_rank(rows) == 2
-    assert dense_rank(rows + [(1, 1, 5)]) == 2
-    assert in_span((2, -1, 1), rows)
-    assert not in_span((0, 0, 1), rows)
+    plane = IntegerPlane((1, 0, 2), (0, 1, 3))
+    assert plane.rank() == 2
+    assert plane.rank_on([0, 2]) == 2 and plane.rank_on([2]) == 1
+    assert plane.contains((1, 1, 5)) and plane.contains((2, -1, 1))
+    assert not plane.contains((0, 0, 1))
+    assert IntegerPlane((1, 2, 0), (Fraction(-1, 2), -1, 0)).rank() == 1
+    assert IntegerPlane((0, 0), (0, 0)).rank() == 0
 
 
 def test_coords_in_span():
-    rows = [(1, 0, 2), (0, 1, 3)]
-    coeffs = coords_in_span((2, -1, 1), rows)
-    assert coeffs == [Fraction(2), Fraction(-1)]
-    assert coords_in_span((0, 0, 1), rows) is None
+    plane = IntegerPlane((1, 0, 2), (0, 1, 3))
+    coeffs = plane.solve((2, -1, 1))
+    assert coeffs == (2, -1)
+    assert all(type(c) is Fraction for c in coeffs)
+    # the coordinates are over the given basis, not its integer multiples
+    plane = IntegerPlane((Fraction(1, 2), 0, 1), (0, -2, 6))
+    assert plane.ints == ((1, 0, 2), (0, 1, -3))
+    assert plane.solve((1, 2, -1)) == (2, -1)
+    assert plane.solve((0, 0, 0)) == (0, 0)
+
+
+def test_fraction_vector_keeps_fractions():
+    half = Fraction(1, 2)
+    vec = fraction_vector((half, 3, "2/3"))
+    assert vec == (half, 3, Fraction(2, 3))
+    assert vec[0] is half
+    assert all(type(c) is Fraction for c in vec)
 
 
 def test_echelon_deterministic_rank():
@@ -238,3 +252,44 @@ def test_nullspace_fixtures():
         basis = dense_nullspace(rows, ncols)
         assert basis == [tuple(F(v) for v in vec) for vec in expected]
         assert all(type(v) is Fraction for vec in basis for v in vec)
+
+
+@st.composite
+def planes(draw):
+    """Two vectors of length 1-6, the second sometimes a multiple of the
+    first or zero, and a probe that is sometimes a combination of them."""
+    n = draw(st.integers(1, 6))
+    u = tuple(draw(entries) for _ in range(n))
+    if draw(st.booleans()):
+        k = draw(entries)
+        v = tuple(k * x for x in u)
+    else:
+        v = tuple(draw(entries) for _ in range(n))
+    if draw(st.booleans()):
+        x, y = draw(entries), draw(entries)
+        w = tuple(x * a + y * b for a, b in zip(u, v))
+    else:
+        w = tuple(draw(entries) for _ in range(n))
+    return u, v, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(planes(), st.data())
+def test_integer_plane_matches_gauss_jordan(vectors, data):
+    u, v, w = vectors
+    n = len(u)
+    rows = [{c: x for c, x in enumerate(r) if x} for r in (u, v)]
+    rref = gauss_jordan(rows, list(range(n)))
+    plane = IntegerPlane(u, v)
+    assert plane.rank() == len(rref)
+    coords = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    assert plane.rank_on(coords) == len(gauss_jordan(rows, coords))
+    if len(rref) != 2:
+        return
+    probe = {c: x for c, x in enumerate(w) if x}
+    inside = not reference_reduce(probe, rref)
+    assert plane.contains(w) == inside
+    if inside:
+        x, y = plane.solve(w)
+        assert type(x) is type(y) is Fraction
+        assert tuple(x * a + y * b for a, b in zip(u, v)) == w
