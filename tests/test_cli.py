@@ -347,6 +347,17 @@ GOLDEN_REPORTS = {
         "beae154f28b7de2d642aee12594961e41dde37af415c931946bf679f643a569b",
     ("classify-sub", "--preset", "sl11", "--samples", "200"):
         "2ba58c1d03b7187a9c1e5f63e69ed9808228aad48d9b9fb75a263ff12f81acc6",
+    # recorded before one lhs automaton served matching, listing and
+    # counting: a completion under another precedence, counts to degree 9,
+    # and a trace through rules with lhs of length 5 and 6
+    ("complete", "--algebra", "sl21_Hhat", "--order", "x4,x3,x2,x1,y4,y3,y2,y1,t",
+     "--max-degree", "8"):
+        "0a668ece81250ee57d04e8d0840057d5a9071f52f2e7fe955cc57d90210f3579",
+    ("hilbert", "--algebra", "sl21_Hhat", "--max-degree", "9", "--oracle-degree", "3"):
+        "cfeb5cdc725bfcf10913ca07315166e177314f70df9f8ddfb9653a54ed91c11d",
+    ("trace", "--algebra", "sl21_Hhat", "--expr", "x1*t*y4*y3*y2*y1*y1 + y2*t*y3*y1*y1",
+     "--max-degree", "7"):
+        "13f128d56f05535ccfc122d23b7af7e6fd390d42c4776dcce989cfc821b3d488",
 }
 
 
