@@ -202,8 +202,8 @@ def main(argv=None) -> int:
     p.add_argument("--suite", required=True, choices=["sl2", "sl11", "slc", "sl21", "all"])
     p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--max-degree", type=_suite_degree, default=6)
-    p.add_argument("--oracle-degree", type=_non_negative_int, default=4,
-                   help="at most --max-degree")
+    p.add_argument("--oracle-degree", type=_non_negative_int,
+                   help="at most --max-degree; default: min(4, --max-degree)")
     _common_flags(p)
 
     p = commands.add_parser("emit-presets", help="write the built-in presentations as .alg files")
@@ -395,6 +395,8 @@ def _dispatch(args) -> int:
         return _emit(args, report, 0)
 
     if args.command == "verify-paper":
+        if args.oracle_degree is None:
+            args.oracle_degree = min(4, args.max_degree)
         _require_oracle_within(args)
         result = run_suite(args.suite, samples=args.samples, seed=args.seed,
                            max_degree=args.max_degree,

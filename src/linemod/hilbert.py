@@ -82,37 +82,54 @@ def _as_system(p, max_degree: int, order: TermOrder | None) -> RewriteSystem:
 def normal_words_by_degree(system: RewriteSystem, max_degree: int) -> dict:
     """Words of each degree <= max_degree containing no rule lhs.
 
-    Built incrementally: a one-letter extension of a normal word is normal
-    iff no lhs is a suffix of it.  Word lists are in a deterministic
-    generation order and form a basis of the quotient in certified degrees.
+    Built breadth first through the system's lhs automaton: a one-letter
+    extension of a normal word is normal iff the automaton finds no lhs
+    ending at its last letter.  Word lists are in a deterministic generation
+    order (by length, then parent, then letter) and form a basis of the
+    quotient in certified degrees.
     """
     degrees = system.order.degrees
-    ngens = len(degrees)
-    # per last letter: (length, set of the lhs of that length ending in it)
-    by_last = [{} for _ in range(ngens)]
-    for r in system.rules:
-        by_last[r.lhs[-1]].setdefault(len(r.lhs), set()).add(r.lhs)
-    tails = [sorted(by_len.items()) for by_len in by_last]
+    goto, found = system.automaton.goto, system.automaton.rule
     out = {d: [] for d in range(max_degree + 1)}
     out[0].append(EMPTY_WORD)
-    frontier = [(EMPTY_WORD, 0)]
+    frontier = [(EMPTY_WORD, 0, 0)]   # (normal word, degree, automaton state)
     while frontier:
         new_frontier = []
-        for word, deg in frontier:
-            for g in range(ngens):
-                nd = deg + degrees[g]
-                if nd > max_degree:
-                    continue
-                nw = word + (g,)
-                # a slice longer than nw is nw itself, too short to be an lhs
-                for n, lhs_set in tails[g]:
-                    if nw[-n:] in lhs_set:
-                        break
-                else:
+        for word, deg, state in frontier:
+            row = goto[state]
+            for g, g_deg in enumerate(degrees):
+                nd = deg + g_deg
+                t = row[g]
+                if nd <= max_degree and found[t] is None:
+                    nw = word + (g,)
                     out[nd].append(nw)
-                    new_frontier.append((nw, nd))
+                    new_frontier.append((nw, nd, t))
         frontier = new_frontier
     return out
+
+
+def normal_word_counts(system: RewriteSystem, max_degree: int) -> list:
+    """The number of normal words of each degree 0..max_degree.
+
+    A dynamic program over the states of the lhs automaton: the normal
+    words of degree d ending in state t are the normal words of degree
+    d - deg x, in some state s, extended by a letter x with goto[s][x] = t
+    reaching no rule.  No word list is built.
+    """
+    degrees = system.order.degrees
+    goto, found = system.automaton.goto, system.automaton.rule
+    by_state = [{0: 1}]   # per degree: automaton state -> normal words ending there
+    for d in range(1, max_degree + 1):
+        here = {}
+        for g, g_deg in enumerate(degrees):
+            if g_deg > d:
+                continue
+            for s, n in by_state[d - g_deg].items():
+                t = goto[s][g]
+                if found[t] is None:
+                    here[t] = here.get(t, 0) + n
+        by_state.append(here)
+    return [sum(counts.values()) for counts in by_state]
 
 
 def hilbert_algebra(p, max_degree: int, order: TermOrder | None = None) -> HilbertFunction:
@@ -127,8 +144,7 @@ def hilbert_algebra(p, max_degree: int, order: TermOrder | None = None) -> Hilbe
             f"{pres.name!r} is not graded; use filtered_cyclic_dims for filtered dimensions"
         )
     system = _as_system(p, max_degree, order)
-    words = normal_words_by_degree(system, max_degree)
-    return HilbertFunction(tuple(len(words[d]) for d in range(max_degree + 1)))
+    return HilbertFunction(tuple(normal_word_counts(system, max_degree)))
 
 
 # ----------------------------------------------------------------------

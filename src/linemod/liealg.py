@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from .errors import (
@@ -335,36 +336,53 @@ class ClassificationReport:
         self.completeness_pass = not self.counterexamples
 
 
+def _random_ratio(rng: Random) -> tuple:
+    """Numerator and denominator of ``random_fraction``, drawn alike."""
+    return rng.randint(-20, 20), rng.randint(1, 20)
+
+
 def random_fraction(rng: Random) -> Fraction:
     """A small random rational, the sampling unit of the audits and suites."""
-    return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+    return Fraction(*_random_ratio(rng))
 
 
-def random_mix(rng: Random, u, v) -> tuple:
-    """Two vectors spanning the span of u and v: a random invertible integer
-    2x2 combination of them."""
+def _mix(rng: Random, u, v, den: int) -> tuple:
+    """A random invertible integer 2x2 combination of the vectors u / den
+    and v / den, for integer u and v: integer sums, then one Fraction per
+    entry."""
     while True:
         a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
         if a * d - b * c != 0:
             break
-    return (tuple(a * x + b * y for x, y in zip(u, v)),
-            tuple(c * x + d * y for x, y in zip(u, v)))
+    return (tuple(Fraction(a * x + b * y, den) for x, y in zip(u, v)),
+            tuple(Fraction(c * x + d * y, den) for x, y in zip(u, v)))
+
+
+def random_mix(rng: Random, u, v) -> tuple:
+    """Two vectors spanning the span of u and v: a random invertible integer
+    2x2 combination of them, taken on integer numerators over one common
+    denominator."""
+    den = lcm(*(x.denominator for x in (*u, *v)))
+    return _mix(rng, [x.numerator * (den // x.denominator) for x in u],
+                [x.numerator * (den // x.denominator) for x in v], den)
 
 
 def _random_rank2(rng: Random) -> SubalgebraSpec:
     """Random rank-2 subspace of k^3: echelon chart plus a random basis mix.
 
     All three echelon charts of the Grassmannian are covered, with most
-    samples in the dense chart.
+    samples in the dense chart.  Each chart's rows are drawn as integer
+    numerators over one denominator: the same draws, in the same order, as
+    rows of ``random_fraction`` entries mixed by ``random_mix``.
     """
     roll = rng.random()
     if roll < 0.80:
-        rows = [(1, 0, random_fraction(rng)), (0, 1, random_fraction(rng))]
-    elif roll < 0.97:
-        rows = [(1, random_fraction(rng), 0), (0, 0, 1)]
-    else:
-        rows = [(0, 1, 0), (0, 0, 1)]
-    return SubalgebraSpec(*random_mix(rng, *rows))
+        (p, q), (r, s) = _random_ratio(rng), _random_ratio(rng)
+        return SubalgebraSpec(*_mix(rng, (q * s, 0, p * s), (0, q * s, r * q), q * s))
+    if roll < 0.97:
+        p, q = _random_ratio(rng)
+        return SubalgebraSpec(*_mix(rng, (q, p, 0), (0, 0, q), q))
+    return SubalgebraSpec(*_mix(rng, (0, 1, 0), (0, 0, 1), 1))
 
 
 def family_member(S: SubalgebraSpec, T: BracketTable) -> bool:

@@ -133,7 +133,7 @@ class RewriteSystem:
         """Normal form of a word -> coefficient map under the rules; each
         rewrite is appended to ``steps`` as a TraceStep when a list is given.
         No degree check: ``normal_form`` is the certified query."""
-        return _reduce(terms, self._index, self.order, steps)
+        return _reduce(terms, self.automaton, self.order, steps)
 
     def right_multiply(self, word: Word, terms) -> dict:
         """Normal form of ``word * x`` for a normal word ``word`` and ``x`` a
@@ -148,8 +148,10 @@ class RewriteSystem:
         return {r.lhs: r for r in self.rules}
 
     @cached_property
-    def _index(self) -> dict:
-        return _rule_index(self.rules)
+    def automaton(self) -> "LhsAutomaton":
+        """The automaton of the rule lhs set: leftmost matches for the
+        reduction engine, and the walk that lists and counts normal words."""
+        return LhsAutomaton(self.rules, len(self.presentation.generators))
 
     @cached_property
     def _products(self) -> "_ProductTable":
@@ -161,28 +163,70 @@ class RewriteSystem:
 # ----------------------------------------------------------------------
 
 
-def _rule_index(rules) -> dict:
-    """Rules grouped by first letter of the lhs, preserving list order."""
-    index = {}
-    for r in rules:
-        index.setdefault(r.lhs[0], []).append(r)
-    return index
+class LhsAutomaton:
+    """The Aho–Corasick automaton of the rule lhs set.
+
+    States are the prefixes of the lhs words, 0 the empty one.
+    ``goto[s][x]`` is the state after reading letter ``x`` in state ``s``:
+    the longest suffix of (prefix s) + x that is a prefix of some lhs.
+    ``rule[s]`` is the rule of the longest lhs that is a suffix of prefix
+    s, or None: its own rule, else its fail state's.  Reading a word from
+    state 0, the first state with a rule is where the first lhs ends, and a
+    word is normal iff no state it passes has a rule; the states without a
+    rule and their transitions are the Ufnarovski graph of the normal
+    words.  When no lhs is a factor of another, as in an inter-reduced
+    system, the first lhs to end is also the leftmost to start.
+    """
+
+    __slots__ = ("goto", "rule")
+
+    def __init__(self, rules, ngens: int):
+        children = [{}]      # state -> {letter: child state} of the lhs trie
+        rule = [None]
+        for r in rules:
+            s = 0
+            for x in r.lhs:
+                t = children[s].get(x)
+                if t is None:
+                    t = children[s][x] = len(children)
+                    children.append({})
+                    rule.append(None)
+                s = t
+            rule[s] = r
+        goto = [None] * len(children)
+        goto[0] = [children[0].get(x, 0) for x in range(ngens)]
+        # breadth first, so a fail state (shorter) is complete before its users
+        queue = deque((t, 0) for t in children[0].values())   # (state, fail state)
+        while queue:
+            s, fail = queue.popleft()
+            if rule[s] is None:
+                rule[s] = rule[fail]
+            row = goto[fail][:]
+            for x, t in children[s].items():
+                queue.append((t, row[x]))
+                row[x] = t
+            goto[s] = row
+        self.goto = goto
+        self.rule = rule
 
 
-def _find_match(word: Word, index: dict):
-    """Leftmost match of any rule lhs inside ``word``; ties broken by rule
-    insertion order.  Returns (position, rule) or None."""
-    n = len(word)
-    for pos in range(n):
-        for rule in index.get(word[pos], ()):
-            L = rule.lhs
-            if n - pos >= len(L) and word[pos:pos + len(L)] == L:
-                return pos, rule
+def _find_match(word: Word, automaton: LhsAutomaton):
+    """Leftmost match of any rule lhs inside ``word``: the first lhs the
+    automaton sees end, which is the leftmost to start as no lhs is a
+    factor of another.  Returns (position, rule) or None."""
+    goto, found = automaton.goto, automaton.rule
+    s = 0
+    for i, x in enumerate(word):
+        s = goto[s][x]
+        rule = found[s]
+        if rule is not None:
+            return i + 1 - len(rule.lhs), rule
     return None
 
 
-def _reduce(terms: dict, index: dict, order: TermOrder, steps: list | None = None) -> dict:
-    """Normal form of a word -> coefficient map under the indexed rules.
+def _reduce(terms: dict, automaton: LhsAutomaton, order: TermOrder,
+            steps: list | None = None) -> dict:
+    """Normal form of a word -> coefficient map under the automaton's rules.
 
     The greatest pending word is taken first and rewritten at its leftmost
     match.  A rewrite only produces smaller words, so like terms are merged
@@ -199,7 +243,7 @@ def _reduce(terms: dict, index: dict, order: TermOrder, steps: list | None = Non
         coeff = pending.pop(word)
         if not coeff:
             continue
-        m = _find_match(word, index)
+        m = _find_match(word, automaton)
         if m is None:
             out[word] = coeff
             continue
@@ -340,8 +384,9 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
     if max_degree < max_rel_degree:
         raise ValueError(f"degree bound {max_degree} is below the maximal relation degree {max_rel_degree}")
 
+    ngens = len(presentation.generators)
     rules: dict = {}       # lhs -> live rule, in insertion order
-    index: dict = {}
+    automaton = LhsAutomaton((), ngens)
     trace: list = []
     discarded = False
     poly_queue = deque((rel, DerivedRule(EMPTY_WORD, "relation")) for rel in presentation.relations)
@@ -355,38 +400,40 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
             for ov in _overlaps(l1, l2):
                 if order.word_degree(ov) > max_degree:
                     continue
-                diff = _spolynomial(ov, r1, r2, index, order)
+                diff = _spolynomial(ov, r1, r2, automaton, order)
                 if diff:
                     poly_queue.append(
                         (NcPoly(diff), DerivedRule(EMPTY_WORD, "overlap", ov, (l1, l2)))
                     )
             continue
         poly, provenance = poly_queue.popleft()
-        red = NcPoly(_reduce(poly.terms, index, order))
+        red = NcPoly(_reduce(poly.terms, automaton, order))
         if red.is_zero():
             continue
         rule = _orient(red, order)
         if order.word_degree(rule.lhs) > max_degree:
             discarded = True
             continue
-        # inter-reduce: retire any rule whose lhs contains the new lhs; the
-        # index is kept in rule order by editing its letter groups in place
+        # inter-reduce: retire any rule whose lhs contains the new lhs
         for lhs in [lhs for lhs in rules if _contains(lhs, rule.lhs)]:
             retired = rules.pop(lhs)
-            index[lhs[0]] = [r for r in index[lhs[0]] if r is not retired]
             poly_queue.append((NcPoly.monomial(lhs) - retired.rhs, DerivedRule(EMPTY_WORD, "relation")))
         rules[rule.lhs] = rule
-        index.setdefault(rule.lhs[0], []).append(rule)
+        automaton = LhsAutomaton(rules.values(), ngens)
         trace.append(DerivedRule(rule.lhs, provenance.source, provenance.overlap_word, provenance.parents))
-        # keep right-hand sides fully reduced, all against this index
+        # keep right-hand sides fully reduced, all against this automaton.
+        # Every rhs is normal against the rules before this one, and
+        # retiring a rule makes no word reducible, so only an rhs with the
+        # new lhs as a factor can change.
         changed = False
         for r in list(rules.values()):
-            red_rhs = NcPoly(_reduce(r.rhs.terms, index, order))
-            if red_rhs != r.rhs:
-                rules[r.lhs] = Rule(r.lhs, red_rhs)
-                changed = True
+            if any(_contains(w, rule.lhs) for w in r.rhs.terms):
+                red_rhs = NcPoly(_reduce(r.rhs.terms, automaton, order))
+                if red_rhs != r.rhs:
+                    rules[r.lhs] = Rule(r.lhs, red_rhs)
+                    changed = True
         if changed:
-            index = _rule_index(rules.values())
+            automaton = LhsAutomaton(rules.values(), ngens)
         # schedule overlaps of the new rule with every live rule
         for lhs in rules:
             pair_queue.append((rule.lhs, lhs))
@@ -422,7 +469,8 @@ def _overlaps(l1: Word, l2: Word):
             yield l1 + l2[k:]
 
 
-def _spolynomial(overlap: Word, r1: Rule, r2: Rule, index: dict, order: TermOrder) -> dict:
+def _spolynomial(overlap: Word, r1: Rule, r2: Rule, automaton: LhsAutomaton,
+                 order: TermOrder) -> dict:
     """Difference of the two one-step reductions of the overlap word, in
     normal form.  Empty dict means the ambiguity resolves."""
     tail = overlap[len(r1.lhs):]
@@ -430,7 +478,7 @@ def _spolynomial(overlap: Word, r1: Rule, r2: Rule, index: dict, order: TermOrde
     head = overlap[: len(overlap) - len(r2.lhs)]
     for w, c in r2.rhs.items():
         diff[head + w] = diff.get(head + w, 0) - c
-    return _reduce(diff, index, order)
+    return _reduce(diff, automaton, order)
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +555,6 @@ def confluence_certificate(system: RewriteSystem) -> bool:
             for ov in _overlaps(r1.lhs, r2.lhs):
                 if system.order.word_degree(ov) > system.confluent_up_to:
                     continue
-                if _spolynomial(ov, r1, r2, system._index, system.order):
+                if _spolynomial(ov, r1, r2, system.automaton, system.order):
                     return False
     return True

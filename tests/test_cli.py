@@ -216,6 +216,18 @@ def test_vacuous_suite_bounds_are_usage_errors(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("max_degree, oracle_degree", [("3", 3), ("6", 4)])
+def test_verify_paper_oracle_degree_defaults_within_max_degree(capsys, max_degree, oracle_degree):
+    # the default was a fixed 4, so --max-degree 3 alone was a usage error;
+    # an explicit --oracle-degree above --max-degree still is (above)
+    code, out = run_cli(capsys, "verify-paper", "--suite", "sl2", "--max-degree", max_degree,
+                        "--samples", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["oracle_degree"] == oracle_degree
+    assert report["pass"] is True
+
+
 def test_admissible_tables_have_quadratic_enveloping_relations():
     # the lower bound of admissible --max-degree is this degree
     for name in ("sl2_table", "sl11_table", "slc_table"):

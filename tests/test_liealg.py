@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linemod.errors import RankDeficientError, SubalgebraFormError
+from linemod import liealg
 from linemod.liealg import (
     Functional,
     SubalgebraSpec,
@@ -20,6 +21,8 @@ from linemod.liealg import (
     is_graded_subspace,
     is_subalgebra,
     properness_admissible,
+    random_fraction,
+    random_mix,
     sl11_form,
     table_consistent_with_presentation,
 )
@@ -329,3 +332,47 @@ def test_closed_form_on_pair():
         for member in family_members(T):
             phi = Functional(Fraction(3, 2), -7)
             assert canonical_pair(member["spec"], phi, T)[1] == phi.values()
+
+
+# ----------------------------------------------------------------------
+# integer sampling against the Fraction arithmetic it replaced
+# ----------------------------------------------------------------------
+
+
+def reference_mix(rng, u, v):
+    """The basis mix in Fraction arithmetic, entry by entry."""
+    while True:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d - b * c != 0:
+            break
+    return (tuple(a * x + b * y for x, y in zip(u, v)),
+            tuple(c * x + d * y for x, y in zip(u, v)))
+
+
+def reference_random_rank2(rng):
+    roll = rng.random()
+    if roll < 0.80:
+        rows = [(1, 0, random_fraction(rng)), (0, 1, random_fraction(rng))]
+    elif roll < 0.97:
+        rows = [(1, random_fraction(rng), 0), (0, 0, 1)]
+    else:
+        rows = [(0, 1, 0), (0, 0, 1)]
+    return reference_mix(rng, *rows)
+
+
+def test_integer_sampling_matches_fraction_reference():
+    # same values from the same draws, so every seeded audit is unchanged
+    new, old = Random(11), Random(11)
+    for _ in range(3000):
+        S = liealg._random_rank2(new)
+        assert (S.v1, S.v2) == reference_random_rank2(old)
+        assert all(type(c) is Fraction for c in S.v1 + S.v2)
+    assert new.getstate() == old.getstate()
+    rows = Random(12)
+    for _ in range(500):
+        u = (0, 0, 1, -random_fraction(rows))
+        v = (random_fraction(rows), random_fraction(rows), 0, -random_fraction(rows))
+        seed = rows.random()
+        mixed = random_mix(Random(seed), u, v)
+        assert mixed == reference_mix(Random(seed), u, v)
+        assert all(type(c) is Fraction for c in mixed[0] + mixed[1])

@@ -10,14 +10,18 @@ from linemod import rewrite
 from linemod.errors import DegenerateRelationError, OutOfCertifiedRangeError
 from linemod.hilbert import (
     hilbert_algebra,
+    normal_word_counts,
     normal_words_by_degree,
     oracle_graded_dims,
     words_of_degree,
 )
 from linemod.ncalg import Generator, NcPoly, TermOrder
-from linemod.presets import preset
+from linemod.presets import PRESENTATION_NAMES, preset
 from linemod.rewrite import (
+    LhsAutomaton,
     Presentation,
+    RewriteSystem,
+    Rule,
     complete,
     confluence_certificate,
     derivation_trace,
@@ -288,6 +292,118 @@ def test_engine_matches_stack_reference(name, precedence, data):
 
 
 # ----------------------------------------------------------------------
+# the lhs automaton against the first-letter scan it replaced
+# ----------------------------------------------------------------------
+
+
+def first_letter_scan(word, rules):
+    """Reference matcher: at each position from the left, the rules whose
+    lhs starts with that letter, in list order; the first whose lhs occurs
+    there wins."""
+    index = {}
+    for rule in rules:
+        index.setdefault(rule.lhs[0], []).append(rule)
+    n = len(word)
+    for pos in range(n):
+        for rule in index.get(word[pos], ()):
+            L = rule.lhs
+            if n - pos >= len(L) and word[pos:pos + len(L)] == L:
+                return pos, rule
+    return None
+
+
+def first_to_end(word, rules):
+    """Reference for any lhs set: the leftmost end of an lhs occurrence,
+    and the longest lhs ending there."""
+    for end in range(1, len(word) + 1):
+        ending = [r for r in rules if word[:end][-len(r.lhs):] == r.lhs and len(r.lhs) <= end]
+        if ending:
+            rule = max(ending, key=lambda r: len(r.lhs))
+            return end - len(rule.lhs), rule
+    return None
+
+
+def lhs_words(lhs_set, ngens):
+    """Words made of lhs factors and single letters, so that matches, near
+    misses and overlapping partial matches are all common."""
+    factors = [l[i:j] for l in lhs_set for i in range(len(l)) for j in range(i + 1, len(l) + 1)]
+    piece = st.one_of(st.sampled_from(factors), st.integers(0, ngens - 1).map(lambda x: (x,)))
+    return st.lists(piece, max_size=6).map(lambda parts: sum(parts, ()))
+
+
+@lru_cache(maxsize=None)
+def _preset_system(name):
+    return complete(preset(name), max_degree=6)
+
+
+@pytest.mark.parametrize("name", PRESENTATION_NAMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_find_match_matches_first_letter_scan_on_presets(name, data):
+    system = _preset_system(name)
+    word = data.draw(lhs_words([r.lhs for r in system.rules], len(system.presentation.generators)))
+    got = rewrite._find_match(word, system.automaton)
+    expected = first_letter_scan(word, system.rules)
+    assert got == expected
+    assert got is None or got[1] is expected[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_presentations(), st.integers(2, 5), st.data())
+def test_find_match_matches_first_letter_scan_on_random_presentations(drawn, bound, data):
+    pres, precedence = drawn
+    order = TermOrder.from_precedence(pres.z_degrees, precedence)
+    system = complete(pres, order=order, max_degree=bound)
+    for _ in range(5):
+        word = data.draw(lhs_words([r.lhs for r in system.rules], len(pres.generators)))
+        assert rewrite._find_match(word, system.automaton) == first_letter_scan(word, system.rules)
+
+
+def monomial_system(lhs_set, degrees):
+    """A rewrite system with the rules lhs -> 0, built by hand: the lhs set
+    need not be inter-reduced, so one lhs may end inside another."""
+    gens = tuple(Generator(i, f"x{i}", z_degree=g) for i, g in enumerate(degrees))
+    rules = [Rule(l, NcPoly.zero()) for l in lhs_set]
+    pres = Presentation("monomial", gens, tuple(NcPoly.monomial(l) for l in lhs_set))
+    order = TermOrder.from_precedence(degrees)
+    return RewriteSystem(pres, order, rules, 6, 6)
+
+
+def any_lhs_sets(ngens):
+    return st.lists(st.lists(st.integers(0, ngens - 1), min_size=1, max_size=4).map(tuple),
+                    min_size=1, max_size=5, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_automaton_on_any_lhs_set(data):
+    # an lhs that is a suffix of a longer lhs's prefix is found only through
+    # the fail states, which inter-reduced systems never need
+    ngens = data.draw(st.integers(2, 3))
+    lhs_set = data.draw(any_lhs_sets(ngens))
+    degrees = tuple(data.draw(st.lists(st.integers(1, 2), min_size=ngens, max_size=ngens)))
+    system = monomial_system(lhs_set, degrees)
+    for _ in range(5):
+        word = data.draw(lhs_words(lhs_set, ngens))
+        got = rewrite._find_match(word, LhsAutomaton(system.rules, ngens))
+        expected = first_to_end(word, system.rules)
+        assert got == expected
+        assert got is None or got[1] is expected[1]
+    naive = _naive_normal_words(system, 5)
+    listed = normal_words_by_degree(system, 5)
+    assert {d: sorted(ws) for d, ws in listed.items()} == naive
+    assert normal_word_counts(system, 5) == [len(naive[d]) for d in range(6)]
+
+
+def test_automaton_fail_states_report_the_inner_lhs():
+    # reading "x0 x1" passes the trie state of the prefix of x0 x1 x2, where
+    # the lhs x1 ends
+    system = monomial_system([(0, 1, 2), (1,)], (1, 1, 1))
+    assert rewrite._find_match((0, 1, 2), system.automaton) == (1, system.rules[1])
+    assert normal_word_counts(system, 3) == [1, 2, 4, 8]
+
+
+# ----------------------------------------------------------------------
 # the memo of normal word times letter against the reduction engine
 # ----------------------------------------------------------------------
 
@@ -360,7 +476,8 @@ def test_product_memo_fills_long_chains_without_recursion():
 
 def _naive_normal_words(system, max_degree):
     """The words of ``words_of_degree`` that contain no rule lhs as a
-    factor, in that order (generation order when every degree is 1)."""
+    factor, in that order: lexicographic, which is generation order when
+    every degree is 1."""
     lhs = [r.lhs for r in system.rules]
 
     def normal(w):
@@ -376,7 +493,9 @@ def _naive_normal_words(system, max_degree):
 ])
 def test_normal_words_match_naive_filter_on_presets(name, bound):
     system = complete(preset(name), max_degree=bound)
-    assert normal_words_by_degree(system, bound) == _naive_normal_words(system, bound)
+    naive = _naive_normal_words(system, bound)
+    assert normal_words_by_degree(system, bound) == naive
+    assert normal_word_counts(system, bound) == [len(naive[d]) for d in range(bound + 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,4 +504,24 @@ def test_normal_words_match_naive_filter_on_random_presentations(drawn, bound):
     pres, precedence = drawn
     order = TermOrder.from_precedence(pres.z_degrees, precedence)
     system = complete(pres, order=order, max_degree=bound)
-    assert normal_words_by_degree(system, bound) == _naive_normal_words(system, bound)
+    naive = _naive_normal_words(system, bound)
+    assert normal_words_by_degree(system, bound) == naive
+    assert normal_word_counts(system, bound) == [len(naive[d]) for d in range(bound + 1)]
+
+
+def test_normal_words_with_a_degree_two_generator():
+    # x and z of degree 1, y of degree 2: y commutes with x, and z x - x z
+    # is y; words of one degree have different lengths, so listing
+    # (generation order) and words_of_degree order differ
+    x, y, z = NcPoly.gen(0), NcPoly.gen(1), NcPoly.gen(2)
+    gens = (Generator(0, "x"), Generator(1, "y", z_degree=2), Generator(2, "z"))
+    pres = Presentation("deg2", gens, (x * y - y * x, z * x - x * z - y))
+    system = complete(pres, max_degree=7)
+    naive = _naive_normal_words(system, 7)
+    listed = normal_words_by_degree(system, 7)
+    assert {d: sorted(ws) for d, ws in listed.items()} == naive
+    assert listed != naive
+    counts = normal_word_counts(system, 7)
+    assert counts == [len(naive[d]) for d in range(8)]
+    assert hilbert_algebra(system, 7) == counts
+    assert oracle_graded_dims(pres, 6) == counts[:7]
