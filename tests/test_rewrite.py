@@ -18,7 +18,6 @@ from linemod.hilbert import (
 from linemod.ncalg import Generator, NcPoly, TermOrder
 from linemod.presets import PRESENTATION_NAMES, preset
 from linemod.rewrite import (
-    LhsAutomaton,
     Presentation,
     RewriteSystem,
     Rule,
@@ -331,16 +330,11 @@ def lhs_words(lhs_set, ngens):
     return st.lists(piece, max_size=6).map(lambda parts: sum(parts, ()))
 
 
-@lru_cache(maxsize=None)
-def _preset_system(name):
-    return complete(preset(name), max_degree=6)
-
-
 @pytest.mark.parametrize("name", PRESENTATION_NAMES)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_find_match_matches_first_letter_scan_on_presets(name, data):
-    system = _preset_system(name)
+    system = _engine_system(name, None)
     word = data.draw(lhs_words([r.lhs for r in system.rules], len(system.presentation.generators)))
     got = rewrite._find_match(word, system.automaton)
     expected = first_letter_scan(word, system.rules)
@@ -385,7 +379,7 @@ def test_automaton_on_any_lhs_set(data):
     system = monomial_system(lhs_set, degrees)
     for _ in range(5):
         word = data.draw(lhs_words(lhs_set, ngens))
-        got = rewrite._find_match(word, LhsAutomaton(system.rules, ngens))
+        got = rewrite._find_match(word, system.automaton)
         expected = first_to_end(word, system.rules)
         assert got == expected
         assert got is None or got[1] is expected[1]
