@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .dsl import format_poly, format_word, parse_algebra, parse_expression, print_algebra
+from .dsl import format_poly, format_steps, format_word, parse_algebra, parse_expression, print_algebra
 from .errors import DSLSyntaxError, LinemodError, RouteDisagreementError
 from .geometry import Line, classify_line_family_color
 from .hilbert import (
@@ -274,15 +274,7 @@ def _dispatch(args) -> int:
             "trace",
             {"algebra": pres.name, "expr": args.expr, "order": args.order},
             {
-                "steps": [
-                    {
-                        "word": format_word(st.word, names),
-                        "coefficient": st.coefficient,
-                        "position": st.position,
-                        "rule": format_word(st.rule_lhs, names),
-                    }
-                    for st in steps
-                ],
+                "steps": format_steps(steps, names),
                 "normal_form": format_poly(result, names, system.order),
             },
             True, __version__, args.seed,

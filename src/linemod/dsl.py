@@ -284,6 +284,20 @@ def format_word(word, names) -> str:
     return "*".join(names[g] for g in word) if word else "1"
 
 
+def format_steps(steps, names) -> list:
+    """Rewrite steps (``TraceStep``) as report entries: the rewritten word,
+    its coefficient, the match position and the applied rule's lhs."""
+    return [
+        {
+            "word": format_word(st.word, names),
+            "coefficient": st.coefficient,
+            "position": st.position,
+            "rule": format_word(st.rule_lhs, names),
+        }
+        for st in steps
+    ]
+
+
 def format_poly(poly: NcPoly, names, order: TermOrder) -> str:
     """Leading-first rendering with explicit * between letters."""
     if poly.is_zero():

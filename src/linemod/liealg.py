@@ -63,15 +63,14 @@ class BracketTable:
     def dimension(self) -> int:
         return len(self.basis_names)
 
-    def bracket_relation(self, i: int, j: int, homogenizer: int | None = None) -> NcPoly:
-        """The free-algebra element b_i b_j - sign b_j b_i - <b_i,b_j> (times
-        the homogenizing generator when ``homogenizer`` is given)."""
-        rel = NcPoly.monomial((i, j)) - NcPoly.monomial((j, i)).scale(self.signs[i][j])
-        for k, c in enumerate(self.table[i][j]):
-            if c:
-                word = (k,) if homogenizer is None else (k, homogenizer)
-                rel = rel - NcPoly.monomial(word, c)
-        return rel
+
+def bracket_relation(table, signs, i: int, j: int, homogenizer: int | None) -> NcPoly:
+    """The free-algebra element b_i b_j - signs[i][j] b_j b_i - <b_i,b_j> for
+    the structure constants ``table``, with each bracket term times the
+    generator ``homogenizer`` unless it is None."""
+    tail = () if homogenizer is None else (homogenizer,)
+    return NcPoly([((i, j), 1), ((j, i), -signs[i][j])]
+                  + [((k,) + tail, -c) for k, c in enumerate(table[i][j]) if c])
 
 
 def _bracket(x, y, T: BracketTable, zero) -> tuple:
@@ -502,7 +501,7 @@ def table_consistent_with_presentation(T: BracketTable, system: RewriteSystem | 
         for j in range(n):
             if strict_pairs and i >= j:
                 continue
-            rel = T.bracket_relation(i, j, homogenizer)
+            rel = bracket_relation(T.table, T.signs, i, j, homogenizer)
             if rel.is_zero():
                 continue
             if not normal_form(rel, system).is_zero():

@@ -219,7 +219,6 @@ class InducedModuleSpec:
     table: BracketTable
     subalgebra: SubalgebraSpec
     phi: Functional
-    dims: HilbertFunction | None = None
 
 
 def induced_module_dims(I: InducedModuleSpec, max_degree: int) -> HilbertFunction:
@@ -230,11 +229,9 @@ def induced_module_dims(I: InducedModuleSpec, max_degree: int) -> HilbertFunctio
     not define a one-dimensional module.
     """
     require_admissible(I.subalgebra, I.phi, I.table)
-    dims = filtered_cyclic_dims(
+    return filtered_cyclic_dims(
         I.enveloping, shift_generators(I.subalgebra, I.phi, I.table), max_degree
     )
-    I.dims = dims
-    return dims
 
 
 def annihilator_contains_generators(I: InducedModuleSpec, M: LineModuleSpec,

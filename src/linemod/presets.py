@@ -1,181 +1,29 @@
 """Built-in presentations, bracket tables, gradings, quadrics and fixtures.
 
-Every algebra ships in two forms where that makes sense: the genuinely
-inhomogeneous enveloping presentation (used for filtered computations) and
-its graded homogenization by a central degree-one generator.  The
-eight-dimensional superalgebra presentation is generated from the 3x3
-supertrace-zero matrix model rather than transcribed by hand; three
-hand-checked relations act as the transcription audit in the tests.
+Each algebra is one record of bracket-table data: basis names, structure
+constants, signs, grading and the ordered pairs whose relations are
+presented.  Every presentation is derived from its record by one formula,
+``liealg.bracket_relation``: the enveloping presentation (genuinely
+inhomogeneous, used for filtered computations) and its graded
+homogenization by a central degree-one generator.  The eight-dimensional
+superalgebra's constants come from the 3x3 supertrace-zero matrix model.
+The shipped ``.alg`` files under ``data/`` are the frozen transcription the
+derived presentations are pinned against in the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 from .errors import UnknownPresetError
 from .geometry import Quadric, quadric_from_coeffs
-from .liealg import BracketTable
-from .ncalg import Generator, NcPoly
+from .liealg import BracketTable, bracket_relation
+from .ncalg import Generator, NcPoly, group_identity
 from .rewrite import Presentation
 
 _CACHE: dict = {}
-
-
-def _gens(names, labels=None, degrees=None):
-    out = []
-    for i, name in enumerate(names):
-        lab = labels[i] if labels else None
-        deg = degrees[i] if degrees else 1
-        out.append(Generator(i, name, deg, lab))
-    return tuple(out)
-
-
-def _rel(pairs) -> NcPoly:
-    return NcPoly({tuple(w): Fraction(c) for w, c in pairs})
-
-
-# ----------------------------------------------------------------------
-# presentations
-# ----------------------------------------------------------------------
-
-_Z2_EFHT = ((1,), (1,), (0,), (0,))
-_Z2_EFH = ((1,), (1,), (0,))
-_G_COLOR = ((1, 0), (0, 1), (1, 1), (0, 0))
-_G_COLOR3 = ((1, 0), (0, 1), (1, 1))
-
-
-def _sl2_A() -> Presentation:
-    E, F, H, T = range(4)
-    return Presentation(
-        name="sl2_A",
-        generators=_gens(["e", "f", "h", "t"]),
-        relations=(
-            _rel([((E, F), 1), ((F, E), -1), ((H, T), -1)]),
-            _rel([((H, E), 1), ((E, H), -1), ((E, T), -2)]),
-            _rel([((H, F), 1), ((F, H), -1), ((F, T), 2)]),
-            _rel([((E, T), 1), ((T, E), -1)]),
-            _rel([((F, T), 1), ((T, F), -1)]),
-            _rel([((H, T), 1), ((T, H), -1)]),
-        ),
-        field_note="char 0",
-    )
-
-
-def _sl2_U() -> Presentation:
-    E, F, H = range(3)
-    return Presentation(
-        name="sl2_U",
-        generators=_gens(["e", "f", "h"]),
-        relations=(
-            _rel([((E, F), 1), ((F, E), -1), ((H,), -1)]),
-            _rel([((H, E), 1), ((E, H), -1), ((E,), -2)]),
-            _rel([((H, F), 1), ((F, H), -1), ((F,), 2)]),
-        ),
-        field_note="char 0",
-    )
-
-
-def _sl11_U() -> Presentation:
-    E, F, H = range(3)
-    return Presentation(
-        name="sl11_U",
-        generators=_gens(["e", "f", "h"], _Z2_EFH),
-        relations=(
-            _rel([((E, F), 1), ((F, E), 1), ((H,), -1)]),
-            _rel([((H, E), 1), ((E, H), -1)]),
-            _rel([((H, F), 1), ((F, H), -1)]),
-            _rel([((E, E), 1)]),
-            _rel([((F, F), 1)]),
-        ),
-        grading_group="Z2",
-        field_note="char != 2",
-    )
-
-
-def _sl11_Uhat() -> Presentation:
-    E, F, H = range(3)
-    return Presentation(
-        name="sl11_Uhat",
-        generators=_gens(["e", "f", "h"], _Z2_EFH),
-        relations=(
-            _rel([((E, F), 1), ((F, E), 1), ((H,), -1)]),
-            _rel([((H, E), 1), ((E, H), -1)]),
-            _rel([((H, F), 1), ((F, H), -1)]),
-        ),
-        grading_group="Z2",
-        field_note="char != 2",
-    )
-
-
-def _sl11_H() -> Presentation:
-    E, F, H, T = range(4)
-    return Presentation(
-        name="sl11_H",
-        generators=_gens(["e", "f", "h", "t"], _Z2_EFHT),
-        relations=(
-            _rel([((E, F), 1), ((F, E), 1), ((H, T), -1)]),
-            _rel([((H, E), 1), ((E, H), -1)]),
-            _rel([((H, F), 1), ((F, H), -1)]),
-            _rel([((E, E), 1)]),
-            _rel([((F, F), 1)]),
-            _rel([((E, T), 1), ((T, E), -1)]),
-            _rel([((F, T), 1), ((T, F), -1)]),
-            _rel([((H, T), 1), ((T, H), -1)]),
-        ),
-        grading_group="Z2",
-        field_note="char != 2",
-    )
-
-
-def _sl11_Hhat() -> Presentation:
-    E, F, H, T = range(4)
-    return Presentation(
-        name="sl11_Hhat",
-        generators=_gens(["e", "f", "h", "t"], _Z2_EFHT),
-        relations=(
-            _rel([((E, F), 1), ((F, E), 1), ((H, T), -1)]),
-            _rel([((H, E), 1), ((E, H), -1)]),
-            _rel([((H, F), 1), ((F, H), -1)]),
-            _rel([((E, T), 1), ((T, E), -1)]),
-            _rel([((F, T), 1), ((T, F), -1)]),
-            _rel([((H, T), 1), ((T, H), -1)]),
-        ),
-        grading_group="Z2",
-        field_note="char != 2",
-    )
-
-
-def _slc_U() -> Presentation:
-    A1, A2, A3 = range(3)
-    return Presentation(
-        name="slc_U",
-        generators=_gens(["a1", "a2", "a3"], _G_COLOR3),
-        relations=(
-            _rel([((A1, A2), 1), ((A2, A1), 1), ((A3,), -1)]),
-            _rel([((A2, A3), 1), ((A3, A2), 1), ((A1,), -1)]),
-            _rel([((A3, A1), 1), ((A1, A3), 1), ((A2,), -1)]),
-        ),
-        grading_group="Z2xZ2",
-        field_note="char 0",
-    )
-
-
-def _slc_H() -> Presentation:
-    A1, A2, A3, A4 = range(4)
-    return Presentation(
-        name="slc_H",
-        generators=_gens(["a1", "a2", "a3", "a4"], _G_COLOR),
-        relations=(
-            _rel([((A1, A2), 1), ((A2, A1), 1), ((A3, A4), -1)]),
-            _rel([((A2, A3), 1), ((A3, A2), 1), ((A1, A4), -1)]),
-            _rel([((A3, A1), 1), ((A1, A3), 1), ((A2, A4), -1)]),
-            _rel([((A1, A4), 1), ((A4, A1), -1)]),
-            _rel([((A2, A4), 1), ((A4, A2), -1)]),
-            _rel([((A3, A4), 1), ((A4, A3), -1)]),
-        ),
-        grading_group="Z2xZ2",
-        field_note="char 0",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -244,100 +92,120 @@ def sl21_structure():
     return tuple(table), tuple(signs)
 
 
-def _sl21_Hhat() -> Presentation:
-    """Homogenization of the superalgebra's enveloping algebra with the
-    square relations of the odd generators deleted: one relation per
-    unordered pair of the nine generators."""
-    table, signs = sl21_structure()
-    T = 8
-    labels = tuple((0,) if i < 4 else (1,) for i in range(4 + 4)) + ((0,),)
-    relations = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            pairs = [((i, j), 1), ((j, i), -signs[i][j])]
-            for k, c in enumerate(table[i][j]):
-                if c:
-                    pairs.append(((k, T), -c))
-            relations.append(_rel(pairs))
-    for i in range(8):
-        relations.append(_rel([((i, T), 1), ((T, i), -1)]))
-    return Presentation(
-        name="sl21_Hhat",
-        generators=_gens(list(_SL21_NAMES) + ["t"], labels),
-        relations=tuple(relations),
-        grading_group="Z2",
-        field_note="char != 2",
-    )
-
-
 # ----------------------------------------------------------------------
-# bracket tables
+# the algebras: bracket-table data, one record each, built on demand so
+# that importing the module computes no structure constants
 # ----------------------------------------------------------------------
 
 
-def _sl2_table() -> BracketTable:
-    z = (0, 0, 0)
-    return BracketTable(
-        name="sl2",
-        kind="lie",
-        basis_names=("e", "f", "h"),
+class _Algebra(NamedTuple):
+    """Structure constants and signs as in ``BracketTable``, plus the ordered
+    pairs (i, j) whose bracket relations the presentations carry."""
+
+    name: str
+    kind: str
+    basis_names: tuple
+    table: tuple
+    signs: tuple
+    pairs: tuple
+    grading_group: str | None
+    labels: tuple | None
+    field_note: str
+
+
+_Z = (0, 0, 0)
+
+
+def _sl2() -> _Algebra:
+    return _Algebra(
+        "sl2", "lie", ("e", "f", "h"),
         table=(
-            (z, (0, 0, 1), (-2, 0, 0)),
-            ((0, 0, -1), z, (0, 2, 0)),
-            ((2, 0, 0), (0, -2, 0), z),
+            (_Z, (0, 0, 1), (-2, 0, 0)),
+            ((0, 0, -1), _Z, (0, 2, 0)),
+            ((2, 0, 0), (0, -2, 0), _Z),
         ),
         signs=((1, 1, 1), (1, 1, 1), (1, 1, 1)),
-        enveloping=preset("sl2_U"),
+        pairs=((0, 1), (2, 0), (2, 1)),
+        grading_group=None, labels=None, field_note="char 0",
     )
 
 
-def _sl11_table() -> BracketTable:
-    z = (0, 0, 0)
-    return BracketTable(
-        name="sl11",
-        kind="super",
-        basis_names=("e", "f", "h"),
+def _sl11() -> _Algebra:
+    return _Algebra(
+        "sl11", "super", ("e", "f", "h"),
         table=(
-            (z, (0, 0, 1), z),
-            ((0, 0, 1), z, z),
-            (z, z, z),
+            (_Z, (0, 0, 1), _Z),
+            ((0, 0, 1), _Z, _Z),
+            (_Z, _Z, _Z),
         ),
         signs=((-1, -1, 1), (-1, -1, 1), (1, 1, 1)),
-        enveloping=preset("sl11_U"),
-        grading_group="Z2",
-        labels=_Z2_EFH,
+        pairs=((0, 1), (2, 0), (2, 1)),
+        grading_group="Z2", labels=((1,), (1,), (0,)), field_note="char != 2",
     )
 
 
-def _slc_table() -> BracketTable:
-    z = (0, 0, 0)
-    return BracketTable(
-        name="slc",
-        kind="color",
-        basis_names=("a1", "a2", "a3"),
+def _slc() -> _Algebra:
+    return _Algebra(
+        "slc", "color", ("a1", "a2", "a3"),
         table=(
-            (z, (0, 0, 1), (0, 1, 0)),
-            ((0, 0, 1), z, (1, 0, 0)),
-            ((0, 1, 0), (1, 0, 0), z),
+            (_Z, (0, 0, 1), (0, 1, 0)),
+            ((0, 0, 1), _Z, (1, 0, 0)),
+            ((0, 1, 0), (1, 0, 0), _Z),
         ),
         signs=((1, -1, -1), (-1, 1, -1), (-1, -1, 1)),
-        enveloping=preset("slc_U"),
-        grading_group="Z2xZ2",
-        labels=_G_COLOR3,
+        pairs=((0, 1), (1, 2), (2, 0)),
+        grading_group="Z2xZ2", labels=((1, 0), (0, 1), (1, 1)), field_note="char 0",
     )
 
 
-def _sl21_table() -> BracketTable:
-    table, signs = sl21_structure()
+def _sl21() -> _Algebra:
+    # the square relations of the odd generators are deleted: one relation
+    # per unordered pair of basis vectors
+    return _Algebra(
+        "sl21", "super", _SL21_NAMES, *sl21_structure(),
+        pairs=tuple((i, j) for i in range(8) for j in range(i + 1, 8)),
+        grading_group="Z2", labels=((0,),) * 4 + ((1,),) * 4, field_note="char != 2",
+    )
+
+
+def _presentation(name: str, algebra, homogenizer: str | None, squares: bool) -> Presentation:
+    """The enveloping presentation of ``algebra()``: the bracket relations
+    of its pairs, then (with ``squares``) the square of each odd basis
+    vector.  With a ``homogenizer`` name, its homogenization by a central
+    generator of that name and identity group label."""
+    alg = algebra()
+    n = len(alg.basis_names)
+    names, labels, h = alg.basis_names, alg.labels, None
+    if homogenizer is not None:
+        names, h = names + (homogenizer,), n
+        if labels is not None:
+            labels = labels + (group_identity(len(labels[0])),)
+    relations = [bracket_relation(alg.table, alg.signs, i, j, h) for i, j in alg.pairs]
+    if squares:
+        relations += [NcPoly.monomial((i, i)) for i in range(n) if alg.signs[i][i] == -1]
+    if h is not None:
+        relations += [NcPoly.monomial((i, h)) - NcPoly.monomial((h, i)) for i in range(n)]
+    return Presentation(
+        name=name,
+        generators=tuple(Generator(i, g, 1, labels[i] if labels else None)
+                         for i, g in enumerate(names)),
+        relations=tuple(relations),
+        grading_group=alg.grading_group,
+        field_note=alg.field_note,
+    )
+
+
+def _table(algebra, enveloping: str) -> BracketTable:
+    alg = algebra()
     return BracketTable(
-        name="sl21",
-        kind="super",
-        basis_names=_SL21_NAMES,
-        table=table,
-        signs=signs,
-        enveloping=preset("sl21_Hhat"),
-        grading_group="Z2",
-        labels=tuple((0,) if i < 4 else (1,) for i in range(8)),
+        name=alg.name,
+        kind=alg.kind,
+        basis_names=alg.basis_names,
+        table=alg.table,
+        signs=alg.signs,
+        enveloping=preset(enveloping),
+        grading_group=alg.grading_group,
+        labels=alg.labels,
     )
 
 
@@ -363,29 +231,37 @@ def sl11_middle_quadric() -> Quadric:
 # catalogue
 # ----------------------------------------------------------------------
 
+# presentation -> (builder of its algebra's record, homogenizer name or None,
+# odd squares presented)
+_PRESENTATIONS = {
+    "sl2_A": (_sl2, "t", False),
+    "sl2_U": (_sl2, None, False),
+    "sl11_U": (_sl11, None, True),
+    "sl11_Uhat": (_sl11, None, False),
+    "sl11_H": (_sl11, "t", True),
+    "sl11_Hhat": (_sl11, "t", False),
+    "slc_U": (_slc, None, False),
+    "slc_H": (_slc, "a4", False),
+    "sl21_Hhat": (_sl21, "t", False),
+}
+
+# bracket table -> (builder of its algebra's record, its enveloping presentation)
+_TABLES = {
+    "sl2_table": (_sl2, "sl2_U"),
+    "sl11_table": (_sl11, "sl11_U"),
+    "slc_table": (_slc, "slc_U"),
+    "sl21_table": (_sl21, "sl21_Hhat"),
+}
+
 _BUILDERS = {
-    "sl2_A": _sl2_A,
-    "sl2_U": _sl2_U,
-    "sl11_U": _sl11_U,
-    "sl11_Uhat": _sl11_Uhat,
-    "sl11_H": _sl11_H,
-    "sl11_Hhat": _sl11_Hhat,
-    "slc_U": _slc_U,
-    "slc_H": _slc_H,
-    "sl21_Hhat": _sl21_Hhat,
-    "sl2_table": _sl2_table,
-    "sl11_table": _sl11_table,
-    "slc_table": _slc_table,
-    "sl21_table": _sl21_table,
+    **{name: partial(_presentation, name, *spec) for name, spec in _PRESENTATIONS.items()},
+    **{name: partial(_table, *spec) for name, spec in _TABLES.items()},
     "sl11_quadric": sl11_middle_quadric,
 }
 
 PRESET_NAMES = tuple(sorted(_BUILDERS))
 
-PRESENTATION_NAMES = (
-    "sl2_A", "sl2_U", "sl11_U", "sl11_Uhat", "sl11_H", "sl11_Hhat",
-    "slc_U", "slc_H", "sl21_Hhat",
-)
+PRESENTATION_NAMES = tuple(_PRESENTATIONS)
 
 
 def preset(name: str):

@@ -114,14 +114,14 @@ class RewriteSystem:
 
     ``confluent_up_to`` is the degree at which every overlap ambiguity has
     been verified to resolve; normal forms are unique for inputs of degree
-    at most this bound.  ``discarded_above_bound`` flags derived rules that
-    were dropped because their degree exceeded the bound.
+    at most this bound, and ``normal_form`` refuses inputs above it.
+    ``discarded_above_bound`` flags derived rules that were dropped because
+    their degree exceeded the bound.
     """
 
     presentation: Presentation
     order: TermOrder
     rules: list
-    degree_bound: int
     confluent_up_to: int
     trace: list = field(default_factory=list)
     discarded_above_bound: bool = False
@@ -444,7 +444,6 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
         presentation=presentation,
         order=order,
         rules=list(rules.values()),
-        degree_bound=max_degree,
         confluent_up_to=max_degree,
         trace=trace,
         discarded_above_bound=discarded,
@@ -491,9 +490,9 @@ def normal_form(x: NcPoly, system: RewriteSystem, steps: list | None = None) -> 
     within the certified bound, which is enforced).  The same pass appends
     its rewrites to ``steps`` when a list is given (see ``derivation_trace``)."""
     deg = system.order.max_degree(x)
-    if deg > system.degree_bound:
+    if deg > system.confluent_up_to:
         raise OutOfCertifiedRangeError(
-            f"degree {deg} exceeds the certified bound {system.degree_bound}"
+            f"degree {deg} exceeds the certified bound {system.confluent_up_to}"
         )
     return NcPoly(system.reduce(x.terms, steps))
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from .dsl import format_poly, format_word
+from .dsl import format_poly, format_steps, format_word
 from .errors import AdmissibilityError, RankDeficientError, RouteDisagreementError
 from .geometry import (
     COLOR_LINE_FAMILIES,
@@ -599,15 +599,7 @@ def run_sl21(samples: int = 10000, seed: int = 0, max_degree: int = 5,
     y1sq_t = NcPoly.monomial((4, 4, 8))
     steps = []
     nf_zero = normal_form(y1sq_t, system, steps).is_zero()
-    trace_data = [
-        {
-            "word": format_word(st.word, names),
-            "coefficient": st.coefficient,
-            "position": st.position,
-            "rule": format_word(st.rule_lhs, names),
-        }
-        for st in steps
-    ]
+    trace_data = format_steps(steps, names)
     y1sq = normal_form(NcPoly.monomial((4, 4)), system)
     t_nf = normal_form(NcPoly.gen(8), system)
     factors_nonzero = (not y1sq.is_zero()) and (not t_nf.is_zero())

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -249,6 +250,41 @@ def test_hilbert_independent_of_order():
     reversed_order = TermOrder.from_precedence(pres.z_degrees, (3, 2, 1, 0))
     system = complete(pres, order=reversed_order, max_degree=6)
     assert list(hilbert_algebra(system, 6)) == [binom3(d) for d in range(7)]
+
+
+def _relabel(pres, perm):
+    """The same algebra with generator i moved to index perm[i]."""
+    gens = sorted((Generator(perm[g.index], g.name, g.z_degree, g.group_label)
+                   for g in pres.generators), key=lambda g: g.index)
+    rels = tuple(NcPoly({tuple(perm[x] for x in w): c for w, c in r.items()})
+                 for r in pres.relations)
+    return Presentation(pres.name, tuple(gens), rels, pres.grading_group)
+
+
+@lru_cache(maxsize=None)
+def _both_routes(pres, bound):
+    return list(hilbert_algebra(pres, bound)), list(oracle_graded_dims(pres, bound))
+
+
+def _nontrivial_permutations(n):
+    return st.permutations(range(n)).filter(lambda p: list(p) != sorted(p))
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("sl2_A", 5), ("sl11_H", 5), ("sl11_Hhat", 5), ("slc_H", 5), ("sl21_Hhat", 3),
+])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_relabelled_generators_keep_both_routes(name, bound, data):
+    # relabelling changes the default term order, hence the completion the
+    # rewrite route counts on, and the column order of the oracle's echelon
+    pres = preset(name)
+    perm = data.draw(_nontrivial_permutations(len(pres.generators)))
+    rewrite, oracle = _both_routes(pres, bound)
+    relabelled = _relabel(pres, perm)
+    assert list(hilbert_algebra(relabelled, bound)) == rewrite
+    assert list(oracle_graded_dims(relabelled, bound)) == oracle
+    assert rewrite == oracle
 
 
 def test_filtered_two_routes_agree():

@@ -41,6 +41,15 @@ def test_hhat_contains_main_relation():
     assert rel in p.relations
 
 
+def test_sl2_contains_main_relations():
+    # typed from the paper, not from the bracket table: [h, e] = 2e, [e, f] = h
+    a = preset("sl2_A")
+    assert NcPoly({(2, 0): 1, (0, 2): -1, (0, 3): -2}) in a.relations
+    assert NcPoly({(0, 1): 1, (1, 0): -1, (2, 3): -1}) in a.relations
+    u = preset("sl2_U")
+    assert NcPoly({(0, 1): 1, (1, 0): -1, (2,): -1}) in u.relations
+
+
 def test_color_h_contains_main_relation():
     p = preset("slc_H")
     rel = NcPoly({(0, 1): 1, (1, 0): 1, (2, 3): -1})

@@ -360,7 +360,7 @@ def monomial_system(lhs_set, degrees):
     rules = [Rule(l, NcPoly.zero()) for l in lhs_set]
     pres = Presentation("monomial", gens, tuple(NcPoly.monomial(l) for l in lhs_set))
     order = TermOrder.from_precedence(degrees)
-    return RewriteSystem(pres, order, rules, 6, 6)
+    return RewriteSystem(pres, order, rules, 6)
 
 
 def any_lhs_sets(ngens):
