@@ -32,7 +32,6 @@ from .modules import (
     CertificationReport,
     InducedModuleSpec,
     LineModuleSpec,
-    build_color_line_module,
     build_L_h_phi,
     certify_homogenization_iso,
     certify_line_module,
@@ -73,7 +72,6 @@ __all__ = [
     "admissible_functional",
     "bracket",
     "build_L_h_phi",
-    "build_color_line_module",
     "certify_homogenization_iso",
     "certify_line_module",
     "classify_2dim_subalgebras",

@@ -17,12 +17,7 @@ from . import __version__
 from .dsl import format_poly, format_steps, format_word, parse_algebra, parse_expression, print_algebra
 from .errors import DSLSyntaxError, LinemodError, RouteDisagreementError
 from .geometry import Line, classify_line_family_color
-from .hilbert import (
-    hilbert_algebra,
-    hilbert_cyclic_left_module,
-    oracle_degree_within_cap,
-    oracle_graded_dims,
-)
+from .hilbert import hilbert_algebra, oracle_degree_within_cap, oracle_graded_dims
 from .liealg import (
     Functional,
     SubalgebraSpec,
@@ -30,7 +25,7 @@ from .liealg import (
     closed_form_admissible,
     properness_admissible,
 )
-from .modules import InducedModuleSpec, induced_module_dims
+from .modules import InducedModuleSpec, LineModuleSpec, certify_line_module, induced_module_dims
 from .presets import PRESENTATION_NAMES, preset
 from .reports import build_report, render
 from .rewrite import complete, normal_form
@@ -307,17 +302,19 @@ def _dispatch(args) -> int:
         pres = _load_presentation(args.algebra)
         system = complete(pres, max_degree=args.max_degree)
         gens = tuple(parse_expression(g, pres) for g in args.gen)
-        dims = hilbert_cyclic_left_module(system, gens, args.max_degree)
-        expected = list(range(1, args.max_degree + 2))
-        passed = list(dims) == expected
+        try:
+            spec = LineModuleSpec(system, gens)
+        except LinemodError as exc:
+            raise LinemodError(f"--gen: {exc}") from exc
+        cert = certify_line_module(spec, args.max_degree)
         report = build_report(
             "certify-line",
             {"algebra": pres.name, "generators": args.gen,
              "max_degree": args.max_degree},
-            {"dims": list(dims), "expected": expected, "is_line_module": passed},
-            passed, __version__, args.seed,
+            {"dims": cert.found, "expected": cert.expected, "is_line_module": cert.passed},
+            cert.passed, __version__, args.seed,
         )
-        return _emit(args, report, 0 if passed else 1)
+        return _emit(args, report, 0 if cert.passed else 1)
 
     if args.command == "classify-sub":
         table = preset(_TABLES[args.preset])

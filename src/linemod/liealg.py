@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import lcm
 from random import Random
 
@@ -22,9 +23,9 @@ from .errors import (
     SubalgebraFormError,
 )
 from .hilbert import filtered_model
-from .linalg import IntegerPlane, dense_nullspace, fraction_vector
-from .ncalg import NcPoly
-from .rewrite import Presentation, RewriteSystem, complete, normal_form
+from .linalg import IntegerPlane, fraction_vector
+from .ncalg import Generator, NcPoly, up_to_scale
+from .rewrite import Presentation, RewriteSystem, complete, ideal_member, normal_form
 
 
 @dataclass(frozen=True)
@@ -171,20 +172,13 @@ def sl11_form(S: SubalgebraSpec, T: BracketTable):
     of that shape.  Basis order of the ambient algebra is (e, f, h).
     """
     S.require_rank2()
-    # combination x v1 + y v2 with zero e and f coordinates
-    rows = [(S.v1[0], S.v2[0]), (S.v1[1], S.v2[1])]
-    null = dense_nullspace(rows, 2)
-    if len(null) != 1:
+    if not S._plane.contains((0, 0, 1)):
         raise SubalgebraFormError("subspace does not contain the even basis vector")
-    x, y = null[0]
-    u1 = _combo(S, (x, y))
-    if not u1[2]:
-        raise SubalgebraFormError("subspace does not contain the even basis vector")
-    c0 = (x / u1[2], y / u1[2])
-    # complement with zero h coordinate; v1 is independent of u1 unless the
-    # even combination used v1 alone
+    c0 = S._plane.solve((0, 0, 1))
+    # complement with zero h coordinate; v1 is independent of h unless h is
+    # a multiple of v1
     w, wc = (S.v1, (Fraction(1), Fraction(0)))
-    if y == 0:
+    if c0[1] == 0:
         w, wc = (S.v2, (Fraction(0), Fraction(1)))
     c1 = (wc[0] - w[2] * c0[0], wc[1] - w[2] * c0[1])
     u2 = _combo(S, c1)
@@ -206,30 +200,36 @@ def color_form(S: SubalgebraSpec, T: BracketTable):
         if not S._plane.contains(unit):
             continue
         j, k = [m for m in range(3) if m != i]
-        null = dense_nullspace([(S.v1[i], S.v2[i])], 2)
-        if len(null) != 1:
-            raise SubalgebraFormError("no one-dimensional complement to a_i")
-        u2 = _combo(S, null[0])
+        # the combinations with zero i-th coordinate; a_i in S makes the
+        # coordinates (a, b) nonzero, so they form a line
+        a, b = S.v1[i], S.v2[i]
+        null = (-b / a, 1) if a else (1, 0)
+        u2 = _combo(S, null)
         if not u2[j]:
             raise SubalgebraFormError("complement is a multiple of a single basis vector")
         mu = u2[k] / u2[j]
         if mu not in (1, -1):
             raise SubalgebraFormError(f"complement slope {mu} is not +-1")
-        c1 = (null[0][0] / u2[j], null[0][1] / u2[j])
+        c1 = (null[0] / u2[j], null[1] / u2[j])
         return (i, j, k, mu), (S._plane.solve(unit), c1)
     raise SubalgebraFormError("subspace contains no grading basis vector")
 
 
-def canonical_pair(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> tuple:
-    """A classified pair in canonical form: the parameters of ``sl11_form``
-    or ``color_form`` (by the kind of T), and phi's values on the canonical
-    basis."""
+def canonical_form(S: SubalgebraSpec, T: BracketTable) -> tuple:
+    """``(params, C)`` of ``sl11_form`` or ``color_form``, by the kind of T:
+    the classified shape of S and the rows (x, y) of its canonical basis
+    vectors x v1 + y v2."""
     if T.kind == "super":
-        params, C = sl11_form(S, T)
-    elif T.kind == "color":
-        params, C = color_form(S, T)
-    else:
-        raise ValueError(f"no canonical pairs for bracket kind {T.kind!r}")
+        return sl11_form(S, T)
+    if T.kind == "color":
+        return color_form(S, T)
+    raise ValueError(f"no canonical pairs for bracket kind {T.kind!r}")
+
+
+def canonical_pair(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> tuple:
+    """A classified pair in canonical form: the parameters of
+    ``canonical_form``, and phi's values on the canonical basis."""
+    params, C = canonical_form(S, T)
     return params, tuple(x * phi.on_v1 + y * phi.on_v2 for x, y in C)
 
 
@@ -263,17 +263,15 @@ def closed_form_on_pair(kind: str, pair) -> tuple:
 
 def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
     """Per-family closed condition.  Returns (bool, reason string)."""
-    if T.kind in ("super", "color"):
+    if T.kind != "lie":
         return closed_form_on_pair(T.kind, canonical_pair(S, phi, T))
-    if T.kind == "lie":
-        if not is_subalgebra(S, T):
-            raise SubalgebraFormError("subspace is not closed under the bracket")
-        x, y = S._plane.solve(bracket(S.v1, S.v2, T))
-        value = x * phi.on_v1 + y * phi.on_v2
-        if value == 0:
-            return True, ""
-        return False, f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
-    raise ValueError(f"unknown bracket kind {T.kind!r}")
+    if not is_subalgebra(S, T):
+        raise SubalgebraFormError("subspace is not closed under the bracket")
+    x, y = S._plane.solve(bracket(S.v1, S.v2, T))
+    value = x * phi.on_v1 + y * phi.on_v2
+    if value == 0:
+        return True, ""
+    return False, f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
 
 
 def shift_generators(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> tuple:
@@ -386,24 +384,16 @@ def _random_rank2(rng: Random) -> SubalgebraSpec:
 
 def family_member(S: SubalgebraSpec, T: BracketTable) -> bool:
     """Whether a closed subspace belongs to the classified family."""
-    if T.kind == "super":
-        try:
-            sl11_form(S, T)
-            return True
-        except SubalgebraFormError:
-            return False
-    if T.kind == "color":
-        try:
-            color_form(S, T)
-            return True
-        except SubalgebraFormError:
-            return False
     if T.kind == "lie":
         # solvable nonabelian plane: the derived subalgebra is one
         # dimensional and inside the plane (a Borel of sl2)
         w = _bracket(*S._plane.ints, T, 0)
         return any(w) and S._plane.contains(w)
-    raise ValueError(f"unknown bracket kind {T.kind!r}")
+    try:
+        canonical_form(S, T)
+        return True
+    except SubalgebraFormError:
+        return False
 
 
 def family_members(T: BracketTable) -> list:
@@ -513,89 +503,6 @@ def table_consistent_with_presentation(T: BracketTable, system: RewriteSystem | 
 # the rank identity behind the color classification
 # ----------------------------------------------------------------------
 
-# minimal dense arithmetic in Q[alpha, beta]; monomials are (i, j) exponent
-# pairs mapped to coefficients
-
-
-def _p(*terms) -> dict:
-    out = {}
-    for coeff, i, j in terms:
-        c = out.get((i, j), 0) + Fraction(coeff)
-        if c:
-            out[(i, j)] = c
-        else:
-            out.pop((i, j), None)
-    return out
-
-
-def _pmul(f, g):
-    out = {}
-    for (i1, j1), c1 in f.items():
-        for (i2, j2), c2 in g.items():
-            key = (i1 + i2, j1 + j2)
-            c = out.get(key, 0) + c1 * c2
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _psub(f, g):
-    out = dict(f)
-    for k, c in g.items():
-        s = out.get(k, 0) - c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _preduce(f, basis):
-    """Multivariate division by (lead monomial, polynomial) pairs, lex order."""
-    f = dict(f)
-    while f:
-        lead = max(f)
-        hit = None
-        for lm, g in basis:
-            if lead[0] >= lm[0] and lead[1] >= lm[1]:
-                hit = (lm, g)
-                break
-        if hit is None:
-            # move on: strip the irreducible lead into the remainder
-            remainder_key = lead
-            rem = f.pop(remainder_key)
-            reduced = _preduce(f, basis)
-            reduced[remainder_key] = rem
-            return reduced
-        lm, g = hit
-        shift = (lead[0] - lm[0], lead[1] - lm[1])
-        factor = {shift: f[lead] / g[lm]}
-        f = _psub(f, _pmul(factor, g))
-    return f
-
-
-def _padd(f, g):
-    out = dict(f)
-    for k, c in g.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _det3(M):
-    a, b, c = M[0]
-    d, e, f = M[1]
-    g, h, i = M[2]
-    t1 = _pmul(a, _psub(_pmul(e, i), _pmul(f, h)))
-    t2 = _pmul(b, _psub(_pmul(d, i), _pmul(f, g)))
-    t3 = _pmul(c, _psub(_pmul(d, h), _pmul(e, g)))
-    return _padd(_psub(t1, t2), t3)
-
 
 def color_minor_identity() -> bool:
     """The rank condition of the color classification as an exact identity.
@@ -603,48 +510,37 @@ def color_minor_identity() -> bool:
     The 3x5 coefficient matrix of v1, v2 and their three brackets has all
     ten 3x3 minors inside the ideal (2 alpha beta, alpha^2 + beta^2 - 1),
     and two of the minors recover the two generators, so the rank <= 2
-    locus is exactly 2 alpha beta = 0 = alpha^2 + beta^2 - 1.
+    locus is exactly 2 alpha beta = 0 = alpha^2 + beta^2 - 1.  Q[alpha,
+    beta] is the free algebra modulo the commutator, so both the ideal's
+    Groebner basis and the normal forms come from ``complete``.
     """
-    one = _p((1, 0, 0))
-    zero = {}
-    alpha = _p((1, 1, 0))
-    beta = _p((1, 0, 1))
-    two_alpha = _p((2, 1, 0))
-    two_beta = _p((2, 0, 1))
-    cols = [
-        [one, zero, alpha],
-        [zero, one, beta],
-        [zero, two_alpha, zero],
-        [two_beta, zero, zero],
-        [alpha, beta, one],
-    ]
-    # Groebner basis of (alpha beta, alpha^2 + beta^2 - 1) under lex
-    gb = [
-        ((1, 1), _p((1, 1, 1))),
-        ((2, 0), _p((1, 2, 0), (1, 0, 2), (-1, 0, 0))),
-        ((0, 3), _p((1, 0, 3), (-1, 0, 1))),
-    ]
-    # beta^3 - beta = beta (alpha^2 + beta^2 - 1) - alpha (alpha beta)
-    check = _psub(
-        _psub(_pmul(beta, _p((1, 2, 0), (1, 0, 2), (-1, 0, 0))),
-              _pmul(alpha, _p((1, 1, 1)))),
-        _p((1, 0, 3), (-1, 0, 1)),
-    )
-    if check:
+    gens = (Generator(0, "alpha"), Generator(1, "beta"))
+    one, zero, alpha, beta = NcPoly.one(), NcPoly.zero(), NcPoly.gen(0), NcPoly.gen(1)
+    commutator = beta * alpha - alpha * beta
+    ideal = ((alpha * beta).scale(2), alpha * alpha + beta * beta - one)
+    polys = complete(Presentation("Q[alpha,beta]", gens, (commutator,)), max_degree=4)
+    quotient = complete(Presentation("Q[alpha,beta]/I", gens, (commutator,) + ideal),
+                        max_degree=4)
+    if quotient.discarded_above_bound:
         return False
-    from itertools import combinations
-
+    cols = [
+        (one, zero, alpha),
+        (zero, one, beta),
+        (zero, alpha.scale(2), zero),
+        (beta.scale(2), zero, zero),
+        (alpha, beta, one),
+    ]
     minors = []
-    for triple in combinations(range(5), 3):
-        M = [[cols[c][r] for c in triple] for r in range(3)]
-        minors.append(_det3(M))
-    if any(_preduce(m, gb) for m in minors):
+    for triple in combinations(cols, 3):
+        # Leibniz expansion; the order of the factors is immaterial modulo
+        # the commutator
+        det = zero
+        for p in permutations(range(3)):
+            sign = (-1) ** sum(p[a] > p[b] for a, b in combinations(range(3), 2))
+            det += (triple[p[0]][0] * triple[p[1]][1] * triple[p[2]][2]).scale(sign)
+        minors.append(det)
+    if not all(ideal_member(m, quotient) for m in minors):
         return False
     # the generators occur among the minors up to scale
-    has_ab = any(set(m) == {(1, 1)} for m in minors)
-    has_circle = any(
-        set(m) == {(2, 0), (0, 2), (0, 0)}
-        and m[(2, 0)] == m[(0, 2)] == -m[(0, 0)]
-        for m in minors
-    )
-    return has_ab and has_circle
+    forms = [normal_form(m, polys) for m in minors]
+    return all(any(up_to_scale(normal_form(g, polys), m) for m in forms) for g in ideal)

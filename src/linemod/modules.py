@@ -27,6 +27,7 @@ from .liealg import (
     BracketTable,
     Functional,
     SubalgebraSpec,
+    canonical_form,
     canonical_pair,
     is_graded_subspace,
     require_admissible,
@@ -102,29 +103,20 @@ class CertificationReport:
 
 def build_L_h_phi(S: SubalgebraSpec, phi: Functional, system: RewriteSystem,
                   table: BracketTable) -> LineModuleSpec:
-    """The module over the homogenized algebra attached to a pair (S, phi)
-    in the superalgebra case.
+    """The module over the homogenized algebra attached to a pair (S, phi),
+    for a superalgebra or color table.
 
-    S must be of the classified shape span(h, alpha e + beta f); the left
-    ideal generators are h - phi(h) t and alpha e + beta f - phi(...) t,
-    with phi re-expressed on that canonical basis.
+    S must be of a classified shape (``canonical_form``); the left ideal
+    generators are u - phi(u) t for the canonical basis vectors u of S, with
+    t the homogenizer: h - phi(h) t and alpha e + beta f - phi(...) t, or
+    a_i - phi(a_i) a4 and (a_j + mu a_k) - phi(...) a4.
     """
-    (alpha, beta), (lam, gamma) = canonical_pair(S, phi, table)
-    t = len(system.presentation.generators) - 1
-    g1 = NcPoly.gen(2) - NcPoly.monomial((t,), lam)
-    g2 = NcPoly.linear((alpha, beta)) - NcPoly.monomial((t,), gamma)
-    return LineModuleSpec(system, (g1, g2))
-
-
-def build_color_line_module(S: SubalgebraSpec, phi: Functional, system: RewriteSystem,
-                            table: BracketTable) -> LineModuleSpec:
-    """The module over the color homogenization attached to a pair (S, phi):
-    generators a_i - phi(a_i) a4 and (a_j + mu a_k) - phi(...) a4."""
-    (i, j, k, mu), (val_i, val_w) = canonical_pair(S, phi, table)
-    t = len(system.presentation.generators) - 1
-    g1 = NcPoly.gen(i) - NcPoly.monomial((t,), val_i)
-    g2 = NcPoly.gen(j) + NcPoly.gen(k).scale(mu) - NcPoly.monomial((t,), val_w)
-    return LineModuleSpec(system, (g1, g2))
+    _, C = canonical_form(S, table)
+    t = NcPoly.gen(len(system.presentation.generators) - 1)
+    return LineModuleSpec(system, tuple(
+        NcPoly.linear([x * a + y * b for a, b in zip(S.v1, S.v2)])
+        - t.scale(x * phi.on_v1 + y * phi.on_v2)
+        for x, y in C))
 
 
 def pair_from_line(line: geometry.Line, table: BracketTable):

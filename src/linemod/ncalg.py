@@ -256,6 +256,15 @@ class NcPoly:
         return max(sum(degrees[g] for g in w) for w in self._terms)
 
 
+def up_to_scale(a: NcPoly, b: NcPoly) -> bool:
+    """Whether ``b`` is a rational multiple of the nonzero ``a`` on the same
+    support."""
+    if a.support() != b.support():
+        return False
+    w = next(iter(a.support()))
+    return b == a.scale(b.coeff(w) / a.coeff(w))
+
+
 @dataclass(frozen=True)
 class TermOrder:
     """Degree-lexicographic order on words.

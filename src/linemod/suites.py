@@ -46,7 +46,6 @@ from .liealg import (
 from .modules import (
     InducedModuleSpec,
     LineModuleSpec,
-    build_color_line_module,
     build_L_h_phi,
     certify_homogenization_iso,
     certify_line_module,
@@ -55,7 +54,7 @@ from .modules import (
     pair_from_line,
     torsion_free_on,
 )
-from .ncalg import NcPoly
+from .ncalg import NcPoly, up_to_scale
 from .presets import (
     SL2_BOREL_S,
     SL2_LAMBDAS,
@@ -490,7 +489,7 @@ def run_slc(samples: int = 10000, seed: int = 0, max_degree: int = 6,
         cases += [("half-mu", Functional(Fraction(mu, 2), c), family_b)
                   for c in (Fraction(0), Fraction(3), Fraction(-1, 2))]
         for tag, phi, family in cases:
-            M = build_color_line_module(S, phi, H, table)
+            M = build_L_h_phi(S, phi, H, table)
             I = InducedModuleSpec(preset("slc_U"), table, S, phi)
             model = M.model(5)
             report = certify_homogenization_iso(I, M, 5, model)
@@ -573,12 +572,6 @@ def run_sl21(samples: int = 10000, seed: int = 0, max_degree: int = 5,
         NcPoly({(4, 6): Fraction(1), (6, 4): Fraction(1)}),
         NcPoly({(2, 6): Fraction(1), (6, 2): Fraction(-1), (4, 8): Fraction(-1)}),
     ]
-
-    def up_to_scale(a, b):
-        if a.support() != b.support():
-            return False
-        w = next(iter(a.support()))
-        return b == a.scale(b.coeff(w) / a.coeff(w))
 
     quoted_found = [any(up_to_scale(q, r) for r in pres.relations) for q in quoted]
     count_ok = len(pres.relations) == 36

@@ -23,7 +23,6 @@ from linemod.liealg import (
 from linemod.modules import (
     InducedModuleSpec,
     LineModuleSpec,
-    build_color_line_module,
     build_L_h_phi,
     certify_homogenization_iso,
     certify_line_module,
@@ -173,7 +172,7 @@ def test_criterion_5_homogenization_isomorphisms(hhat_system, color_system):
         cases = [Functional(c, 0) for c in (Fraction(0), Fraction(1), Fraction(-2))]
         cases += [Functional(Fraction(mu, 2), c) for c in (Fraction(0), Fraction(3), Fraction(-1, 2))]
         for phi in cases:
-            M = build_color_line_module(member["spec"], phi, color_system, slc)
+            M = build_L_h_phi(member["spec"], phi, color_system, slc)
             I = InducedModuleSpec(preset("slc_U"), slc, member["spec"], phi)
             rep = certify_homogenization_iso(I, M, 5)
             ok = ok and rep.passed and rep.details["annihilator_containment"]
@@ -257,7 +256,7 @@ def test_criterion_6_geometry_cross_checks(hhat_system, color_system):
             (Functional(Fraction(1), 0), fam_a),
             (Functional(Fraction(mu, 2), Fraction(3)), fam_b),
         ):
-            M = build_color_line_module(member["spec"], phi, color_system, slc)
+            M = build_L_h_phi(member["spec"], phi, color_system, slc)
             classify_ok = classify_ok and fam in classify_line_family_color(M.line())
     ok = pencil_ok and incidence_ok and admissible_geometry and classify_ok
     detail = (

@@ -34,6 +34,19 @@ def test_certify_line_failure_exit_code(capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("gens, message", [
+    (("e", "2*e"), "--gen: line module generators are linearly dependent"),
+    (("e*f", "h"), "--gen: line module generators must be homogeneous of degree one"),
+])
+def test_certify_line_rejects_generators(capsys, gens, message):
+    code = main(["certify-line", "--algebra", "sl11_Hhat", "--gen", gens[0],
+                 "--gen", gens[1], "--max-degree", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_classify_line(capsys):
     code, out = run_cli(
         capsys, "classify-line", "--preset", "slc",

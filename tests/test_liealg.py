@@ -4,13 +4,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linemod.errors import RankDeficientError, SubalgebraFormError
+from linemod.errors import LinemodError, RankDeficientError, SubalgebraFormError
 from linemod import liealg
 from linemod.liealg import (
     Functional,
     SubalgebraSpec,
     admissible_functional,
     bracket,
+    canonical_form,
     canonical_pair,
     classify_2dim_subalgebras,
     closed_form_admissible,
@@ -26,8 +27,10 @@ from linemod.liealg import (
     sl11_form,
     table_consistent_with_presentation,
 )
-from linemod.linalg import SparseEchelon
+from linemod.linalg import SparseEchelon, dense_nullspace
+from linemod.ncalg import Generator, NcPoly
 from linemod.presets import preset
+from linemod.rewrite import Presentation, complete
 
 SL2 = preset("sl2_table")
 SL11 = preset("sl11_table")
@@ -162,6 +165,25 @@ def test_classification_reports():
 
 def test_color_minor_identity():
     assert color_minor_identity()
+
+
+def test_color_ideal_completion():
+    # Q[alpha, beta] / (2 alpha beta, alpha^2 + beta^2 - 1) as a commutator
+    # presentation: its completion is the Groebner basis of the ideal
+    alpha, beta = NcPoly.gen(0), NcPoly.gen(1)
+    pres = Presentation("ideal", (Generator(0, "alpha"), Generator(1, "beta")), (
+        beta * alpha - alpha * beta,
+        NcPoly({(0, 1): 2}),
+        NcPoly({(0, 0): 1, (1, 1): 1, (): -1}),
+    ))
+    system = complete(pres, max_degree=4)
+    assert not system.discarded_above_bound
+    assert {r.lhs: r.rhs for r in system.rules} == {
+        (0, 1): NcPoly(),
+        (1, 0): NcPoly(),
+        (0, 0): NcPoly({(): 1, (1, 1): -1}),
+        (1, 1, 1): NcPoly({(1,): 1}),
+    }
 
 
 def test_tables_consistent():
@@ -376,3 +398,80 @@ def test_integer_sampling_matches_fraction_reference():
         mixed = random_mix(Random(seed), u, v)
         assert mixed == reference_mix(Random(seed), u, v)
         assert all(type(c) is Fraction for c in mixed[0] + mixed[1])
+
+
+# ----------------------------------------------------------------------
+# canonical forms against the null-space reference they replaced
+# ----------------------------------------------------------------------
+
+
+def _reference_combo(S, coeffs):
+    x, y = coeffs
+    return tuple(x * a + y * b for a, b in zip(S.v1, S.v2))
+
+
+def _reference_sl11_form(S, T):
+    """span(h, alpha e + beta f) by Fraction null spaces."""
+    S.require_rank2()
+    null = dense_nullspace([(S.v1[0], S.v2[0]), (S.v1[1], S.v2[1])], 2)
+    if len(null) != 1:
+        raise SubalgebraFormError("subspace does not contain the even basis vector")
+    x, y = null[0]
+    u1 = _reference_combo(S, (x, y))
+    if not u1[2]:
+        raise SubalgebraFormError("subspace does not contain the even basis vector")
+    c0 = (x / u1[2], y / u1[2])
+    w, wc = (S.v1, (Fraction(1), Fraction(0)))
+    if y == 0:
+        w, wc = (S.v2, (Fraction(0), Fraction(1)))
+    c1 = (wc[0] - w[2] * c0[0], wc[1] - w[2] * c0[1])
+    u2 = _reference_combo(S, c1)
+    alpha, beta = u2[0], u2[1]
+    if u2[2] or (not alpha and not beta):
+        raise SubalgebraFormError("could not split off an odd complement")
+    return (alpha, beta), (c0, c1)
+
+
+def _reference_color_form(S, T):
+    """span(a_i, a_j + mu a_k) by Fraction null spaces."""
+    S.require_rank2()
+    for i in range(3):
+        unit = tuple(1 if m == i else 0 for m in range(3))
+        if not S._plane.contains(unit):
+            continue
+        j, k = [m for m in range(3) if m != i]
+        null = dense_nullspace([(S.v1[i], S.v2[i])], 2)
+        if len(null) != 1:
+            raise SubalgebraFormError("no one-dimensional complement to a_i")
+        u2 = _reference_combo(S, null[0])
+        if not u2[j]:
+            raise SubalgebraFormError("complement is a multiple of a single basis vector")
+        mu = u2[k] / u2[j]
+        if mu not in (1, -1):
+            raise SubalgebraFormError(f"complement slope {mu} is not +-1")
+        c1 = (null[0][0] / u2[j], null[0][1] / u2[j])
+        return (i, j, k, mu), (S._plane.solve(unit), c1)
+    raise SubalgebraFormError("subspace contains no grading basis vector")
+
+
+def _outcome(form, S, T):
+    try:
+        return form(S, T)
+    except LinemodError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("T, reference", [(SL11, _reference_sl11_form),
+                                          (SLC, _reference_color_form)],
+                         ids=lambda x: getattr(x, "name", ""))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_canonical_forms_match_nullspace_reference(T, reference, data):
+    # a random basis of a family member, or any plane (the shape may fail)
+    if data.draw(st.booleans()):
+        spec = data.draw(st.sampled_from(family_members(T)))["spec"]
+        S = SubalgebraSpec(*random_mix(Random(data.draw(st.integers(0, 2**32))),
+                                       spec.v1, spec.v2))
+    else:
+        S = SubalgebraSpec(*data.draw(_planes(T)))
+    assert _outcome(canonical_form, S, T) == _outcome(reference, S, T)

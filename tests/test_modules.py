@@ -5,12 +5,11 @@ import pytest
 
 from linemod.errors import AdmissibilityError, RankDeficientError, SubalgebraFormError
 from linemod.geometry import Line, classify_line_family_color
-from linemod.liealg import Functional, SubalgebraSpec
+from linemod.liealg import Functional, SubalgebraSpec, family_members
 from linemod.modules import (
     InducedModuleSpec,
     LineModuleSpec,
     annihilator_contains_generators,
-    build_color_line_module,
     build_L_h_phi,
     certify_homogenization_iso,
     certify_line_module,
@@ -43,6 +42,49 @@ def test_build_examples(hhat_system):
     S, phi = pair(2, -3, 0, 0)
     M = build_L_h_phi(S, phi, hhat_system, table)
     assert M.generators == (deg1((0, 0, 1, 0)), deg1((2, -3, 0, 0)))
+    # span(e + f + h, h) is span(h, e + f); phi(h) = 2, phi(e + f) = 3
+    M = build_L_h_phi(SubalgebraSpec((1, 1, 1), (0, 0, 1)), Functional(5, 2),
+                      hhat_system, table)
+    assert M.generators == (deg1((0, 0, 1, -2)), deg1((1, 1, 0, -3)))
+    # h = v1 / 3 and the odd complement v1 / 3 + v2 = e + 2f
+    M = build_L_h_phi(SubalgebraSpec((0, 0, 3), (1, 2, -1)), Functional(6, 1),
+                      hhat_system, table)
+    assert M.generators == (deg1((0, 0, 1, -2)), deg1((1, 2, 0, -3)))
+    # h = v2 / 4 and the odd complement v1 - v2 / 4 = 2e - 3f
+    M = build_L_h_phi(SubalgebraSpec((2, -3, 1), (0, 0, 4)), Functional(1, 8),
+                      hhat_system, table)
+    assert M.generators == (deg1((0, 0, 1, -2)), deg1((2, -3, 0, 1)))
+
+
+def test_build_color_members(color_system):
+    table = preset("slc_table")
+    half = Fraction(1, 2)
+    # (i, mu) -> a_i - 3 a4 and a_j + mu a_k + a4 / 2, over (a1, a2, a3, a4)
+    expected = {
+        (1, 1): ((1, 0, 0, -3), (0, 1, 1, half)),
+        (1, -1): ((1, 0, 0, -3), (0, 1, -1, half)),
+        (2, 1): ((0, 1, 0, -3), (1, 0, 1, half)),
+        (2, -1): ((0, 1, 0, -3), (1, 0, -1, half)),
+        (3, 1): ((0, 0, 1, -3), (1, 1, 0, half)),
+        (3, -1): ((0, 0, 1, -3), (1, -1, 0, half)),
+    }
+    for member in family_members(table):
+        key = (member["params"]["i"], member["params"]["mu"])
+        gens = tuple(deg1(g) for g in expected[key])
+        v1, v2 = member["spec"].basis()
+        M = build_L_h_phi(member["spec"], Functional(3, -half), color_system, table)
+        assert M.generators == gens
+        # the same pair on the basis (v1 + 2 v2, v1 - v2)
+        S = SubalgebraSpec(tuple(a + 2 * b for a, b in zip(v1, v2)),
+                           tuple(a - b for a, b in zip(v1, v2)))
+        M = build_L_h_phi(S, Functional(3 - 2 * half, 3 + half), color_system, table)
+        assert M.generators == gens
+
+
+def test_build_rejects_lie_tables(hhat_system):
+    with pytest.raises(ValueError):
+        build_L_h_phi(SubalgebraSpec((1, 0, 0), (0, 0, 1)), Functional(0, 0),
+                      hhat_system, preset("sl2_table"))
 
 
 def test_build_rejects_unclassified_subspace(hhat_system):
@@ -145,7 +187,7 @@ def test_homogenization_iso_color(color_system):
     table = preset("slc_table")
     S = SubalgebraSpec((0, 0, 1), (1, 1, 0))
     phi = Functional(Fraction(1, 2), Fraction(3))
-    M = build_color_line_module(S, phi, color_system, table)
+    M = build_L_h_phi(S, phi, color_system, table)
     I = InducedModuleSpec(preset("slc_U"), table, S, phi)
     report = certify_homogenization_iso(I, M, 5)
     assert report.passed
@@ -157,7 +199,7 @@ def test_homogenization_iso_color(color_system):
 def test_color_family_a_line(color_system):
     table = preset("slc_table")
     S = SubalgebraSpec((0, 0, 1), (1, 1, 0))
-    M = build_color_line_module(S, Functional(Fraction(7), 0), color_system, table)
+    M = build_L_h_phi(S, Functional(Fraction(7), 0), color_system, table)
     tags = classify_line_family_color(M.line())
     assert "1(a)" in tags
 
