@@ -383,6 +383,12 @@ GOLDEN_REPORTS = {
     ("trace", "--algebra", "sl21_Hhat", "--expr", "x1*t*y4*y3*y2*y1*y1 + y2*t*y3*y1*y1",
      "--max-degree", "7"):
         "13f128d56f05535ccfc122d23b7af7e6fd390d42c4776dcce989cfc821b3d488",
+    # recorded before every command's report went through one path in
+    # `main`: `nf` with a degree bound and with a generator precedence
+    ("nf", "--algebra", "sl21_Hhat", "--expr", "y1*y1*t", "--max-degree", "5"):
+        "9ad4e4a41d5eb03e885af30ce9511dfa43b7f2ccbcf8d61143f257103a84ed6c",
+    ("nf", "--algebra", "sl11_Hhat", "--expr", "e*f", "--order", "t,h,f,e"):
+        "eaeaa7fcf2df8ec0bd6f59c92376d60637b112a0206cc1f5d87c4a5e45c9438b",
 }
 
 
