@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
 
-from .errors import (
-    InhomogeneousError,
-    LinemodError,
-    OracleCapError,
-    OutOfCertifiedRangeError,
-)
+from .errors import InhomogeneousError, LinemodError, OracleCapError
 from .linalg import SparseEchelon
 from .ncalg import EMPTY_WORD, TermOrder
 from .rewrite import Presentation, RewriteSystem, complete
@@ -71,10 +66,7 @@ def line_module_dims(max_degree: int) -> HilbertFunction:
 
 def _as_system(p, max_degree: int, order: TermOrder | None) -> RewriteSystem:
     if isinstance(p, RewriteSystem):
-        if p.confluent_up_to < max_degree:
-            raise OutOfCertifiedRangeError(
-                f"system certified to degree {p.confluent_up_to}, need {max_degree}"
-            )
+        p.require_certified(max_degree)
         return p
     return complete(p, order=order, max_degree=max_degree)
 
@@ -301,15 +293,12 @@ def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> C
 
     Each row ``NF(b g)``, for a normal word ``b`` and a generator ``g``, is
     read from the system's memo of normal word times letter
-    (``RewriteSystem.right_multiply``); the degree check above keeps every
+    (``RewriteSystem.right_multiply``); the certified-range check keeps every
     product in the confluent range, where it equals a full reduction."""
     pres = system.presentation
     if not pres.is_z_homogeneous():
         raise InhomogeneousError(f"{pres.name!r} is not graded")
-    if system.confluent_up_to < max_degree:
-        raise OutOfCertifiedRangeError(
-            f"system certified to degree {system.confluent_up_to}, need {max_degree}"
-        )
+    system.require_certified(max_degree)
     degrees = pres.z_degrees
     gens = tuple(generators)
     gen_degs = []

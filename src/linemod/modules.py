@@ -69,11 +69,16 @@ class LineModuleSpec:
         return geometry.Line(self.coefficients())
 
     def model(self, max_degree: int) -> CyclicModuleModel:
-        """The degreewise linear model of the module to ``max_degree``.
+        """A degreewise linear model of the module to at least ``max_degree``.
 
         Its data in degrees <= d are those of the model built to d, so the
-        certificates below accept one model built to their largest bound."""
-        return cyclic_module_model(self.system, self.generators, max_degree)
+        largest model built so far serves every bound it reaches; a larger
+        bound builds a new one, which is kept in its place."""
+        model = getattr(self, "_model", None)
+        if model is None or model.max_degree < max_degree:
+            model = cyclic_module_model(self.system, self.generators, max_degree)
+            object.__setattr__(self, "_model", model)
+        return model
 
 
 @dataclass
@@ -144,21 +149,9 @@ def pair_from_line(line: geometry.Line, table: BracketTable):
 # ----------------------------------------------------------------------
 
 
-def _model_to(M: LineModuleSpec, max_degree: int,
-              model: CyclicModuleModel | None) -> CyclicModuleModel:
-    """``model`` (a model of M to at least ``max_degree``), or a new one."""
-    if model is None:
-        return M.model(max_degree)
-    if (model.system is not M.system or model.generators != M.generators
-            or model.max_degree < max_degree):
-        raise ValueError(f"model is not one of this line module to degree {max_degree}")
-    return model
-
-
-def certify_line_module(M: LineModuleSpec, max_degree: int,
-                        model: CyclicModuleModel | None = None) -> CertificationReport:
+def certify_line_module(M: LineModuleSpec, max_degree: int) -> CertificationReport:
     """Dimension certificate: the cyclic quotient has dims d+1 up to the bound."""
-    dims = _model_to(M, max_degree, model).dims().truncate(max_degree)
+    dims = M.model(max_degree).dims().truncate(max_degree)
     return CertificationReport.from_dims(
         "line-module-dimensions",
         line_module_dims(max_degree),
@@ -177,13 +170,12 @@ def is_Z2_graded_line_module(M: LineModuleSpec) -> bool:
     return is_graded_subspace(SubalgebraSpec(*M.coefficients()), labels)
 
 
-def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int,
-                    model: CyclicModuleModel | None = None) -> bool:
+def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> bool:
     """Whether multiplication by the named (central) degree-one generator is
     injective on the module in every degree below the bound."""
     pres = M.system.presentation
     g = pres.gen_index(generator_name)
-    model = _model_to(M, max_degree, model)
+    model = M.model(max_degree)
     for d in range(max_degree):
         pos_next = model.positions[d + 1]
         ech = model.ideal[d + 1].copy()
@@ -251,17 +243,16 @@ def annihilator_contains_generators(I: InducedModuleSpec, M: LineModuleSpec,
     return True
 
 
-def certify_homogenization_iso(I: InducedModuleSpec, M: LineModuleSpec, max_degree: int,
-                               model: CyclicModuleModel | None = None) -> CertificationReport:
+def certify_homogenization_iso(I: InducedModuleSpec, M: LineModuleSpec,
+                               max_degree: int) -> CertificationReport:
     """Certificate that the homogenized induced module is the line module.
 
     Passes iff the filtration dimensions match the module's graded
     dimensions degree by degree and the annihilator containment holds, the
     bounded-degree content of the surjection-plus-equal-dimensions proof.
-    ``model`` is passed on to ``certify_line_module``.
     """
     induced = induced_module_dims(I, max_degree)
-    line_report = certify_line_module(M, max_degree, model)
+    line_report = certify_line_module(M, max_degree)
     ann = annihilator_contains_generators(I, M)
     report = CertificationReport.from_dims(
         "homogenized-induced-module-matches-line-module",

@@ -110,7 +110,6 @@ class _Algebra(NamedTuple):
     pairs: tuple
     grading_group: str | None
     labels: tuple | None
-    field_note: str
 
 
 _Z = (0, 0, 0)
@@ -126,7 +125,7 @@ def _sl2() -> _Algebra:
         ),
         signs=((1, 1, 1), (1, 1, 1), (1, 1, 1)),
         pairs=((0, 1), (2, 0), (2, 1)),
-        grading_group=None, labels=None, field_note="char 0",
+        grading_group=None, labels=None,
     )
 
 
@@ -140,7 +139,7 @@ def _sl11() -> _Algebra:
         ),
         signs=((-1, -1, 1), (-1, -1, 1), (1, 1, 1)),
         pairs=((0, 1), (2, 0), (2, 1)),
-        grading_group="Z2", labels=((1,), (1,), (0,)), field_note="char != 2",
+        grading_group="Z2", labels=((1,), (1,), (0,)),
     )
 
 
@@ -154,7 +153,7 @@ def _slc() -> _Algebra:
         ),
         signs=((1, -1, -1), (-1, 1, -1), (-1, -1, 1)),
         pairs=((0, 1), (1, 2), (2, 0)),
-        grading_group="Z2xZ2", labels=((1, 0), (0, 1), (1, 1)), field_note="char 0",
+        grading_group="Z2xZ2", labels=((1, 0), (0, 1), (1, 1)),
     )
 
 
@@ -164,7 +163,7 @@ def _sl21() -> _Algebra:
     return _Algebra(
         "sl21", "super", _SL21_NAMES, *sl21_structure(),
         pairs=tuple((i, j) for i in range(8) for j in range(i + 1, 8)),
-        grading_group="Z2", labels=((0,),) * 4 + ((1,),) * 4, field_note="char != 2",
+        grading_group="Z2", labels=((0,),) * 4 + ((1,),) * 4,
     )
 
 
@@ -191,7 +190,6 @@ def _presentation(name: str, algebra, homogenizer: str | None, squares: bool) ->
                          for i, g in enumerate(names)),
         relations=tuple(relations),
         grading_group=alg.grading_group,
-        field_note=alg.field_note,
     )
 
 

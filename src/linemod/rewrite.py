@@ -42,9 +42,6 @@ class Presentation:
     generators: tuple
     relations: tuple
     grading_group: str | None = None
-    # recorded metadata only (for example a characteristic hypothesis);
-    # never part of presentation equality
-    field_note: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", check_alphabet(self.generators))
@@ -128,6 +125,13 @@ class RewriteSystem:
 
     def rule_for(self, lhs: Word) -> Rule | None:
         return self._by_lhs.get(lhs)
+
+    def require_certified(self, degree: int) -> None:
+        """Raise OutOfCertifiedRangeError if ``degree`` exceeds
+        ``confluent_up_to``, above which normal forms need not be unique."""
+        if degree > self.confluent_up_to:
+            raise OutOfCertifiedRangeError(
+                f"degree {degree} exceeds the certified bound {self.confluent_up_to}")
 
     def reduce(self, terms: dict, steps: list | None = None) -> dict:
         """Normal form of a word -> coefficient map under the rules; each
@@ -489,21 +493,12 @@ def normal_form(x: NcPoly, system: RewriteSystem, steps: list | None = None) -> 
     """The unique normal form of ``x`` (unique when the degree of ``x`` is
     within the certified bound, which is enforced).  The same pass appends
     its rewrites to ``steps`` when a list is given (see ``derivation_trace``)."""
-    deg = system.order.max_degree(x)
-    if deg > system.confluent_up_to:
-        raise OutOfCertifiedRangeError(
-            f"degree {deg} exceeds the certified bound {system.confluent_up_to}"
-        )
+    system.require_certified(system.order.max_degree(x))
     return NcPoly(system.reduce(x.terms, steps))
 
 
 def ideal_member(x: NcPoly, system: RewriteSystem) -> bool:
     """Certified two-sided ideal membership at bounded degree."""
-    deg = system.order.max_degree(x)
-    if deg > system.confluent_up_to:
-        raise OutOfCertifiedRangeError(
-            f"degree {deg} exceeds the confluent range {system.confluent_up_to}"
-        )
     return normal_form(x, system).is_zero()
 
 

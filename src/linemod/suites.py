@@ -308,16 +308,14 @@ def run_sl11(samples: int = 10000, seed: int = 0, max_degree: int = 6,
     span_ef = LineModuleSpec(hhat, (NcPoly.gen(0), NcPoly.gen(1)))
     ef_rejected = not certify_line_module(span_ef, 4).passed
     span_ht = LineModuleSpec(hhat, (NcPoly.gen(2), NcPoly.gen(3)))
-    ht_model = span_ht.model(max_degree)
-    ht_report = certify_line_module(span_ht, max_degree, ht_model)
-    ht_torsion = not torsion_free_on(span_ht, "t", max_degree, ht_model)
+    ht_report = certify_line_module(span_ht, max_degree)
+    ht_torsion = not torsion_free_on(span_ht, "t", max_degree)
     mixed_ok = True
     for d1, d2, alpha, beta in ((1, 0, 1, 1), (1, 2, 1, 0), (1, -1, 2, -3)):
         M = LineModuleSpec(hhat, (NcPoly.linear((0, 0, d1, -d2)), NcPoly.linear((alpha, beta))))
-        model = M.model(max_degree)
         mixed_ok = mixed_ok and is_Z2_graded_line_module(M)
-        mixed_ok = mixed_ok and certify_line_module(M, max_degree, model).passed
-        mixed_ok = mixed_ok and torsion_free_on(M, "t", max_degree, model)
+        mixed_ok = mixed_ok and certify_line_module(M, max_degree).passed
+        mixed_ok = mixed_ok and torsion_free_on(M, "t", max_degree)
     degenerate = LineModuleSpec(hhat, (NcPoly.gen(3), NcPoly.linear((1, 1))))
     degenerate_torsion = not torsion_free_on(degenerate, "t", max_degree)
     checks.append(_check(
@@ -339,9 +337,8 @@ def run_sl11(samples: int = 10000, seed: int = 0, max_degree: int = 6,
         S, phi = _sl11_pair(alpha, beta, lam, gamma)
         M = build_L_h_phi(S, phi, hhat, table)
         I = InducedModuleSpec(preset("sl11_Uhat"), table, S, phi)
-        model = M.model(5)
-        report = certify_homogenization_iso(I, M, 5, model)
-        tfree = torsion_free_on(M, "t", 5, model)
+        report = certify_homogenization_iso(I, M, 5)
+        tfree = torsion_free_on(M, "t", 5)
         ok = report.passed and tfree
         iso_pass = iso_pass and ok
         iso_fixtures.append({
@@ -491,13 +488,12 @@ def run_slc(samples: int = 10000, seed: int = 0, max_degree: int = 6,
         for tag, phi, family in cases:
             M = build_L_h_phi(S, phi, H, table)
             I = InducedModuleSpec(preset("slc_U"), table, S, phi)
-            model = M.model(5)
-            report = certify_homogenization_iso(I, M, 5, model)
+            report = certify_homogenization_iso(I, M, 5)
             tags = classify_line_family_color(M.line())
             family_ok = family in tags
-            a4_free = torsion_free_on(M, "a4", 5, model)
+            a4_free = torsion_free_on(M, "a4", 5)
             torsion_map = {
-                name: torsion_free_on(M, name, 4, model)
+                name: torsion_free_on(M, name, 4)
                 for name in ("a1", "a2", "a3")
             }
             ok = report.passed and family_ok and a4_free

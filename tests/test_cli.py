@@ -410,6 +410,39 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["results"]["normal_form"] == "t"
 
 
+def test_out_into_a_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["nf", "--algebra", "sl11_Hhat", "--expr", "t", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+
+
+def test_admissible_route_disagreement_exits_1(capsys, monkeypatch):
+    import linemod.cli as cli
+
+    monkeypatch.setattr(cli, "properness_admissible", lambda *args: False)
+    code = main(["admissible", "--preset", "sl11", "--sub", "h, e + f", "--phi", "4, 2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("internal inconsistency: ")
+
+
+@pytest.mark.parametrize("flags", [["--max-degree", "3"], ["--oracle-degree", "2"],
+                                   ["--max-degree", "6", "--oracle-degree", "4"]])
+def test_sl21_suite_rejects_degree_flags(capsys, flags):
+    # the sl21 suite always runs at degrees 5 and 3; its report once claimed
+    # the bounds given on the command line
+    code = main(["verify-paper", "--suite", "sl21", "--samples", "5", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    for text in ("--max-degree", "--oracle-degree", "degree 5", "degree 3"):
+        assert text in captured.err
+
+
 def test_emit_presets_round_trip(tmp_path, capsys):
     code, out = run_cli(capsys, "emit-presets", "--dir", str(tmp_path))
     assert code == 0

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import linemod.modules as modules
 from linemod.errors import AdmissibilityError, RankDeficientError, SubalgebraFormError
 from linemod.geometry import Line, classify_line_family_color
 from linemod.liealg import Functional, SubalgebraSpec, family_members
@@ -133,21 +134,33 @@ def test_torsion_checks(hhat_system):
     assert not torsion_free_on(contains_t, "t", 5)
 
 
-def test_checks_read_a_model_built_to_a_larger_bound(color_system, hhat_system):
-    M = LineModuleSpec(color_system, (deg1((1, 0, 0, -1)), deg1((0, 1, 1, 0))))
+def test_checks_read_a_model_built_to_a_larger_bound(color_system, monkeypatch):
+    gens = (deg1((1, 0, 0, -1)), deg1((0, 1, 1, 0)))
+    M = LineModuleSpec(color_system, gens)
     model = M.model(5)
+    assert M.model(3) is model
     for d in (3, 4, 5):
-        assert certify_line_module(M, d, model) == certify_line_module(M, d)
+        fresh = LineModuleSpec(color_system, gens)
+        assert certify_line_module(M, d) == certify_line_module(fresh, d)
         for name in ("a1", "a2", "a3", "a4"):
-            assert torsion_free_on(M, name, d, model) == torsion_free_on(M, name, d)
-    other = LineModuleSpec(color_system, (deg1((1, 0, 0, 0)), deg1((0, 1, 1, 0))))
-    with pytest.raises(ValueError):
-        torsion_free_on(other, "a4", 4, model)
-    with pytest.raises(ValueError):
-        certify_line_module(M, 6, model)
-    same_gens = LineModuleSpec(hhat_system, M.generators)
-    with pytest.raises(ValueError):
-        certify_line_module(same_gens, 4, model)
+            assert torsion_free_on(M, name, d) == torsion_free_on(fresh, name, d)
+    assert M.model(5) is model
+
+    builds = []
+    build = modules.cyclic_module_model
+
+    def counted(system, generators, max_degree):
+        builds.append(max_degree)
+        return build(system, generators, max_degree)
+
+    monkeypatch.setattr(modules, "cyclic_module_model", counted)
+    N = LineModuleSpec(color_system, gens)
+    certify_line_module(N, 5)
+    torsion_free_on(N, "a4", 4)
+    torsion_free_on(N, "a4", 5)
+    assert builds == [5]
+    certify_line_module(N, 6)
+    assert builds == [5, 6]
 
 
 def test_induced_dims_examples():
