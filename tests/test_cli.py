@@ -389,6 +389,10 @@ GOLDEN_REPORTS = {
         "9ad4e4a41d5eb03e885af30ce9511dfa43b7f2ccbcf8d61143f257103a84ed6c",
     ("nf", "--algebra", "sl11_Hhat", "--expr", "e*f", "--order", "t,h,f,e"):
         "eaeaa7fcf2df8ec0bd6f59c92376d60637b112a0206cc1f5d87c4a5e45c9438b",
+    # recorded before one runner wrapped every suite's checks: the `all`
+    # report and its four suite reports
+    ("verify-paper", "--suite", "all", "--samples", "50", "--seed", "3"):
+        "7c370f3e062dbb200b3f3afce44e9ce9f9c8e1a98fb0bb57c700452ef2878669",
 }
 
 
