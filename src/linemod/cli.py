@@ -23,16 +23,16 @@ from .hilbert import hilbert_algebra, oracle_degree_within_cap, oracle_graded_di
 from .liealg import (
     Functional,
     SubalgebraSpec,
+    admissible_functional,
     classify_2dim_subalgebras,
     closed_form_admissible,
-    properness_admissible,
 )
 from .modules import InducedModuleSpec, LineModuleSpec, certify_line_module, induced_module_dims
 from .ncalg import TermOrder
 from .presets import PRESENTATION_NAMES, preset
 from .reports import build_report, render
 from .rewrite import complete, normal_form
-from .suites import run_suite
+from .suites import SL21_BOUNDS, run_suite
 
 _TABLES = {"sl2": "sl2_table", "sl11": "sl11_table", "slc": "slc_table"}
 
@@ -227,12 +227,11 @@ def _pair(args):
 
 def _admissible(args):
     table, S, phi, inputs = _pair(args)
-    closed, reason = closed_form_admissible(S, phi, table)
-    proper = properness_admissible(S, phi, table, args.max_degree)
-    if closed != proper:
-        raise RouteDisagreementError(f"closed form says {closed}, properness says {proper}")
-    return inputs, {"admissible": closed, "closed_form": closed,
-                    "bounded_degree_properness": proper,
+    # both routes agree, or admissible_functional raises
+    admissible = admissible_functional(S, phi, table, args.max_degree)
+    reason = closed_form_admissible(S, phi, table)[1]
+    return inputs, {"admissible": admissible, "closed_form": admissible,
+                    "bounded_degree_properness": admissible,
                     "violated_condition": reason or None}, True
 
 
@@ -253,8 +252,8 @@ def _classify_line(args):
 def _verify_paper(args):
     if args.suite == "sl21" and (args.max_degree, args.oracle_degree) != (None, None):
         raise LinemodError(
-            "--suite sl21 runs at fixed bounds (completion to degree 5, oracle to "
-            "degree 3) and takes no --max-degree or --oracle-degree")
+            "--suite sl21 runs at fixed bounds (completion to degree {}, oracle to "
+            "degree {}) and takes no --max-degree or --oracle-degree".format(*SL21_BOUNDS))
     if args.max_degree is None:
         args.max_degree = 6
     if args.oracle_degree is None:
@@ -353,8 +352,8 @@ def main(argv=None) -> int:
     p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--max-degree", type=_suite_degree,
                    help="default 6; bounds the sl2, sl11 and slc suites, also under "
-                        "--suite all, where sl21 keeps its fixed bounds 5 and 3; "
-                        "--suite sl21 rejects it")
+                        "--suite all, where sl21 keeps its fixed bounds {} and {}; "
+                        "--suite sl21 rejects it".format(*SL21_BOUNDS))
     p.add_argument("--oracle-degree", type=_non_negative_int,
                    help="at most --max-degree; default: min(4, --max-degree); "
                         "--suite sl21 rejects it")

@@ -104,8 +104,8 @@ class Quadric:
         return self.polarize(point, point)
 
     def polarize(self, p, q) -> Fraction:
-        p, q = fraction_vector(p), fraction_vector(q)
-        return sum(self.matrix[i][j] * p[i] * q[j] for i in range(4) for j in range(4))
+        p, q, M = fraction_vector(p), fraction_vector(q), self.matrix
+        return sum(M[i][j] * p[i] * q[j] for i in range(4) for j in range(4) if M[i][j])
 
     def contains_point(self, point) -> bool:
         return self.evaluate(point) == 0

@@ -62,16 +62,6 @@ class SparseEchelon:
     def pivot_columns(self) -> list:
         return list(self._pivot_order)
 
-    def pivot_rows(self) -> list:
-        """The echelon rows normalized to leading coefficient 1, in
-        insertion order."""
-        out = []
-        for c in self._pivot_order:
-            row = self._pivots[c]
-            lead = row[c]
-            out.append({col: Fraction(v, lead) for col, v in row.items()})
-        return out
-
     def integer_rows(self) -> list:
         """The stored primitive integer rows, in insertion order; callers
         must not mutate them."""

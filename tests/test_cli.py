@@ -424,9 +424,9 @@ def test_out_into_a_missing_directory_is_usage_error(tmp_path, capsys):
 
 
 def test_admissible_route_disagreement_exits_1(capsys, monkeypatch):
-    import linemod.cli as cli
+    import linemod.liealg as liealg
 
-    monkeypatch.setattr(cli, "properness_admissible", lambda *args: False)
+    monkeypatch.setattr(liealg, "properness_admissible", lambda *args: False)
     code = main(["admissible", "--preset", "sl11", "--sub", "h, e + f", "--phi", "4, 2"])
     captured = capsys.readouterr()
     assert code == 1

@@ -178,7 +178,8 @@ def test_pivot_rows_are_lead_one_reductions(data):
     n, order, rows, _ = data
     ech, added = _echelon(order, rows)
     prefix = []
-    pivot_rows = iter(ech.pivot_rows())
+    pivot_rows = iter({c: Fraction(v, row[pivot]) for c, v in row.items()}
+                      for row, pivot in zip(ech.integer_rows(), ech.pivot_columns()))
     for row, pivot in zip(rows, added):
         if pivot is not None:
             stored = next(pivot_rows)
@@ -195,12 +196,13 @@ def test_pivot_rows_are_lead_one_reductions(data):
 def test_copy_is_independent(first, second):
     n, order, rows, probe = first
     ech, _ = _echelon(order, rows)
-    snapshot = (ech.rank, ech.pivot_columns(), ech.pivot_rows(), ech.reduce(probe))
+    snapshot = (ech.rank, ech.pivot_columns(), [dict(r) for r in ech.integer_rows()],
+                ech.reduce(probe))
     dup = ech.copy()
     extra = [{c % n: v for c, v in r.items()} for r in second[2]]
     for row in extra:
         dup.add(row)
-    assert (ech.rank, ech.pivot_columns(), ech.pivot_rows(), ech.reduce(probe)) == snapshot
+    assert (ech.rank, ech.pivot_columns(), ech.integer_rows(), ech.reduce(probe)) == snapshot
     rref = gauss_jordan(rows + extra, order)
     assert dup.rank == len(rref)
     assert dup.reduce(probe) == reference_reduce(probe, rref)

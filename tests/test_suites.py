@@ -2,6 +2,7 @@ import pytest
 
 from linemod import hilbert, suites
 from linemod.errors import RouteDisagreementError
+from linemod.ncalg import NcPoly
 from linemod.reports import render
 from linemod.suites import run_suite
 
@@ -41,6 +42,21 @@ def test_route_disagreement_fails_its_check(monkeypatch, name, check_name, count
     assert check["pass"] is False
     assert check[count_key] == 2
     assert check["witness"] == f"injected for phi {calls[2].values()}"
+
+
+# each check's pass reads every condition its entries are built from
+@pytest.mark.parametrize("name,patched,result,check_name", [
+    ("sl21", "replay_trace", NcPoly.gen(0), "zero_divisor_certificate"),
+    ("sl2", "pencil_membership", [], "borel_lines_on_determinant_pencil"),
+    ("slc", "classify_line_family_color", [], "line_family_membership_instances"),
+])
+def test_each_folded_condition_can_fail_its_check(monkeypatch, name, patched, result,
+                                                  check_name):
+    monkeypatch.setattr(suites, patched, lambda *args: result)
+    report = run_suite(name, samples=50, seed=3)
+    check = {c["name"]: c for c in report["checks"]}[check_name]
+    assert check["pass"] is False
+    assert report["pass"] is False
 
 
 def test_route_agreement_report_without_disagreement():
