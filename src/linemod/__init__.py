@@ -11,13 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import LinemodError
 from .geometry import Line, Quadric, classify_line_family_color, line_on_quadric, lines_meet
-from .hilbert import (
-    HilbertFunction,
-    filtered_cyclic_dims,
-    hilbert_algebra,
-    hilbert_cyclic_left_module,
-    oracle_graded_dims,
-)
+from .hilbert import filtered_cyclic_dims, hilbert_algebra, oracle_graded_dims
 from .liealg import (
     BracketTable,
     Functional,
@@ -57,7 +51,6 @@ __all__ = [
     "CertificationReport",
     "Functional",
     "Generator",
-    "HilbertFunction",
     "InducedModuleSpec",
     "Line",
     "LineModuleSpec",
@@ -80,7 +73,6 @@ __all__ = [
     "derivation_trace",
     "filtered_cyclic_dims",
     "hilbert_algebra",
-    "hilbert_cyclic_left_module",
     "ideal_member",
     "induced_module_dims",
     "is_Z2_graded_line_module",

@@ -41,6 +41,10 @@ _TABLES = {"sl2": "sl2_table", "sl11": "sl11_table", "slc": "slc_table"}
 # which is where the homogenized module lives
 _INDUCE_ENV = {"sl2": "sl2_U", "sl11": "sl11_Uhat", "slc": "slc_U"}
 
+# the default oracle degree of `hilbert` and `verify-paper`, lowered to the
+# degree bound (and, for `hilbert`, to the oracle cap)
+_ORACLE_DEGREE = 4
+
 
 def _int_at_least(minimum: int, kind: str):
     """An argparse type for integers >= ``minimum``, described as ``kind``."""
@@ -161,16 +165,15 @@ def _hilbert(args):
     pres = _load_presentation(args.algebra)
     oracle_degree = args.oracle_degree
     if oracle_degree is None:
-        oracle_degree = oracle_degree_within_cap(pres, min(4, args.max_degree))
+        oracle_degree = oracle_degree_within_cap(pres, min(_ORACLE_DEGREE, args.max_degree))
     else:
         _require_oracle_within(args)
     rewrite_dims = hilbert_algebra(pres, args.max_degree)
     oracle_dims = oracle_graded_dims(pres, oracle_degree)
-    agree = list(rewrite_dims)[: oracle_degree + 1] == list(oracle_dims)
+    agree = rewrite_dims[: oracle_degree + 1] == oracle_dims
     return (
         {"algebra": pres.name, "max_degree": args.max_degree, "oracle_degree": oracle_degree},
-        {"rewrite_route": list(rewrite_dims), "oracle_route": list(oracle_dims),
-         "routes_agree": agree},
+        {"rewrite_route": rewrite_dims, "oracle_route": oracle_dims, "routes_agree": agree},
         agree,
     )
 
@@ -238,7 +241,7 @@ def _admissible(args):
 def _induce(args):
     table, S, phi, inputs = _pair(args)
     spec = InducedModuleSpec(preset(_INDUCE_ENV[args.preset]), table, S, phi)
-    return inputs, {"filtration_dims": list(induced_module_dims(spec, args.max_degree))}, True
+    return inputs, {"filtration_dims": induced_module_dims(spec, args.max_degree)}, True
 
 
 def _classify_line(args):
@@ -257,7 +260,7 @@ def _verify_paper(args):
     if args.max_degree is None:
         args.max_degree = 6
     if args.oracle_degree is None:
-        args.oracle_degree = min(4, args.max_degree)
+        args.oracle_degree = min(_ORACLE_DEGREE, args.max_degree)
     _require_oracle_within(args)
     result = run_suite(args.suite, samples=args.samples, seed=args.seed,
                        max_degree=args.max_degree, oracle_degree=args.oracle_degree)
@@ -316,7 +319,7 @@ def main(argv=None) -> int:
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--oracle-degree", type=_non_negative_int,
-                   help="at most --max-degree; default: the largest degree <= 4 "
+                   help=f"at most --max-degree; default: the largest degree <= {_ORACLE_DEGREE} "
                         "whose monomials fit the oracle cap")
     _common_flags(p)
 
@@ -355,7 +358,7 @@ def main(argv=None) -> int:
                         "--suite all, where sl21 keeps its fixed bounds {} and {}; "
                         "--suite sl21 rejects it".format(*SL21_BOUNDS))
     p.add_argument("--oracle-degree", type=_non_negative_int,
-                   help="at most --max-degree; default: min(4, --max-degree); "
+                   help=f"at most --max-degree; default: min({_ORACLE_DEGREE}, --max-degree); "
                         "--suite sl21 rejects it")
     _common_flags(p)
 

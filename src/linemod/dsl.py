@@ -96,12 +96,6 @@ class _Parser:
             raise self.fail(f"expected {want!r}, found {tok.value or 'end of input'!r}")
         return self.next()
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "name" or tok.value != word:
-            raise self.fail(f"expected {word!r}, found {tok.value or 'end of input'!r}")
-        return self.next()
-
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
         return tok.kind == "name" and tok.value == word
@@ -109,10 +103,10 @@ class _Parser:
     # -- grammar ---------------------------------------------------------
 
     def algebra(self) -> Presentation:
-        self.expect_keyword("algebra")
+        self.expect("name", "algebra")
         name = self.expect("name").value
         self.expect("sym", "{")
-        self.expect_keyword("generators")
+        self.expect("name", "generators")
         gen_names = []
         while self.peek().kind == "name":
             tok = self.next()
@@ -164,7 +158,7 @@ class _Parser:
                 central.append(tok.value)
             self.expect("sym", ";")
 
-        self.expect_keyword("relations")
+        self.expect("name", "relations")
         self.expect("sym", "{")
         relations = []
         while not (self.peek().kind == "sym" and self.peek().value == "}"):

@@ -24,39 +24,9 @@ ORACLE_CAP_ENV = "LINEMOD_ORACLE_CAP"
 ORACLE_CAP_DEFAULT = 4096
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
-    """Graded dimensions indexed by degree 0..N."""
-
-    dims: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-
-    def __getitem__(self, d: int) -> int:
-        return self.dims[d]
-
-    def __len__(self):
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __eq__(self, other):
-        if isinstance(other, HilbertFunction):
-            return self.dims == other.dims
-        return self.dims == tuple(other)
-
-    def __hash__(self):
-        return hash(self.dims)
-
-    def truncate(self, n: int) -> "HilbertFunction":
-        return HilbertFunction(self.dims[: n + 1])
-
-
-def line_module_dims(max_degree: int) -> HilbertFunction:
+def line_module_dims(max_degree: int) -> list:
     """The target profile 1, 2, ..., N+1 of a line module."""
-    return HilbertFunction(tuple(range(1, max_degree + 2)))
+    return list(range(1, max_degree + 2))
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +94,7 @@ def normal_word_counts(system: RewriteSystem, max_degree: int) -> list:
     return [sum(counts.values()) for counts in by_state]
 
 
-def hilbert_algebra(p, max_degree: int, order: TermOrder | None = None) -> HilbertFunction:
+def hilbert_algebra(p, max_degree: int, order: TermOrder | None = None) -> list:
     """Graded dimensions of the quotient algebra, by counting normal forms.
 
     ``p`` may be a Presentation (completed here) or an already completed
@@ -136,7 +106,7 @@ def hilbert_algebra(p, max_degree: int, order: TermOrder | None = None) -> Hilbe
             f"{pres.name!r} is not graded; use filtered_cyclic_dims for filtered dimensions"
         )
     system = _as_system(p, max_degree, order)
-    return HilbertFunction(tuple(normal_word_counts(system, max_degree)))
+    return normal_word_counts(system, max_degree)
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +168,7 @@ def words_of_degree(degrees: tuple, d: int) -> list:
     return out
 
 
-def oracle_graded_dims(p: Presentation, max_degree: int, cap: int | None = None) -> HilbertFunction:
+def oracle_graded_dims(p: Presentation, max_degree: int, cap: int | None = None) -> list:
     """Graded dimensions by row-reducing the ideal's graded pieces.
 
     Columns of degree d are the free words of degree d in
@@ -257,7 +227,7 @@ def oracle_graded_dims(p: Presentation, max_degree: int, cap: int | None = None)
         if d < max_degree:
             lower[d] = ech.integer_rows()
         lower.pop(d - reach, None)   # degree d + 1 and above shift no lower
-    return HilbertFunction(tuple(dims))
+    return dims
 
 
 # ----------------------------------------------------------------------
@@ -284,8 +254,8 @@ class CyclicModuleModel:
     def dim(self, d: int) -> int:
         return len(self.basis[d]) - self.ideal[d].rank
 
-    def dims(self) -> HilbertFunction:
-        return HilbertFunction(tuple(self.dim(d) for d in range(self.max_degree + 1)))
+    def dims(self, max_degree: int) -> list:
+        return [self.dim(d) for d in range(max_degree + 1)]
 
 
 def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> CyclicModuleModel:
@@ -318,16 +288,6 @@ def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> C
                 nf = system.right_multiply(b, g)
                 ideal[d].add({pos[w]: c for w, c in nf.items()})
     return CyclicModuleModel(system, gens, max_degree, basis, ideal, positions)
-
-
-def hilbert_cyclic_left_module(system: RewriteSystem, generators, max_degree: int) -> HilbertFunction:
-    """Graded dimensions of A/(sum A g_i) for homogeneous generators g_i.
-
-    With no generators this is the Hilbert function of the algebra itself.
-    """
-    if not tuple(generators):
-        return hilbert_algebra(system, max_degree)
-    return cyclic_module_model(system, generators, max_degree).dims()
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +335,7 @@ class FilteredModel:
             ech.add(row)
         return ech
 
-    def quotient_dims(self, shift_generators) -> HilbertFunction:
+    def quotient_dims(self, shift_generators) -> list:
         ech = self.ideal_echelon(shift_generators)
         pivot_levels = [self.word_level[c] for c in ech.pivot_columns()]
         dims = []
@@ -383,7 +343,7 @@ class FilteredModel:
             total = sum(1 for lv in self.word_level.values() if lv <= i)
             cut = sum(1 for lv in pivot_levels if lv <= i)
             dims.append(total - cut)
-        return HilbertFunction(tuple(dims))
+        return dims
 
     def is_proper(self, shift_generators) -> bool:
         """Whether the identity lies outside the ideal, i.e.
@@ -431,7 +391,7 @@ def _filtered_model(p: Presentation, max_degree: int) -> FilteredModel:
 
 
 def filtered_cyclic_dims(p: Presentation, shift_generators, max_degree: int,
-                         cap: int | None = None) -> HilbertFunction:
+                         cap: int | None = None) -> list:
     """Filtration dimensions of U/(U s_1 + ... + U s_m) in the free algebra.
 
     U is the possibly inhomogeneous quotient presented by ``p`` filtered by

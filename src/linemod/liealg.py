@@ -430,7 +430,7 @@ def family_members(T: BracketTable) -> list:
     raise ValueError(f"unknown bracket kind {T.kind!r}")
 
 
-def classify_2dim_subalgebras(T: BracketTable, samples: int = 10000, seed: int = 0) -> ClassificationReport:
+def classify_2dim_subalgebras(T: BracketTable, samples: int, seed: int) -> ClassificationReport:
     """Verify the claimed family and audit completeness on random subspaces.
 
     Sufficiency: every claimed member is closed.  Completeness: among

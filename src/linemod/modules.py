@@ -17,7 +17,6 @@ from . import geometry
 from .errors import InhomogeneousError, RankDeficientError, SubalgebraFormError
 from .hilbert import (
     CyclicModuleModel,
-    HilbertFunction,
     cyclic_module_model,
     filtered_cyclic_dims,
     filtered_model,
@@ -85,20 +84,10 @@ class LineModuleSpec:
 class CertificationReport:
     """Outcome of a degreewise certificate; failing any degree fails all."""
 
-    claim: str
     expected: list
     found: list
-    per_degree: list
     passed: bool
     details: dict = field(default_factory=dict)
-
-    @staticmethod
-    def from_dims(claim: str, expected, found, details=None) -> "CertificationReport":
-        expected = list(expected)
-        found = list(found)
-        per_degree = [e == f for e, f in zip(expected, found)]
-        passed = all(per_degree) and len(expected) == len(found)
-        return CertificationReport(claim, expected, found, per_degree, passed, details or {})
 
 
 # ----------------------------------------------------------------------
@@ -151,13 +140,10 @@ def pair_from_line(line: geometry.Line, table: BracketTable):
 
 def certify_line_module(M: LineModuleSpec, max_degree: int) -> CertificationReport:
     """Dimension certificate: the cyclic quotient has dims d+1 up to the bound."""
-    dims = M.model(max_degree).dims().truncate(max_degree)
-    return CertificationReport.from_dims(
-        "line-module-dimensions",
-        line_module_dims(max_degree),
-        dims,
-        {"algebra": M.system.presentation.name},
-    )
+    expected = line_module_dims(max_degree)
+    found = M.model(max_degree).dims(max_degree)
+    return CertificationReport(expected, found, found == expected,
+                               {"algebra": M.system.presentation.name})
 
 
 def is_Z2_graded_line_module(M: LineModuleSpec) -> bool:
@@ -205,7 +191,7 @@ class InducedModuleSpec:
     phi: Functional
 
 
-def induced_module_dims(I: InducedModuleSpec, max_degree: int) -> HilbertFunction:
+def induced_module_dims(I: InducedModuleSpec, max_degree: int) -> list:
     """Filtration dimensions of U/(U {x - phi(x)}), by exact linear algebra
     over free filtered monomials; never consults the rewrite route.
 
@@ -254,15 +240,13 @@ def certify_homogenization_iso(I: InducedModuleSpec, M: LineModuleSpec,
     induced = induced_module_dims(I, max_degree)
     line_report = certify_line_module(M, max_degree)
     ann = annihilator_contains_generators(I, M)
-    report = CertificationReport.from_dims(
-        "homogenized-induced-module-matches-line-module",
-        list(line_report.found),
-        list(induced),
+    return CertificationReport(
+        line_report.found,
+        induced,
+        induced == line_report.found and ann and line_report.passed,
         {
             "line_module_profile_pass": line_report.passed,
             "annihilator_containment": ann,
             "algebra": M.system.presentation.name,
         },
     )
-    report.passed = report.passed and ann and line_report.passed
-    return report

@@ -10,7 +10,6 @@ expression strings.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 
@@ -22,14 +21,10 @@ def jsonable(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if hasattr(obj, "dims"):
-        return [int(d) for d in obj.dims]
     return str(obj)
 
 

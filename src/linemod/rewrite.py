@@ -102,7 +102,6 @@ class DerivedRule:
     lhs: Word
     source: str            # "relation" or "overlap"
     overlap_word: Word | None = None
-    parents: tuple | None = None   # (lhs1, lhs2) for overlaps
 
 
 @dataclass
@@ -393,7 +392,7 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
     automaton = LhsAutomaton((), ngens)
     trace: list = []
     discarded = False
-    poly_queue = deque((rel, DerivedRule(EMPTY_WORD, "relation")) for rel in presentation.relations)
+    poly_queue = deque((rel, None) for rel in presentation.relations)   # (poly, overlap word)
     pair_queue = deque()   # (lhs1, lhs2); live rules looked up on pop
     while poly_queue or pair_queue:
         if not poly_queue:
@@ -406,11 +405,9 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
                     continue
                 diff = _spolynomial(ov, r1, r2, automaton, order)
                 if diff:
-                    poly_queue.append(
-                        (NcPoly(diff), DerivedRule(EMPTY_WORD, "overlap", ov, (l1, l2)))
-                    )
+                    poly_queue.append((NcPoly(diff), ov))
             continue
-        poly, provenance = poly_queue.popleft()
+        poly, overlap_word = poly_queue.popleft()
         red = NcPoly(_reduce(poly.terms, automaton, order))
         if red.is_zero():
             continue
@@ -421,10 +418,11 @@ def complete(presentation: Presentation, order: TermOrder | None = None,
         # inter-reduce: retire any rule whose lhs contains the new lhs
         for lhs in [lhs for lhs in rules if _contains(lhs, rule.lhs)]:
             retired = rules.pop(lhs)
-            poly_queue.append((NcPoly.monomial(lhs) - retired.rhs, DerivedRule(EMPTY_WORD, "relation")))
+            poly_queue.append((NcPoly.monomial(lhs) - retired.rhs, None))
         rules[rule.lhs] = rule
         automaton = LhsAutomaton(rules.values(), ngens)
-        trace.append(DerivedRule(rule.lhs, provenance.source, provenance.overlap_word, provenance.parents))
+        trace.append(DerivedRule(rule.lhs, "relation" if overlap_word is None else "overlap",
+                                 overlap_word))
         # keep right-hand sides fully reduced, all against this automaton.
         # Every rhs is normal against the rules before this one, and
         # retiring a rule makes no word reducible, so only an rhs with the

@@ -26,13 +26,7 @@ from .geometry import (
     pencil_membership,
     quadric_from_coeffs,
 )
-from .hilbert import (
-    filtered_cyclic_dims,
-    hilbert_algebra,
-    hilbert_cyclic_left_module,
-    line_module_dims,
-    oracle_graded_dims,
-)
+from .hilbert import filtered_cyclic_dims, hilbert_algebra, line_module_dims, oracle_graded_dims
 from .liealg import (
     Functional,
     SubalgebraSpec,
@@ -129,8 +123,8 @@ def _binomial3(d: int) -> int:
 def _two_route_check(name: str, preset_name: str, expected: list, max_degree: int,
                      oracle_degree: int) -> dict:
     system = _system(preset_name, max(8, max_degree))
-    rewrite_dims = list(hilbert_algebra(system, max(8, max_degree)))
-    oracle_dims = list(oracle_graded_dims(preset(preset_name), oracle_degree))
+    rewrite_dims = hilbert_algebra(system, max(8, max_degree))
+    oracle_dims = oracle_graded_dims(preset(preset_name), oracle_degree)
     agree = rewrite_dims[: oracle_degree + 1] == oracle_dims
     return _check(
         name,
@@ -164,17 +158,16 @@ def run_sl2(samples: int, seed: int, max_degree: int, oracle_degree: int) -> lis
         E = NcPoly.linear((1, -s * s, s))
         H = NcPoly.linear((0, -2 * s, 1))
         fixtures.append((f"s={s}", E, H, Fraction(2)))
-    expected = list(line_module_dims(max_degree))
     results = []
-    dims_by_gens = {}   # the upper fixture at lambda 2 and s=0 are one module
+    reports = {}   # the upper fixture at lambda 2 and s=0 are one module
     for tag, E, H, lam in fixtures:
         gens = (E, H - NcPoly.monomial((3,), lam))
-        if gens not in dims_by_gens:
-            dims_by_gens[gens] = hilbert_cyclic_left_module(system, gens, max_degree)
-        dims = list(dims_by_gens[gens])
-        results.append({"borel": tag, "lambda": lam, "dims": dims, "pass": dims == expected})
+        if gens not in reports:
+            reports[gens] = certify_line_module(LineModuleSpec(system, gens), max_degree)
+        cert = reports[gens]
+        results.append({"borel": tag, "lambda": lam, "dims": cert.found, "pass": cert.passed})
     checks.append(_check("line_modules_from_borel_pairs", _all_pass(results),
-                         expected=expected, fixtures=results))
+                         expected=line_module_dims(max_degree), fixtures=results))
 
     # pencil membership: V(e, h - lambda t) and V(f, h - lambda t) lie on the
     # member det + lambda^2 t^2 of the determinant pencil, and on no other
@@ -227,12 +220,11 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
 
     # filtered PBW count of the relaxed enveloping algebra
     uhat_dims = filtered_cyclic_dims(preset("sl11_Uhat"), (), 5)
-    pbw_ok = list(uhat_dims) == [_binomial3(i) for i in range(6)]
-    checks.append(_check("pbw_dimension_count_Uhat", pbw_ok, dims=list(uhat_dims)))
+    pbw_ok = uhat_dims == [_binomial3(i) for i in range(6)]
+    checks.append(_check("pbw_dimension_count_Uhat", pbw_ok, dims=uhat_dims))
 
     # line modules for arbitrary functionals on classified subalgebras
     rng = Random(seed + 7)
-    expected = list(line_module_dims(max_degree))
     fixtures = []
     pairs = [(1, 0, random_fraction(rng), Fraction(0)), (0, 1, random_fraction(rng), Fraction(0))]
     while len(pairs) < 20:
@@ -245,7 +237,7 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
     for alpha, beta, lam, gamma in pairs:
         S, phi = _sl11_pair(alpha, beta, lam, gamma)
         M = build_L_h_phi(S, phi, hhat, table)
-        dims = list(hilbert_cyclic_left_module(hhat, M.generators, max_degree))
+        cert = certify_line_module(M, max_degree)
         line = M.line()
         meets = lines_meet(line, Line(((0, 0, 1, 0), (0, 0, 0, 1))))
         avoids = not line.in_plane((0, 0, 0, 1))
@@ -253,10 +245,10 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
         avoid_all = avoid_all and avoids
         fixtures.append({
             "alpha": alpha, "beta": beta, "lambda": lam, "gamma": gamma,
-            "dims": dims, "pass": dims == expected,
+            "dims": cert.found, "pass": cert.passed,
         })
     checks.append(_check("line_modules_from_pairs", _all_pass(fixtures),
-                         expected=expected, fixtures=fixtures))
+                         expected=line_module_dims(max_degree), fixtures=fixtures))
     checks.append(_check("pair_lines_meet_base_line_and_avoid_t_plane",
                          meets_all and avoid_all,
                          meets_base_line=meets_all, avoid_t_plane=avoid_all))
@@ -333,8 +325,8 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
         tfree = torsion_free_on(M, "t", 5)
         iso_fixtures.append({
             "alpha": alpha, "beta": beta, "lambda": lam, "gamma": gamma,
-            "induced_dims": list(report.found),
-            "line_module_dims": list(report.expected),
+            "induced_dims": report.found,
+            "line_module_dims": report.expected,
             "annihilator_containment": report.details["annihilator_containment"],
             "t_torsion_free": tfree,
             "pass": report.passed and tfree,
@@ -379,12 +371,11 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
     quad = sl11_middle_quadric()
     quad_cases = []
     for s in SL11_QUADRIC_LINE_PARAMS:
-        line = Line(((1, 0, -s, 0), (0, -2 * s, 0, 1)))
-        on_q = line_on_quadric(line, quad)
-        gens = (NcPoly.linear((1, 0, -s)), NcPoly.linear((0, -2 * s, 0, 1)))
-        dims = list(hilbert_cyclic_left_module(hhat, gens, max_degree))
-        quad_cases.append({"s": s, "on_quadric": on_q, "dims": dims,
-                           "pass": on_q and dims == expected})
+        M = LineModuleSpec(hhat, (NcPoly.linear((1, 0, -s)), NcPoly.linear((0, -2 * s, 0, 1))))
+        on_q = line_on_quadric(M.line(), quad)
+        cert = certify_line_module(M, max_degree)
+        quad_cases.append({"s": s, "on_quadric": on_q, "dims": cert.found,
+                           "pass": on_q and cert.passed})
     checks.append(_check("quadric_family_lines_are_line_modules", _all_pass(quad_cases),
                          cases=quad_cases))
     return checks
@@ -412,8 +403,8 @@ def run_slc(samples: int, seed: int, max_degree: int, oracle_degree: int) -> lis
         "hilbert_two_routes_H", "slc_H",
         [_binomial3(d) for d in range(9)], max_degree, oracle_degree))
     u_dims = filtered_cyclic_dims(preset("slc_U"), (), 5)
-    pbw_ok = list(u_dims) == [_binomial3(i) for i in range(6)]
-    checks.append(_check("pbw_dimension_count_U", pbw_ok, dims=list(u_dims)))
+    pbw_ok = u_dims == [_binomial3(i) for i in range(6)]
+    checks.append(_check("pbw_dimension_count_U", pbw_ok, dims=u_dims))
 
     rep = classify_2dim_subalgebras(table, samples=samples, seed=seed)
     none_graded = all(m["graded"] is False for m in rep.members)
@@ -480,8 +471,8 @@ def run_slc(samples: int, seed: int, max_degree: int, oracle_degree: int) -> lis
             iso_fixtures.append({
                 "i": member["params"]["i"], "mu": mu, "family_case": tag,
                 "phi": [phi.on_v1, phi.on_v2],
-                "induced_dims": list(report.found),
-                "line_module_dims": list(report.expected),
+                "induced_dims": report.found,
+                "line_module_dims": report.expected,
                 "annihilator_containment": report.details["annihilator_containment"],
                 "line_families": tags,
                 "expected_family": family,
@@ -585,10 +576,10 @@ def run_sl21() -> list:
 
     rewrite_dims = hilbert_algebra(system, oracle_degree)
     oracle_dims = oracle_graded_dims(pres, oracle_degree, cap=1000)
-    agree = list(rewrite_dims) == list(oracle_dims)
+    agree = rewrite_dims == oracle_dims
     checks.append(_check(
         "hilbert_two_routes_low_degree", agree,
-        rewrite_route=list(rewrite_dims), oracle_route=list(oracle_dims),
+        rewrite_route=rewrite_dims, oracle_route=oracle_dims,
     ))
     return checks
 
@@ -601,8 +592,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, samples: int = 10000, seed: int = 0, max_degree: int = 6,
-              oracle_degree: int = 4) -> dict:
+def run_suite(name: str, samples: int, seed: int, max_degree: int, oracle_degree: int) -> dict:
     """Run one named suite, or all of them in order; the sl21 suite runs
     at ``SL21_BOUNDS`` and reads none of the other arguments."""
     if name == "all":

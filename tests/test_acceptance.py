@@ -7,8 +7,8 @@ from random import Random
 
 from linemod.geometry import Line, classify_line_family_color, line_on_quadric, lines_meet
 from linemod.hilbert import (
+    cyclic_module_model,
     hilbert_algebra,
-    hilbert_cyclic_left_module,
     line_module_dims,
     oracle_graded_dims,
 )
@@ -85,7 +85,7 @@ def test_criterion_1_two_route_hilbert_agreement(hhat_system, h_system, color_sy
 
 def test_criterion_2_line_module_certificates(hhat_system, a_system):
     rng = Random(SEED)
-    expected = list(line_module_dims(6))
+    expected = line_module_dims(6)
     ok = True
     table = preset("sl11_table")
     for index in range(20):
@@ -94,17 +94,16 @@ def test_criterion_2_line_module_certificates(hhat_system, a_system):
             alpha = Fraction(1)
         S, phi = sl11_pair(alpha, beta, small_fraction(rng), small_fraction(rng))
         M = build_L_h_phi(S, phi, hhat_system, table)
-        dims = list(hilbert_cyclic_left_module(hhat_system, M.generators, 6))
+        dims = cyclic_module_model(hhat_system, M.generators, 6).dims(6)
         ok = ok and dims == expected
     for lam in SL2_LAMBDAS:
         gens = (
             NcPoly.gen(0),
             NcPoly({(2,): Fraction(1), (3,): -Fraction(lam)}),
         )
-        dims = list(hilbert_cyclic_left_module(a_system, gens, 6))
+        dims = cyclic_module_model(a_system, gens, 6).dims(6)
         ok = ok and dims == expected
-    negative = list(hilbert_cyclic_left_module(
-        hhat_system, (NcPoly.gen(0), NcPoly.gen(1)), 4))
+    negative = cyclic_module_model(hhat_system, (NcPoly.gen(0), NcPoly.gen(1)), 4).dims(4)
     ok = ok and any(negative[d] != d + 1 for d in range(5))
     assert report(2, ok, "20 super pairs and 10 sl2 parameters give dims d+1; span(e,f) fails")
 

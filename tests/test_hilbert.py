@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from linemod.errors import InhomogeneousError, OracleCapError
 from linemod import hilbert
 from linemod.hilbert import (
-    HilbertFunction,
+    cyclic_module_model,
     filtered_cyclic_dims,
     filtered_model,
     hilbert_algebra,
-    hilbert_cyclic_left_module,
     line_module_dims,
     normal_words_by_degree,
     oracle_degree_within_cap,
@@ -39,7 +38,7 @@ def test_free_algebra_counts():
     )
     assert list(oracle_graded_dims(free, 3)) == [1, 4, 16, 64]
     assert list(hilbert_algebra(free, 3)) == [1, 4, 16, 64]
-    assert list(hilbert_cyclic_left_module(complete(free, max_degree=3), (), 3)) == [1, 4, 16, 64]
+    assert list(hilbert_algebra(complete(free, max_degree=3), 3)) == [1, 4, 16, 64]
 
 
 def test_two_routes_hhat(hhat_system):
@@ -195,24 +194,24 @@ def test_cyclic_module_line(hhat_system):
         NcPoly({(2,): Fraction(1), (3,): Fraction(-1)}),
         NcPoly({(0,): Fraction(1), (1,): Fraction(1)}),
     )
-    dims = hilbert_cyclic_left_module(hhat_system, gens, 6)
+    dims = cyclic_module_model(hhat_system, gens, 6).dims(6)
     assert dims == line_module_dims(6)
 
 
 def test_cyclic_module_negative_control(hhat_system):
-    dims = hilbert_cyclic_left_module(hhat_system, (NcPoly.gen(0), NcPoly.gen(1)), 4)
+    dims = cyclic_module_model(hhat_system, (NcPoly.gen(0), NcPoly.gen(1)), 4).dims(4)
     assert list(dims)[:3] == [1, 2, 2]
 
 
 def test_cyclic_module_no_generators(hhat_system):
-    dims = hilbert_cyclic_left_module(hhat_system, (), 4)
+    dims = hilbert_algebra(hhat_system, 4)
     assert list(dims) == [binom3(d) for d in range(5)]
 
 
 def test_cyclic_dims_never_exceed_algebra(hhat_system):
     algebra = hilbert_algebra(hhat_system, 6)
     gens = (NcPoly.gen(2), NcPoly.gen(0))
-    module = hilbert_cyclic_left_module(hhat_system, gens, 6)
+    module = cyclic_module_model(hhat_system, gens, 6).dims(6)
     assert all(m <= a for m, a in zip(module, algebra))
 
 
@@ -234,13 +233,6 @@ def test_filtered_quotient_collapse():
     )
     dims = filtered_cyclic_dims(preset("sl11_U"), shifts, 4)
     assert list(dims) == [0, 0, 0, 0, 0]
-
-
-def test_hilbert_function_equality():
-    hf = HilbertFunction((1, 2, 3))
-    assert hf == [1, 2, 3]
-    assert hf.truncate(1) == (1, 2)
-    assert hf[2] == 3
 
 
 def test_hilbert_independent_of_order():
@@ -303,7 +295,7 @@ def test_cyclic_dims_generator_basis_invariant(hhat_system):
 
     g1 = NcPoly({(2,): Fraction(1), (3,): Fraction(-2)})
     g2 = NcPoly({(0,): Fraction(1), (1,): Fraction(3), (3,): Fraction(-1)})
-    base = hilbert_cyclic_left_module(hhat_system, (g1, g2), 5)
+    base = cyclic_module_model(hhat_system, (g1, g2), 5).dims(5)
     rng = Random(31)
     for _ in range(10):
         while True:
@@ -311,7 +303,7 @@ def test_cyclic_dims_generator_basis_invariant(hhat_system):
             if a * d - b * c != 0:
                 break
         mixed = (g1.scale(a) + g2.scale(b), g1.scale(c) + g2.scale(d))
-        assert hilbert_cyclic_left_module(hhat_system, mixed, 5) == base
+        assert cyclic_module_model(hhat_system, mixed, 5).dims(5) == base
 
 
 # ----------------------------------------------------------------------
