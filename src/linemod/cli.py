@@ -41,6 +41,9 @@ _TABLES = {"sl2": "sl2_table", "sl11": "sl11_table", "slc": "slc_table"}
 # which is where the homogenized module lives
 _INDUCE_ENV = {"sl2": "sl2_U", "sl11": "sl11_Uhat", "slc": "slc_U"}
 
+# the default --max-degree of every command that takes one, except `admissible`
+_MAX_DEGREE = 6
+
 # the default oracle degree of `hilbert` and `verify-paper`, lowered to the
 # degree bound (and, for `hilbert`, to the oracle cap)
 _ORACLE_DEGREE = 4
@@ -258,7 +261,7 @@ def _verify_paper(args):
             "--suite sl21 runs at fixed bounds (completion to degree {}, oracle to "
             "degree {}) and takes no --max-degree or --oracle-degree".format(*SL21_BOUNDS))
     if args.max_degree is None:
-        args.max_degree = 6
+        args.max_degree = _MAX_DEGREE
     if args.oracle_degree is None:
         args.oracle_degree = min(_ORACLE_DEGREE, args.max_degree)
     _require_oracle_within(args)
@@ -311,13 +314,13 @@ def main(argv=None) -> int:
         p.add_argument("--algebra", required=True, help="preset name or .alg file")
         if name != "complete":
             p.add_argument("--expr", required=True)
-        p.add_argument("--max-degree", type=int, default=6)
+        p.add_argument("--max-degree", type=int, default=_MAX_DEGREE)
         p.add_argument("--order", help="generator precedence, e.g. 'e,f,h,t' (highest first)")
         _common_flags(p)
 
     p = commands.add_parser("hilbert", help="graded dimensions by both routes")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=int, default=_MAX_DEGREE)
     p.add_argument("--oracle-degree", type=_non_negative_int,
                    help=f"at most --max-degree; default: the largest degree <= {_ORACLE_DEGREE} "
                         "whose monomials fit the oracle cap")
@@ -327,7 +330,7 @@ def main(argv=None) -> int:
     p.add_argument("--algebra", required=True)
     p.add_argument("--gen", action="append", required=True,
                    help="degree-one generator expression (give twice)")
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=int, default=_MAX_DEGREE)
     _common_flags(p)
 
     p = commands.add_parser("classify-sub", help="classify two-dimensional subalgebras")
@@ -337,7 +340,8 @@ def main(argv=None) -> int:
 
     for name, text, degree, default in (
             ("admissible", "decide admissibility of a functional", _properness_degree, 4),
-            ("induce", "filtration dimensions of an induced module", _non_negative_int, 6)):
+            ("induce", "filtration dimensions of an induced module", _non_negative_int,
+             _MAX_DEGREE)):
         p = commands.add_parser(name, help=text)
         p.add_argument("--preset", required=True, choices=sorted(_TABLES))
         p.add_argument("--sub", required=True, help="two comma-separated degree-one expressions")
@@ -354,9 +358,9 @@ def main(argv=None) -> int:
     p.add_argument("--suite", required=True, choices=["sl2", "sl11", "slc", "sl21", "all"])
     p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--max-degree", type=_suite_degree,
-                   help="default 6; bounds the sl2, sl11 and slc suites, also under "
+                   help="default {}; bounds the sl2, sl11 and slc suites, also under "
                         "--suite all, where sl21 keeps its fixed bounds {} and {}; "
-                        "--suite sl21 rejects it".format(*SL21_BOUNDS))
+                        "--suite sl21 rejects it".format(_MAX_DEGREE, *SL21_BOUNDS))
     p.add_argument("--oracle-degree", type=_non_negative_int,
                    help=f"at most --max-degree; default: min({_ORACLE_DEGREE}, --max-degree); "
                         "--suite sl21 rejects it")

@@ -23,10 +23,10 @@ class InhomogeneousError(LinemodError):
 
 
 class OracleCapError(LinemodError):
-    """The brute-force oracle would exceed its monomial cap.
+    """The brute-force oracle or the filtered model would exceed its cap.
 
-    Raise the cap explicitly, or via the LINEMOD_ORACLE_CAP environment
-    variable, to allow larger free-algebra slices.
+    The monomial cap is the LINEMOD_ORACLE_CAP environment variable, or 4096
+    when it is unset; raise it to allow larger free-algebra slices.
     """
 
 

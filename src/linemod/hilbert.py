@@ -13,11 +13,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .errors import InhomogeneousError, LinemodError, OracleCapError
 from .linalg import SparseEchelon
-from .ncalg import EMPTY_WORD, TermOrder
+from .ncalg import EMPTY_WORD
 from .rewrite import Presentation, RewriteSystem, complete
 
 ORACLE_CAP_ENV = "LINEMOD_ORACLE_CAP"
@@ -32,13 +32,6 @@ def line_module_dims(max_degree: int) -> list:
 # ----------------------------------------------------------------------
 # rewrite route
 # ----------------------------------------------------------------------
-
-
-def _as_system(p, max_degree: int, order: TermOrder | None) -> RewriteSystem:
-    if isinstance(p, RewriteSystem):
-        p.require_certified(max_degree)
-        return p
-    return complete(p, order=order, max_degree=max_degree)
 
 
 def normal_words_by_degree(system: RewriteSystem, max_degree: int) -> dict:
@@ -94,7 +87,7 @@ def normal_word_counts(system: RewriteSystem, max_degree: int) -> list:
     return [sum(counts.values()) for counts in by_state]
 
 
-def hilbert_algebra(p, max_degree: int, order: TermOrder | None = None) -> list:
+def hilbert_algebra(p, max_degree: int) -> list:
     """Graded dimensions of the quotient algebra, by counting normal forms.
 
     ``p`` may be a Presentation (completed here) or an already completed
@@ -105,7 +98,8 @@ def hilbert_algebra(p, max_degree: int, order: TermOrder | None = None) -> list:
         raise InhomogeneousError(
             f"{pres.name!r} is not graded; use filtered_cyclic_dims for filtered dimensions"
         )
-    system = _as_system(p, max_degree, order)
+    system = complete(p, max_degree=max_degree) if p is pres else p
+    system.require_certified(max_degree)
     return normal_word_counts(system, max_degree)
 
 
@@ -150,25 +144,13 @@ def word_counts(degrees: tuple, max_degree: int) -> list:
 def words_of_degree(degrees: tuple, d: int) -> list:
     """All free words of integer degree exactly d, in lexicographic index
     order (this fixes the oracle's column order)."""
-    if all(w == 1 for w in degrees):
-        return list(product(range(len(degrees)), repeat=d))
-    out = []
-
-    def extend(word, deg):
-        if deg == d:
-            out.append(tuple(word))
-            return
-        for g in range(len(degrees)):
-            if deg + degrees[g] <= d:
-                word.append(g)
-                extend(word, deg + degrees[g])
-                word.pop()
-
-    extend([], 0)
-    return out
+    if d == 0:
+        return [EMPTY_WORD]
+    return [(g,) + w for g, k in enumerate(degrees) if k <= d
+            for w in words_of_degree(degrees, d - k)]
 
 
-def oracle_graded_dims(p: Presentation, max_degree: int, cap: int | None = None) -> list:
+def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
     """Graded dimensions by row-reducing the ideal's graded pieces.
 
     Columns of degree d are the free words of degree d in
@@ -186,7 +168,7 @@ def oracle_graded_dims(p: Presentation, max_degree: int, cap: int | None = None)
     """
     if not p.is_z_homogeneous():
         raise InhomogeneousError(f"{p.name!r} is not graded")
-    cap = oracle_cap() if cap is None else cap
+    cap = oracle_cap()
     degrees = p.z_degrees
     reach = max(degrees, default=1)
     relations = [(next(iter(rel.z_degrees(degrees))), rel.items()) for rel in p.relations]
@@ -198,7 +180,7 @@ def oracle_graded_dims(p: Presentation, max_degree: int, cap: int | None = None)
         if counts[d] > cap:
             raise OracleCapError(
                 f"degree {d} has {counts[d]} monomials, above the cap {cap}; "
-                f"set {ORACLE_CAP_ENV} or pass cap= to allow this"
+                f"set {ORACLE_CAP_ENV} to allow this"
             )
         block, start = [], 0
         for g in degrees:
@@ -244,8 +226,6 @@ class CyclicModuleModel:
     ideal expressed over those words.
     """
 
-    system: RewriteSystem
-    generators: tuple
     max_degree: int
     basis: dict
     ideal: list
@@ -287,7 +267,7 @@ def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> C
             for b in basis[d - gdeg]:
                 nf = system.right_multiply(b, g)
                 ideal[d].add({pos[w]: c for w, c in nf.items()})
-    return CyclicModuleModel(system, gens, max_degree, basis, ideal, positions)
+    return CyclicModuleModel(max_degree, basis, ideal, positions)
 
 
 # ----------------------------------------------------------------------
@@ -362,10 +342,10 @@ class FilteredModel:
         return True
 
 
-def filtered_model(p: Presentation, max_degree: int, cap: int | None = None) -> FilteredModel:
+def filtered_model(p: Presentation, max_degree: int) -> FilteredModel:
     """The filtered free-word model of a presentation, built once per
     (presentation, bound); the monomial cap is checked on every call."""
-    cap = oracle_cap() if cap is None else cap
+    cap = oracle_cap()
     for d, count in enumerate(accumulate(word_counts(p.z_degrees, max_degree))):
         if count > cap:
             raise OracleCapError(
@@ -390,8 +370,7 @@ def _filtered_model(p: Presentation, max_degree: int) -> FilteredModel:
     return FilteredModel(p, max_degree, word_level, base)
 
 
-def filtered_cyclic_dims(p: Presentation, shift_generators, max_degree: int,
-                         cap: int | None = None) -> list:
+def filtered_cyclic_dims(p: Presentation, shift_generators, max_degree: int) -> list:
     """Filtration dimensions of U/(U s_1 + ... + U s_m) in the free algebra.
 
     U is the possibly inhomogeneous quotient presented by ``p`` filtered by
@@ -401,4 +380,4 @@ def filtered_cyclic_dims(p: Presentation, shift_generators, max_degree: int,
     is spanned directly over free words, so the result is independent of
     any rewriting.
     """
-    return filtered_model(p, max_degree, cap).quotient_dims(shift_generators)
+    return filtered_model(p, max_degree).quotient_dims(shift_generators)

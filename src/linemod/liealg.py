@@ -319,12 +319,10 @@ def require_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
 
 @dataclass
 class ClassificationReport:
-    algebra: str
     family: str
     members: list                  # dicts: params, closed, graded
     sufficiency_pass: bool
     samples: int
-    seed: int
     closed_sample_count: int
     counterexamples: list
     completeness_pass: bool = field(init=False)
@@ -459,12 +457,10 @@ def classify_2dim_subalgebras(T: BracketTable, samples: int, seed: int) -> Class
             if not family_member(S, T):
                 counterexamples.append({"v1": S.v1, "v2": S.v2})
     return ClassificationReport(
-        algebra=T.name,
         family=descriptions[T.kind],
         members=members,
         sufficiency_pass=sufficiency,
         samples=samples,
-        seed=seed,
         closed_sample_count=closed_count,
         counterexamples=counterexamples,
     )
@@ -475,18 +471,17 @@ def classify_2dim_subalgebras(T: BracketTable, samples: int, seed: int) -> Class
 # ----------------------------------------------------------------------
 
 
-def table_consistent_with_presentation(T: BracketTable, system: RewriteSystem | None = None,
-                                       homogenizer: int | None = None,
-                                       strict_pairs: bool = False,
-                                       max_degree: int = 4) -> bool:
+def table_consistent_with_presentation(T: BracketTable, system: RewriteSystem,
+                                       strict_pairs: bool = False) -> bool:
     """Every bracket relation reduces to zero in the presented algebra.
 
-    With ``strict_pairs`` only pairs i < j are checked (used for the
-    homogenized superalgebra whose square relations were deleted).
+    When ``system`` has one generator more than ``T``, that last generator
+    is the homogenizer of the relations.  With ``strict_pairs`` only pairs
+    i < j are checked (used for the homogenized superalgebra whose square
+    relations were deleted).
     """
-    if system is None:
-        system = complete(T.enveloping, max_degree=max_degree)
     n = T.dimension
+    homogenizer = n if len(system.presentation.generators) == n + 1 else None
     for i in range(n):
         for j in range(n):
             if strict_pairs and i >= j:

@@ -24,8 +24,6 @@ from .errors import (
 )
 from .ncalg import EMPTY_WORD, NcPoly, TermOrder, Word, check_alphabet, group_degree
 
-DEFAULT_MAX_DEGREE = 8
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -370,8 +368,8 @@ def _orient(poly: NcPoly, order: TermOrder) -> Rule:
     return Rule(lead, rest.scale(Fraction(-1) / c))
 
 
-def complete(presentation: Presentation, order: TermOrder | None = None,
-             max_degree: int = DEFAULT_MAX_DEGREE) -> RewriteSystem:
+def complete(presentation: Presentation, order: TermOrder | None = None, *,
+             max_degree: int) -> RewriteSystem:
     """Resolve all overlap ambiguities of degree <= max_degree.
 
     The returned system is inter-reduced: no rule lhs contains another rule

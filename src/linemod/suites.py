@@ -418,9 +418,7 @@ def run_slc(samples: int, seed: int, max_degree: int, oracle_degree: int) -> lis
     # exactly two one-parameter families of admissible functionals, on a
     # half-integer grid, plus route agreement on random functionals
     grid = [Fraction(k, 2) for k in range(-10, 11)]
-    rng = Random(seed + 17)
     grid_data = []
-    disagreements = []
     for member in family_members(table):
         mu = member["params"]["mu"]
         S = member["spec"]
@@ -437,15 +435,16 @@ def run_slc(samples: int, seed: int, max_degree: int, oracle_degree: int) -> lis
             "expected_count": len(expected_points),
             "pass": admissible_points == expected_points,
         })
-        disagreements += _admissibility_trials(
-            ((S, Functional(random_fraction(rng), random_fraction(rng))) for _ in range(100)),
-            table)[2]
+    rng = Random(seed + 17)
+    trials, _, disagreements = _admissibility_trials(
+        ((m["spec"], Functional(random_fraction(rng), random_fraction(rng)))
+         for m in family_members(table) for _ in range(100)), table)
     extra = {}
     if disagreements:
         extra = {"route_disagreements": len(disagreements), "witness": disagreements[0]}
     checks.append(_check("two_admissible_families_on_grid",
                          _all_pass(grid_data) and not disagreements,
-                         grid=grid_data, random_route_agreement_trials=600, **extra))
+                         grid=grid_data, random_route_agreement_trials=trials, **extra))
 
     # homogenized induced modules and their line families
     iso_fixtures = []
@@ -534,12 +533,7 @@ def run_sl21() -> list:
 
     quoted_found = [any(up_to_scale(q, r) for r in pres.relations) for q in quoted]
     count_ok = len(pres.relations) == 36
-    table_ok = table_consistent_with_presentation(
-        preset("sl21_table"),
-        system=system,
-        homogenizer=8,
-        strict_pairs=True,
-    )
+    table_ok = table_consistent_with_presentation(preset("sl21_table"), system, strict_pairs=True)
     checks.append(_check(
         "presentation_audit", count_ok and all(quoted_found) and table_ok,
         relation_count=len(pres.relations),
@@ -575,7 +569,7 @@ def run_sl21() -> list:
     ))
 
     rewrite_dims = hilbert_algebra(system, oracle_degree)
-    oracle_dims = oracle_graded_dims(pres, oracle_degree, cap=1000)
+    oracle_dims = oracle_graded_dims(pres, oracle_degree)
     agree = rewrite_dims == oracle_dims
     checks.append(_check(
         "hilbert_two_routes_low_degree", agree,

@@ -472,6 +472,15 @@ def test_verify_paper_sl21(capsys):
     assert checks["zero_divisor_certificate"]["normal_form_of_y1_y1_t_is_zero"] is True
 
 
+def test_sl21_suite_obeys_the_oracle_cap(capsys, monkeypatch):
+    # the suite's degree-3 oracle slice has 729 monomials
+    monkeypatch.setenv("LINEMOD_ORACLE_CAP", "700")
+    code = main(["verify-paper", "--suite", "sl21", "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "LINEMOD_ORACLE_CAP" in err and "729" in err
+
+
 def test_golden_classify_line(capsys):
     _, out = run_cli(
         capsys, "classify-line", "--preset", "slc",

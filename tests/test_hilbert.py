@@ -68,14 +68,16 @@ def test_two_routes_sl2(a_system):
     assert list(oracle) == list(rewrite)[:6]
 
 
-def test_two_routes_sl21(sl21_system):
+def test_two_routes_sl21(sl21_system, monkeypatch):
+    monkeypatch.setenv("LINEMOD_ORACLE_CAP", "7000")
     rewrite = hilbert_algebra(sl21_system, 4)
-    oracle = oracle_graded_dims(preset("sl21_Hhat"), 4, cap=7000)
+    oracle = oracle_graded_dims(preset("sl21_Hhat"), 4)
     assert list(oracle) == list(rewrite)
 
 
-def test_oracle_reaches_sl21_degree_five(sl21_system):
-    oracle = oracle_graded_dims(preset("sl21_Hhat"), 5, cap=60000)
+def test_oracle_reaches_sl21_degree_five(sl21_system, monkeypatch):
+    monkeypatch.setenv("LINEMOD_ORACLE_CAP", "60000")
+    oracle = oracle_graded_dims(preset("sl21_Hhat"), 5)
     assert list(oracle) == [1, 9, 45, 161, 459, 1113]
     assert list(oracle) == list(hilbert_algebra(sl21_system, 5))
 
@@ -145,9 +147,10 @@ def test_inhomogeneous_rejected():
         oracle_graded_dims(preset("slc_U"), 3)
 
 
-def test_oracle_cap():
+def test_oracle_cap(monkeypatch):
+    monkeypatch.setenv("LINEMOD_ORACLE_CAP", "100")
     with pytest.raises(OracleCapError):
-        oracle_graded_dims(preset("sl21_Hhat"), 5, cap=100)
+        oracle_graded_dims(preset("sl21_Hhat"), 5)
 
 
 def test_filtered_model_cap_checked_on_every_call(monkeypatch):
@@ -159,13 +162,13 @@ def test_filtered_model_cap_checked_on_every_call(monkeypatch):
         hilbert._filtered_model.cache_clear()
         if warm:
             filtered_model(pres, 4)
-        with pytest.raises(OracleCapError, match=message):
-            filtered_model(pres, 4, cap=10)
         with monkeypatch.context() as env:
             env.setenv("LINEMOD_ORACLE_CAP", "10")
             with pytest.raises(OracleCapError, match=message):
                 filtered_model(pres, 4)
-    assert filtered_model(pres, 4) is filtered_model(pres, 4, cap=121)
+    model = filtered_model(pres, 4)
+    monkeypatch.setenv("LINEMOD_ORACLE_CAP", "121")
+    assert filtered_model(pres, 4) is model
 
 
 def test_normal_words_match_dims(hhat_system):
@@ -175,6 +178,7 @@ def test_normal_words_match_dims(hhat_system):
 
 def test_words_of_degree_order():
     assert words_of_degree((1, 1), 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert words_of_degree((1, 2), 3) == [(0, 0, 0), (0, 1), (1, 0)]
 
 
 def test_word_counts_build_no_word_lists(monkeypatch):

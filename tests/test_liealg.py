@@ -187,9 +187,8 @@ def test_color_ideal_completion():
 
 
 def test_tables_consistent():
-    assert table_consistent_with_presentation(SL2)
-    assert table_consistent_with_presentation(SL11)
-    assert table_consistent_with_presentation(SLC)
+    for T in (SL2, SL11, SLC):
+        assert table_consistent_with_presentation(T, complete(T.enveloping, max_degree=4))
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from linemod.errors import UnknownPresetError
 from linemod.liealg import table_consistent_with_presentation
 from linemod.ncalg import NcPoly
 from linemod.presets import PRESENTATION_NAMES, preset, sl21_structure, sl2_pencil_quadric
+from linemod.rewrite import complete
 
 DATA = Path(__file__).parent / "data"
 
@@ -102,9 +103,10 @@ def test_sl21_grading():
 
 def test_tables_match_presentations(sl21_system):
     for table_name in ("sl2_table", "sl11_table", "slc_table"):
-        assert table_consistent_with_presentation(preset(table_name))
+        T = preset(table_name)
+        assert table_consistent_with_presentation(T, complete(T.enveloping, max_degree=4))
     assert table_consistent_with_presentation(
-        preset("sl21_table"), system=sl21_system, homogenizer=8, strict_pairs=True
+        preset("sl21_table"), system=sl21_system, strict_pairs=True
     )
 
 
