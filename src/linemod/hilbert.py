@@ -2,10 +2,11 @@
 
 The working route counts rewrite normal forms; the audit route builds each
 graded piece of the defining ideal inside the free algebra from the pieces
-below it (left shifts of their echelon rows plus relations times free
-words) and row-reduces with exact rational arithmetic, never consulting the
-rewrite system.  The filtered variant realizes cyclic quotients of genuinely
-inhomogeneous presentations (enveloping algebras) the same brute-force way.
+below it (left shifts of their echelon rows, the relations of that degree,
+and right shifts of the rows that gave a pivot below) and row-reduces with
+exact rational arithmetic, never consulting the rewrite system.  The
+filtered variant realizes cyclic quotients of genuinely inhomogeneous
+presentations (enveloping algebras) the same brute-force way.
 """
 
 from __future__ import annotations
@@ -143,11 +144,49 @@ def word_counts(degrees: tuple, max_degree: int) -> list:
 @lru_cache(maxsize=64)
 def words_of_degree(degrees: tuple, d: int) -> list:
     """All free words of integer degree exactly d, in lexicographic index
-    order (this fixes the oracle's column order)."""
+    order (the oracle's column order)."""
     if d == 0:
         return [EMPTY_WORD]
     return [(g,) + w for g, k in enumerate(degrees) if k <= d
             for w in words_of_degree(degrees, d - k)]
+
+
+def _block_starts(degrees: tuple, d: int) -> tuple:
+    """Per letter x, the column of the first degree-d word beginning with
+    x: the words beginning with x form one block, ordered like the words
+    of degree d - deg x."""
+    counts = word_counts(degrees, d)
+    starts, start = [], 0
+    for g in degrees:
+        starts.append(start)
+        if g <= d:
+            start += counts[d - g]
+    return tuple(starts)
+
+
+def _word_column(degrees: tuple, word: tuple) -> int:
+    """The column of a word among the free words of its degree."""
+    col, m = 0, sum(degrees[x] for x in word)
+    for x in word:
+        col += _block_starts(degrees, m)[x]
+        m -= degrees[x]
+    return col
+
+
+@lru_cache(maxsize=256)
+def right_shift_columns(degrees: tuple, e: int, y: int) -> tuple:
+    """Per degree-e word w, in ``words_of_degree`` order, the column of
+    w*y among the words of degree e + deg y.
+
+    Built from the block starts without listing words: the words x*u of
+    degree e fill block x in the order of u, and x*u*y lies in block x of
+    degree e + deg y at the column of u*y.
+    """
+    starts = _block_starts(degrees, e + degrees[y])
+    if e == 0:
+        return (starts[y],)
+    return tuple(starts[x] + c for x, g in enumerate(degrees) if g <= e
+                 for c in right_shift_columns(degrees, e - g, y))
 
 
 def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
@@ -158,23 +197,38 @@ def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
     form one block ordered like the words of degree d - deg x.  The
     degree-d piece of the two-sided ideal is built from the pieces below:
 
-        I_d = sum_x x * I_{d - deg x} + sum_r r * F_{d - deg r}
+        I_d = sum_x x * I_{d - deg x} + R_d + sum_y N_{d - deg y} * y
 
-    (a row u*r*v with u nonempty is x*(u'*r*v)).  The shift rows x*p of the
-    stored echelon rows p are independent, pivoting at x*pivot(p); the
-    relation rows r*v are reduced against them.  The quotient dimension is
-    the number of degree-d words minus the rank.  This route never consults
-    the rewrite system.
+    where R_d holds the relations of degree d and N_e the echelon rows
+    that the relation and right-shift rows added at degree e gave (each as
+    reduced on entry; rows that gave no pivot add none).  Proof, by
+    induction on d: a row u*r*v with u nonempty is x*(u'*r*v), and one with
+    v = v'*y nonempty is (u*r*v')*y with u*r*v' in I_{d - deg y}; and
+    I_e = sum_x x * I_{e - deg x} + span N_e, so I_e * y lies in
+    sum_x x * I_{e + deg y - deg x} + N_e * y.
+
+    The left shifts x*p of the echelon rows p of I_{d - deg x} are
+    independent, pivoting at x*pivot(p), and go in without elimination
+    (``SparseEchelon.add_shifted``); the relation and right-shift rows are
+    reduced against them, the right shifts' columns read from
+    ``right_shift_columns``.  The quotient dimension is the number of
+    degree-d words minus the rank.  This route never consults the rewrite
+    system.
     """
     if not p.is_z_homogeneous():
         raise InhomogeneousError(f"{p.name!r} is not graded")
     cap = oracle_cap()
     degrees = p.z_degrees
     reach = max(degrees, default=1)
-    relations = [(next(iter(rel.z_degrees(degrees))), rel.items()) for rel in p.relations]
     counts = word_counts(degrees, max_degree)
-    starts = []     # starts[d][x]: column of the first degree-d word beginning with x
-    lower = {}      # degree -> echelon rows that a later degree still shifts
+    relations = {}   # degree -> relation rows over the words of that degree
+    for rel in p.relations:
+        rel_deg = next(iter(rel.z_degrees(degrees)))
+        if rel_deg <= max_degree:
+            relations.setdefault(rel_deg, []).append(
+                {_word_column(degrees, w): c for w, c in rel.items()})
+    echelons = {}   # degree -> echelon of I_d, while a later degree still shifts it
+    gained = {}     # degree -> N_d, its echelon rows that are not left shifts
     dims = []
     for d in range(max_degree + 1):
         if counts[d] > cap:
@@ -182,33 +236,23 @@ def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
                 f"degree {d} has {counts[d]} monomials, above the cap {cap}; "
                 f"set {ORACLE_CAP_ENV} to allow this"
             )
-        block, start = [], 0
-        for g in degrees:
-            block.append(start)
-            if g <= d:
-                start += counts[d - g]
-        starts.append(block)
+        starts = _block_starts(degrees, d)
         ech = SparseEchelon()
         for x, g in enumerate(degrees):
-            for row in lower.get(d - g, ()):
-                ech.add({block[x] + c: v for c, v in row.items()})
-        for rel_deg, terms in relations:
-            if rel_deg > d:
-                continue
-            # column(w v) = offset(w) + column(v) among the words of degree d - rel_deg
-            offsets = []
-            for w, c in terms:
-                off, m = 0, d
-                for x in w:
-                    off += starts[m][x]
-                    m -= degrees[x]
-                offsets.append((off, c))
-            for j in range(counts[d - rel_deg]):
-                ech.add({off + j: c for off, c in offsets})
+            if g <= d:
+                ech.add_shifted(echelons[d - g], starts[x])
+        shifted = ech.rank
+        for row in relations.get(d, ()):
+            ech.add(row)
+        for y, g in enumerate(degrees):
+            if g <= d:
+                cols = right_shift_columns(degrees, d - g, y)
+                for row in gained[d - g]:
+                    ech.add({cols[c]: v for c, v in row.items()})
         dims.append(counts[d] - ech.rank)
-        if d < max_degree:
-            lower[d] = ech.integer_rows()
-        lower.pop(d - reach, None)   # degree d + 1 and above shift no lower
+        echelons[d], gained[d] = ech, ech.integer_rows()[shifted:]
+        echelons.pop(d - reach, None)   # degree d + 1 and above shift no lower
+        gained.pop(d - reach, None)
     return dims
 
 

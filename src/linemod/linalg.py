@@ -11,6 +11,9 @@ primitive integer row (content divided out, positive leading entry), and an
 elimination step is ``row <- (b/g) row - (a/g) pivot`` with ``g = gcd(a, b)``.
 ``Fraction`` objects are made only where results leave the kernel.
 ``reduced_echelon`` and ``dense_nullspace`` are thin wrappers over it.
+Rows known to be independent need no elimination: ``add_shifted`` copies
+another echelon's pivot rows in at a constant column offset, which keeps
+echelon form for integer columns (the graded oracle's left shifts ``x * I``).
 
 Two-dimensional subspaces (subalgebra planes, lines of ``P^3`` as planes of
 forms) need no echelon: an ``IntegerPlane`` reads rank, membership and
@@ -136,6 +139,25 @@ class SparseEchelon:
         self._pivot_keys[pivot] = self._key(pivot)
         self._pivot_order.append(pivot)
         return pivot
+
+    def add_shifted(self, other: "SparseEchelon", offset: int):
+        """Insert every pivot row of ``other`` with its columns moved by
+        ``offset``, as a pivot row at its moved pivot, with no elimination.
+
+        Both echelons must order integer columns by value (the default
+        column key): a shift by a constant keeps that order, so each moved
+        row is still a primitive row whose support never precedes its
+        pivot.  Raises ``ValueError``, inserting nothing, when a moved pivot
+        column is already a pivot here.
+        """
+        targets = [c + offset for c in other._pivot_order]
+        taken = [t for t in targets if t in self._pivots]
+        if taken:
+            raise ValueError(f"pivot column {taken[0]} is already taken")
+        for t, row in zip(targets, other.integer_rows()):
+            self._pivots[t] = {c + offset: v for c, v in row.items()}
+            self._pivot_keys[t] = self._key(t)
+        self._pivot_order += targets
 
     def contains(self, row: dict) -> bool:
         return not self._eliminate(_integer_row(row)[0])[0]

@@ -16,6 +16,7 @@ from linemod.hilbert import (
     normal_words_by_degree,
     oracle_degree_within_cap,
     oracle_graded_dims,
+    right_shift_columns,
     word_counts,
     words_of_degree,
 )
@@ -70,9 +71,16 @@ def test_two_routes_sl2(a_system):
 
 def test_two_routes_sl21(sl21_system, monkeypatch):
     monkeypatch.setenv("LINEMOD_ORACLE_CAP", "7000")
+    added = []
+    add = SparseEchelon.add
+    monkeypatch.setattr(SparseEchelon, "add", lambda ech, row: added.append(row) or add(ech, row))
     rewrite = hilbert_algebra(sl21_system, 4)
     oracle = oracle_graded_dims(preset("sl21_Hhat"), 4)
     assert list(oracle) == list(rewrite)
+    # the left shifts go in without elimination; 36 quadratic relations at
+    # degree 2, their 36 * 9 right shifts at degree 3, and 9 right shifts
+    # of each of the 568 - 324 degree-3 rows that gave a pivot at degree 4
+    assert len(added) == 36 + 324 + 2196
 
 
 def test_oracle_reaches_sl21_degree_five(sl21_system, monkeypatch):
@@ -131,6 +139,25 @@ def _weighted_presentations(draw):
 @given(_weighted_presentations(), st.integers(2, 5))
 def test_oracle_matches_all_rows_on_weighted_presentations(pres, bound):
     assert list(oracle_graded_dims(pres, bound)) == _naive_oracle(pres, bound)
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("sl2_A", 4), ("sl11_H", 4), ("sl11_Hhat", 4), ("slc_H", 4), ("sl21_Hhat", 3),
+])
+def test_oracle_matches_all_rows_on_presets(name, bound):
+    pres = preset(name)
+    assert list(oracle_graded_dims(pres, bound)) == _naive_oracle(pres, bound)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 2), min_size=1, max_size=3), st.integers(0, 5))
+def test_right_shift_columns_match_word_lists(degrees, e):
+    degrees = tuple(degrees)
+    for y, g in enumerate(degrees):
+        cols = right_shift_columns(degrees, e, y)
+        words, longer = words_of_degree(degrees, e), words_of_degree(degrees, e + g)
+        assert len(cols) == len(words)
+        assert all(w + (y,) == longer[c] for w, c in zip(words, cols))
 
 
 def test_zero_relation_ideal_is_free():

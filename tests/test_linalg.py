@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from linemod.linalg import (
@@ -206,6 +207,47 @@ def test_copy_is_independent(first, second):
     rref = gauss_jordan(rows + extra, order)
     assert dup.rank == len(rref)
     assert dup.reduce(probe) == reference_reduce(probe, rref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), matrices(), matrices(), st.integers(0, 3))
+def test_shifted_insertion_matches_adding_the_shifted_rows(first, second, extra, offset):
+    # two echelons moved into disjoint column blocks, as the graded oracle
+    # places its left shifts, then further rows over the whole range
+    blocks = [(first[2], offset), (second[2], offset + first[0])]
+    ncols = offset + first[0] + second[0]
+    rows = [{c % ncols: v for c, v in r.items()} for r in extra[2]]
+    probe = {c % ncols: v for c, v in extra[3].items()}
+    shifted, plain = SparseEchelon(), SparseEchelon()
+    for block_rows, off in blocks:
+        ech = SparseEchelon()
+        for r in block_rows:
+            ech.add(r)
+        shifted.add_shifted(ech, off)
+        for r in block_rows:
+            plain.add({c + off: v for c, v in r.items()})
+    for r in rows:
+        shifted.add(r)
+        plain.add(r)
+    assert shifted.rank == plain.rank
+    assert set(shifted.pivot_columns()) == set(plain.pivot_columns())
+    # the remainder is unique for a given row space and pivot set
+    assert shifted.reduce(probe) == plain.reduce(probe)
+
+
+def test_shifted_insertion_onto_a_taken_pivot_raises():
+    ech, low = SparseEchelon(), SparseEchelon()
+    ech.add({2: 1, 3: 1})
+    low.add({0: 1})
+    low.add({1: 2, 2: 1})
+    # the first moved pivot, column 1, is free and the second is not:
+    # nothing goes in
+    with pytest.raises(ValueError, match="pivot column 2"):
+        ech.add_shifted(low, 1)
+    assert (ech.rank, ech.pivot_columns()) == (1, [2])
+    ech.add_shifted(low, 3)
+    assert ech.pivot_columns() == [2, 3, 4]
+    assert ech.integer_rows()[1:] == [{3: 1}, {4: 2, 5: 1}]
 
 
 @settings(max_examples=100, deadline=None)
