@@ -19,7 +19,7 @@ from . import __version__
 from .dsl import format_poly, format_steps, format_word, parse_algebra, parse_expression, print_algebra
 from .errors import DSLSyntaxError, LinemodError, RouteDisagreementError
 from .geometry import Line, classify_line_family_color
-from .hilbert import hilbert_algebra, oracle_degree_within_cap, oracle_graded_dims
+from .hilbert import hilbert_two_routes, oracle_degree_within_cap
 from .liealg import (
     Functional,
     SubalgebraSpec,
@@ -171,9 +171,7 @@ def _hilbert(args):
         oracle_degree = oracle_degree_within_cap(pres, min(_ORACLE_DEGREE, args.max_degree))
     else:
         _require_oracle_within(args)
-    rewrite_dims = hilbert_algebra(pres, args.max_degree)
-    oracle_dims = oracle_graded_dims(pres, oracle_degree)
-    agree = rewrite_dims[: oracle_degree + 1] == oracle_dims
+    rewrite_dims, oracle_dims, agree = hilbert_two_routes(pres, args.max_degree, oracle_degree)
     return (
         {"algebra": pres.name, "max_degree": args.max_degree, "oracle_degree": oracle_degree},
         {"rewrite_route": rewrite_dims, "oracle_route": oracle_dims, "routes_agree": agree},

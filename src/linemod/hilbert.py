@@ -256,6 +256,17 @@ def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
     return dims
 
 
+def hilbert_two_routes(p, max_degree: int, oracle_degree: int) -> tuple:
+    """``(rewrite, oracle, agree)``: the graded dimensions by rewriting to
+    ``max_degree`` (``hilbert_algebra``, so ``p`` may be a Presentation or
+    a completed RewriteSystem), by the oracle to ``oracle_degree``, and
+    whether the two agree in degrees <= oracle_degree."""
+    rewrite = hilbert_algebra(p, max_degree)
+    oracle = oracle_graded_dims(p.presentation if isinstance(p, RewriteSystem) else p,
+                                oracle_degree)
+    return rewrite, oracle, rewrite[:oracle_degree + 1] == oracle
+
+
 # ----------------------------------------------------------------------
 # cyclic graded left modules
 # ----------------------------------------------------------------------
@@ -323,17 +334,23 @@ def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> C
 class FilteredModel:
     """Free-word model of a filtered quotient of a presented algebra.
 
-    Columns are free words ordered by decreasing total degree, so the
-    echelon pivots of level <= i span exactly the intersection of the row
-    space with filtration level i.  The two-sided ideal rows are echelonized
-    once per presentation and degree bound (``base``); left-ideal shift
-    rows are layered on top of a copy of it per query.  The pivot set of a
-    row space does not depend on the order its rows are added in.
+    The free words of level <= max_degree are numbered once (``column``),
+    by decreasing level and in ``words_of_degree`` order within a level, so
+    the words of level <= i are the columns from ``level_start[i]`` on, the
+    last column is the empty word, and the echelon pivots from there on
+    span the row space's intersection with level i.  The rows span degree
+    max_degree of the homogenized quotient with its homogenizer set to 1
+    (see ``filtered_cyclic_dims``).  The two-sided ideal rows are
+    echelonized once per presentation and degree bound (``base``);
+    left-ideal shift rows are layered on top of a copy of it per query.
+    The pivot set of a row space does not depend on the order its rows
+    are added in.
     """
 
     presentation: Presentation
     max_degree: int
-    word_level: dict
+    column: dict
+    level_start: list
     base: SparseEchelon
 
     def _shift_rows(self, shift_generators):
@@ -341,6 +358,7 @@ class FilteredModel:
         filtration level <= max_degree: by degree of u, and for each word u
         one row per shift generator."""
         degrees = self.presentation.z_degrees
+        column = self.column
         shifts = []
         for s in shift_generators:
             if not s.is_zero():
@@ -349,7 +367,7 @@ class FilteredModel:
             for u in words_of_degree(degrees, i):
                 for s, top in shifts:
                     if i <= top:
-                        yield {u + w: c for w, c in s.items()}
+                        yield {column[u + w]: c for w, c in s.items()}
 
     def ideal_echelon(self, shift_generators) -> SparseEchelon:
         """Echelon of (two-sided relation ideal) + (left ideal of shifts),
@@ -359,15 +377,17 @@ class FilteredModel:
             ech.add(row)
         return ech
 
+    def contains(self, ideal: SparseEchelon, poly) -> bool:
+        """Whether the free-algebra element ``poly``, of level <=
+        max_degree, lies in ``ideal``, an echelon over this model's
+        columns such as ``ideal_echelon`` returns."""
+        return ideal.contains({self.column[w]: c for w, c in poly.items()})
+
     def quotient_dims(self, shift_generators) -> list:
-        ech = self.ideal_echelon(shift_generators)
-        pivot_levels = [self.word_level[c] for c in ech.pivot_columns()]
-        dims = []
-        for i in range(self.max_degree + 1):
-            total = sum(1 for lv in self.word_level.values() if lv <= i)
-            cut = sum(1 for lv in pivot_levels if lv <= i)
-            dims.append(total - cut)
-        return dims
+        pivots = self.ideal_echelon(shift_generators).pivot_columns()
+        total = len(self.column)
+        return [total - start - sum(1 for c in pivots if c >= start)
+                for start in self.level_start]
 
     def is_proper(self, shift_generators) -> bool:
         """Whether the identity lies outside the ideal, i.e.
@@ -377,11 +397,12 @@ class FilteredModel:
         the ideal spans 1; once a pivot it stays one, so shift rows are
         added only until the first row that pivots there.
         """
-        if EMPTY_WORD in self.base.pivot_columns():
+        one = len(self.column) - 1
+        if one in self.base.pivot_columns():
             return False
         ech = self.base.copy()
         for row in self._shift_rows(shift_generators):
-            if ech.add(row) == EMPTY_WORD:
+            if ech.add(row) == one:
                 return False
         return True
 
@@ -401,17 +422,21 @@ def filtered_model(p: Presentation, max_degree: int) -> FilteredModel:
 @lru_cache(maxsize=16)
 def _filtered_model(p: Presentation, max_degree: int) -> FilteredModel:
     degrees = p.z_degrees
-    word_level = {w: d for d in range(max_degree + 1) for w in words_of_degree(degrees, d)}
+    # from the counts: with generators of degree 2 only, odd levels hold no words
+    counts = word_counts(degrees, max_degree)
+    level_start = [sum(counts[i + 1:]) for i in range(max_degree + 1)]
+    column = {w: c for d in range(max_degree, -1, -1)
+              for c, w in enumerate(words_of_degree(degrees, d), level_start[d])}
     # echelonize the two-sided rows once; each shift query starts from a copy
-    base = SparseEchelon(column_key=lambda w: (-word_level[w], w))
+    base = SparseEchelon()
     for rel in p.relations:
         rel_deg = rel.max_z_degree(degrees)
         for i in range(max_degree - rel_deg + 1):
             for u in words_of_degree(degrees, i):
                 for j in range(max_degree - rel_deg - i + 1):
                     for v in words_of_degree(degrees, j):
-                        base.add({u + w + v: c for w, c in rel.items()})
-    return FilteredModel(p, max_degree, word_level, base)
+                        base.add({column[u + w + v]: c for w, c in rel.items()})
+    return FilteredModel(p, max_degree, column, level_start, base)
 
 
 def filtered_cyclic_dims(p: Presentation, shift_generators, max_degree: int) -> list:
@@ -419,9 +444,14 @@ def filtered_cyclic_dims(p: Presentation, shift_generators, max_degree: int) -> 
 
     U is the possibly inhomogeneous quotient presented by ``p`` filtered by
     total degree, and the s_i are arbitrary free-algebra elements (for an
-    induced module, s = x - phi(x) over the subalgebra basis).  dims[i] is
-    the dimension of filtration level i of the quotient module.  Everything
-    is spanned directly over free words, so the result is independent of
-    any rewriting.
+    induced module, s = x - phi(x) over the subalgebra basis).  Let M be
+    the graded module presented by the homogenized relations and shifts,
+    with a central homogenizer t, and N = max_degree.  The rows u*r*v and
+    u*s of total degree at most N span degree N of its relations with t
+    set to 1, so dims[i] is the dimension of t^(N-i) * M_i inside M_N, and
+    dims[N] that of M_N.  It is the dimension of filtration level i of the
+    quotient module when M has no t-torsion, and not in general.
+    Everything is spanned directly over free words, so the result is
+    independent of any rewriting.
     """
     return filtered_model(p, max_degree).quotient_dims(shift_generators)

@@ -1,9 +1,8 @@
 """Exact row reduction over the rationals, computed on integer rows.
 
-Rows are sparse maps from a column key to a nonzero rational (an ``int`` or
-a ``Fraction``).  Pivoting is on the first nonzero column in a fixed column
-order and rows are inserted in caller order, so ranks and echelon bases are
-deterministic.
+Rows are sparse maps from an integer column to a nonzero rational (an
+``int`` or a ``Fraction``).  A row pivots on its least column and rows are
+inserted in caller order, so ranks and echelon bases are deterministic.
 
 The kernel is fraction-free in the style of Bareiss (1968): an input row's
 denominators are cleared once, on entry, every stored pivot row is a
@@ -13,7 +12,7 @@ elimination step is ``row <- (b/g) row - (a/g) pivot`` with ``g = gcd(a, b)``.
 ``reduced_echelon`` and ``dense_nullspace`` are thin wrappers over it.
 Rows known to be independent need no elimination: ``add_shifted`` copies
 another echelon's pivot rows in at a constant column offset, which keeps
-echelon form for integer columns (the graded oracle's left shifts ``x * I``).
+echelon form (the graded oracle's left shifts ``x * I``).
 
 Two-dimensional subspaces (subalgebra planes, lines of ``P^3`` as planes of
 forms) need no echelon: an ``IntegerPlane`` reads rank, membership and
@@ -25,10 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-
-
-def _identity(c):
-    return c
 
 
 def _integer_row(row: dict) -> tuple:
@@ -45,17 +40,13 @@ def _integer_row(row: dict) -> tuple:
 class SparseEchelon:
     """Incremental echelon form over the rationals.
 
-    ``column_key`` maps a column label to a sortable value; it fixes which
-    nonzero entry of a row is its pivot (the minimal one).  Pivot rows are
-    stored as primitive integer rows whose support never precedes the pivot
-    column, so a single ascending elimination pass reduces any row
-    completely.
+    A row's pivot is its least column.  Pivot rows are stored as primitive
+    integer rows with no column below the pivot, so a single ascending
+    elimination pass reduces any row completely.
     """
 
-    def __init__(self, column_key=None):
-        self._key = column_key if column_key is not None else _identity
+    def __init__(self):
         self._pivots = {}        # column -> primitive integer row (dict), lead > 0
-        self._pivot_keys = {}    # column -> column_key(column)
         self._pivot_order = []   # insertion order of pivot columns
 
     @property
@@ -73,9 +64,8 @@ class SparseEchelon:
     def copy(self) -> "SparseEchelon":
         """An independent echelon with the same pivots; rows added to the
         copy leave this one unchanged."""
-        new = SparseEchelon(self._key)
+        new = SparseEchelon()
         new._pivots = dict(self._pivots)   # stored rows are never mutated
-        new._pivot_keys = dict(self._pivot_keys)
         new._pivot_order = list(self._pivot_order)
         return new
 
@@ -86,15 +76,12 @@ class SparseEchelon:
         a combination of pivot rows, with no entry in a pivot column.
         """
         pivots = self._pivots
-        keys = self._pivot_keys
         scale = 1
         while True:
             hit = None
             for c in row:
-                if c in pivots:
-                    k = keys[c]
-                    if hit is None or k < hit_key:
-                        hit, hit_key = c, k
+                if c in pivots and (hit is None or c < hit):
+                    hit = c
             if hit is None:
                 return row, scale
             prow = pivots[hit]
@@ -129,14 +116,13 @@ class SparseEchelon:
         red, _ = self._eliminate(_integer_row(row)[0])
         if not red:
             return None
-        pivot = min(red, key=self._key)
+        pivot = min(red)
         g = gcd(*red.values())
         if red[pivot] < 0:
             g = -g
         if g != 1:
             red = {c: v // g for c, v in red.items()}
         self._pivots[pivot] = red
-        self._pivot_keys[pivot] = self._key(pivot)
         self._pivot_order.append(pivot)
         return pivot
 
@@ -144,11 +130,10 @@ class SparseEchelon:
         """Insert every pivot row of ``other`` with its columns moved by
         ``offset``, as a pivot row at its moved pivot, with no elimination.
 
-        Both echelons must order integer columns by value (the default
-        column key): a shift by a constant keeps that order, so each moved
-        row is still a primitive row whose support never precedes its
-        pivot.  Raises ``ValueError``, inserting nothing, when a moved pivot
-        column is already a pivot here.
+        A shift by a constant keeps the column order, so each moved row is
+        still a primitive row with no column below its pivot.  Raises
+        ``ValueError``, inserting nothing, when a moved pivot column is
+        already a pivot here.
         """
         targets = [c + offset for c in other._pivot_order]
         taken = [t for t in targets if t in self._pivots]
@@ -156,7 +141,6 @@ class SparseEchelon:
             raise ValueError(f"pivot column {taken[0]} is already taken")
         for t, row in zip(targets, other.integer_rows()):
             self._pivots[t] = {c + offset: v for c, v in row.items()}
-            self._pivot_keys[t] = self._key(t)
         self._pivot_order += targets
 
     def contains(self, row: dict) -> bool:

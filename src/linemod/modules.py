@@ -216,16 +216,10 @@ def annihilator_contains_generators(I: InducedModuleSpec, M: LineModuleSpec) -> 
     hom = len(graded.generators) - 1
     if graded.generator_names()[:hom] != env.generator_names():
         raise ValueError("graded and enveloping alphabets do not match")
-    ideal = filtered_model(env, 2).ideal_echelon(
-        shift_generators(I.subalgebra, I.phi, I.table))
-    for g in M.generators:
-        row = {}
-        for w, c in g.items():
-            target = () if w[0] == hom else w
-            row[target] = row.get(target, 0) + c
-        if not ideal.contains({w: c for w, c in row.items() if c}):
-            return False
-    return True
+    model = filtered_model(env, 2)
+    ideal = model.ideal_echelon(shift_generators(I.subalgebra, I.phi, I.table))
+    return all(model.contains(ideal, NcPoly((() if w[0] == hom else w, c) for w, c in g.items()))
+               for g in M.generators)
 
 
 def certify_homogenization_iso(I: InducedModuleSpec, M: LineModuleSpec,

@@ -26,7 +26,7 @@ from .geometry import (
     pencil_membership,
     quadric_from_coeffs,
 )
-from .hilbert import filtered_cyclic_dims, hilbert_algebra, line_module_dims, oracle_graded_dims
+from .hilbert import filtered_cyclic_dims, hilbert_two_routes, line_module_dims
 from .liealg import (
     Functional,
     SubalgebraSpec,
@@ -122,10 +122,8 @@ def _binomial3(d: int) -> int:
 
 def _two_route_check(name: str, preset_name: str, expected: list, max_degree: int,
                      oracle_degree: int) -> dict:
-    system = _system(preset_name, max(8, max_degree))
-    rewrite_dims = hilbert_algebra(system, max(8, max_degree))
-    oracle_dims = oracle_graded_dims(preset(preset_name), oracle_degree)
-    agree = rewrite_dims[: oracle_degree + 1] == oracle_dims
+    rewrite_dims, oracle_dims, agree = hilbert_two_routes(
+        _system(preset_name, max(8, max_degree)), max(8, max_degree), oracle_degree)
     return _check(
         name,
         agree and rewrite_dims[: len(expected)] == expected,
@@ -232,17 +230,15 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
         if not alpha and not beta:
             continue
         pairs.append((alpha, beta, random_fraction(rng), random_fraction(rng)))
-    meets_all = True
-    avoid_all = True
+    base_line = Line(((0, 0, 1, 0), (0, 0, 0, 1)))
+    meets, avoids = [], []
     for alpha, beta, lam, gamma in pairs:
         S, phi = _sl11_pair(alpha, beta, lam, gamma)
         M = build_L_h_phi(S, phi, hhat, table)
         cert = certify_line_module(M, max_degree)
         line = M.line()
-        meets = lines_meet(line, Line(((0, 0, 1, 0), (0, 0, 0, 1))))
-        avoids = not line.in_plane((0, 0, 0, 1))
-        meets_all = meets_all and meets
-        avoid_all = avoid_all and avoids
+        meets.append(lines_meet(line, base_line))
+        avoids.append(not line.in_plane((0, 0, 0, 1)))
         fixtures.append({
             "alpha": alpha, "beta": beta, "lambda": lam, "gamma": gamma,
             "dims": cert.found, "pass": cert.passed,
@@ -250,8 +246,8 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
     checks.append(_check("line_modules_from_pairs", _all_pass(fixtures),
                          expected=line_module_dims(max_degree), fixtures=fixtures))
     checks.append(_check("pair_lines_meet_base_line_and_avoid_t_plane",
-                         meets_all and avoid_all,
-                         meets_base_line=meets_all, avoid_t_plane=avoid_all))
+                         all(meets) and all(avoids),
+                         meets_base_line=all(meets), avoid_t_plane=all(avoids)))
 
     # span(e, f) is no line module; the shape check below reads the same report
     ef_report = certify_line_module(LineModuleSpec(hhat, (NcPoly.gen(0), NcPoly.gen(1))), 4)
@@ -295,12 +291,11 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
     span_ht = LineModuleSpec(hhat, (NcPoly.gen(2), NcPoly.gen(3)))
     ht_report = certify_line_module(span_ht, max_degree)
     ht_torsion = not torsion_free_on(span_ht, "t", max_degree)
-    mixed_ok = True
-    for d1, d2, alpha, beta in ((1, 0, 1, 1), (1, 2, 1, 0), (1, -1, 2, -3)):
-        M = LineModuleSpec(hhat, (NcPoly.linear((0, 0, d1, -d2)), NcPoly.linear((alpha, beta))))
-        mixed_ok = mixed_ok and is_Z2_graded_line_module(M)
-        mixed_ok = mixed_ok and certify_line_module(M, max_degree).passed
-        mixed_ok = mixed_ok and torsion_free_on(M, "t", max_degree)
+    mixed_shapes = (
+        LineModuleSpec(hhat, (NcPoly.linear((0, 0, d1, -d2)), NcPoly.linear((alpha, beta))))
+        for d1, d2, alpha, beta in ((1, 0, 1, 1), (1, 2, 1, 0), (1, -1, 2, -3)))
+    mixed_ok = all(is_Z2_graded_line_module(M) and certify_line_module(M, max_degree).passed
+                   and torsion_free_on(M, "t", max_degree) for M in mixed_shapes)
     degenerate = LineModuleSpec(hhat, (NcPoly.gen(3), NcPoly.linear((1, 1))))
     degenerate_torsion = not torsion_free_on(degenerate, "t", max_degree)
     checks.append(_check(
@@ -353,8 +348,7 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
 
     # round trip between pairs and lines
     rng = Random(seed + 13)
-    round_trips = 0
-    round_pass = True
+    trips = []
     for _ in range(1000):
         alpha, beta = random_fraction(rng), random_fraction(rng)
         if not alpha and not beta:
@@ -362,10 +356,8 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
         lam, gamma = random_fraction(rng), random_fraction(rng)
         mixed = Line(random_mix(rng, (0, 0, 1, -lam), (alpha, beta, 0, -gamma)))
         S, phi = pair_from_line(mixed, table)
-        rebuilt = build_L_h_phi(S, phi, hhat, table).line()
-        round_pass = round_pass and (rebuilt == mixed)
-        round_trips += 1
-    checks.append(_check("pair_line_round_trip", round_pass, round_trips=round_trips))
+        trips.append(build_L_h_phi(S, phi, hhat, table).line() == mixed)
+    checks.append(_check("pair_line_round_trip", all(trips), round_trips=len(trips)))
 
     # instance checks for the quadric family of line-module lines
     quad = sl11_middle_quadric()
@@ -568,9 +560,7 @@ def run_sl21() -> list:
         derived_rules=derived,
     ))
 
-    rewrite_dims = hilbert_algebra(system, oracle_degree)
-    oracle_dims = oracle_graded_dims(pres, oracle_degree)
-    agree = rewrite_dims == oracle_dims
+    rewrite_dims, oracle_dims, agree = hilbert_two_routes(system, oracle_degree, oracle_degree)
     checks.append(_check(
         "hilbert_two_routes_low_degree", agree,
         rewrite_route=rewrite_dims, oracle_route=oracle_dims,

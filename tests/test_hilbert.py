@@ -342,7 +342,18 @@ def test_cyclic_dims_generator_basis_invariant(hhat_system):
 # ----------------------------------------------------------------------
 
 
-def _old_order_echelon(model, shifts):
+def _reference_words(model):
+    """The free words of level <= max_degree, listed by brute force and
+    sorted by decreasing level and then lexicographically: the word at
+    each column of the model."""
+    degrees = model.presentation.z_degrees
+    words = [w for n in range(model.max_degree + 1)
+             for w in product(range(len(degrees)), repeat=n)
+             if sum(degrees[g] for g in w) <= model.max_degree]
+    return sorted(words, key=lambda w: (-sum(degrees[g] for g in w), w))
+
+
+def _old_order_echelon(model, shifts, column):
     """The ideal echelon built generator by generator: all rows of one
     shift generator before any row of the next, another insertion order
     for the same row space."""
@@ -354,18 +365,23 @@ def _old_order_echelon(model, shifts):
         s_deg = max(sum(degrees[g] for g in w) for w in s.support())
         for i in range(model.max_degree - s_deg + 1):
             for u in words_of_degree(degrees, i):
-                ech.add({u + w: c for w, c in s.items()})
+                ech.add({column[u + w]: c for w, c in s.items()})
     return ech
 
 
 def _check_filtered_routes(model, shifts):
+    degrees = model.presentation.z_degrees
+    words = _reference_words(model)
+    column = {w: c for c, w in enumerate(words)}
+    assert model.column == column
     dims = model.quotient_dims(shifts)
     assert model.is_proper(shifts) == (dims[0] == 1)
-    old = _old_order_echelon(model, shifts)
+    old = _old_order_echelon(model, shifts, column)
     assert set(model.ideal_echelon(shifts).pivot_columns()) == set(old.pivot_columns())
-    levels = [model.word_level[c] for c in old.pivot_columns()]
+    word_level = {w: sum(degrees[g] for g in w) for w in words}
+    levels = [word_level[words[c]] for c in old.pivot_columns()]
     assert list(dims) == [
-        sum(1 for lv in model.word_level.values() if lv <= i) - sum(1 for lv in levels if lv <= i)
+        sum(1 for lv in word_level.values() if lv <= i) - sum(1 for lv in levels if lv <= i)
         for i in range(model.max_degree + 1)
     ]
     return dims
@@ -485,3 +501,22 @@ def test_is_proper_when_the_relations_alone_span_one():
     )
     assert _check_filtered_routes(filtered_model(x_y, 3), ())[0] == 1
     assert _check_filtered_routes(filtered_model(x_y, 4), ())[0] == 0
+
+
+def test_filtered_model_with_an_empty_level():
+    # the Weyl algebra x*y - y*x = 1 with x and y of degree 2: levels 1 and
+    # 3 hold no words, and U/Uy is k[x], one x^k in each even level
+    weyl = Presentation(
+        name="weyl2",
+        generators=(Generator(0, "x", 2), Generator(1, "y", 2)),
+        relations=(NcPoly({(0, 1): 1, (1, 0): -1, (): -1}),),
+    )
+    model = filtered_model(weyl, 4)
+    assert model.level_start == [6, 6, 4, 4, 0]
+    assert len(model.column) == 7 and model.column[()] == 6
+    y = NcPoly.gen(1)
+    assert _check_filtered_routes(model, (y,)) == [1, 1, 2, 2, 3]
+    assert _check_filtered_routes(model, ()) == [1, 1, 3, 3, 6]
+    ideal = model.ideal_echelon((y,))
+    assert model.contains(ideal, NcPoly({(0, 1): 1}))
+    assert not model.contains(ideal, NcPoly.gen(0))

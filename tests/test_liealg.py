@@ -234,16 +234,17 @@ def _reference_is_subalgebra(S, T):
 
 
 def _reference_coords(vector, rows):
-    """Coefficients of ``vector`` over ``rows``: each row carries a marker
-    column, sorted after the real ones, that records its index."""
-    ech = SparseEchelon(column_key=lambda c: (1, c[1]) if isinstance(c, tuple) else (0, c))
+    """Coefficients of ``vector`` over ``rows``: row i carries a marker at
+    column n + i, after the n real columns, that records its index."""
+    n = len(vector)
+    ech = SparseEchelon()
     for i, r in enumerate(rows):
-        ech.add({**_sparse(r), ("marker", i): 1})
+        ech.add({**_sparse(r), n + i: 1})
     red = ech.reduce(_sparse(vector))
-    assert all(isinstance(c, tuple) for c in red)
+    assert all(c >= n for c in red)
     coeffs = [Fraction(0)] * len(rows)
     for c, v in red.items():
-        coeffs[c[1]] = -v
+        coeffs[c - n] = -v
     return coeffs
 
 

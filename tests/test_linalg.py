@@ -52,14 +52,6 @@ def test_echelon_deterministic_rank():
     assert ech.pivot_columns() == [0, 1]
 
 
-def test_echelon_custom_column_order():
-    # pivot on the largest-degree column first
-    key = lambda c: -c
-    ech = SparseEchelon(column_key=key)
-    ech.add({0: Fraction(1), 5: Fraction(1)})
-    assert ech.pivot_columns() == [5]
-
-
 def test_nullspace():
     basis = dense_nullspace([(1, 0, 0, 0), (0, 0, 1, -1)], 4)
     assert len(basis) == 2
@@ -145,9 +137,20 @@ def matrices(draw):
     return n, order, rows, {c: v for c, v in probe.items() if v}
 
 
-def _echelon(order, rows):
+def _by_rank(data):
+    """The drawn matrix with each column relabelled as its rank in the drawn
+    column order, which the kernel's least-column pivoting then follows."""
+    n, order, rows, probe = data
     rank_of = {c: i for i, c in enumerate(order)}
-    ech = SparseEchelon(column_key=rank_of.__getitem__)
+
+    def relabel(row):
+        return {rank_of[c]: v for c, v in row.items()}
+
+    return n, list(range(n)), [relabel(r) for r in rows], relabel(probe)
+
+
+def _echelon(rows):
+    ech = SparseEchelon()
     added = [ech.add(r) for r in rows]
     return ech, added
 
@@ -155,8 +158,8 @@ def _echelon(order, rows):
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_echelon_matches_gauss_jordan(data):
-    n, order, rows, probe = data
-    ech, added = _echelon(order, rows)
+    n, order, rows, probe = _by_rank(data)
+    ech, added = _echelon(rows)
     rref = gauss_jordan(rows, order)
     assert ech.rank == len(rref)
     # add() returns the pivot a prefix gains, None when the rank stays
@@ -176,8 +179,8 @@ def test_echelon_matches_gauss_jordan(data):
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_pivot_rows_are_lead_one_reductions(data):
-    n, order, rows, _ = data
-    ech, added = _echelon(order, rows)
+    n, order, rows, _ = _by_rank(data)
+    ech, added = _echelon(rows)
     prefix = []
     pivot_rows = iter({c: Fraction(v, row[pivot]) for c, v in row.items()}
                       for row, pivot in zip(ech.integer_rows(), ech.pivot_columns()))
@@ -195,8 +198,8 @@ def test_pivot_rows_are_lead_one_reductions(data):
 @settings(max_examples=100, deadline=None)
 @given(matrices(), matrices())
 def test_copy_is_independent(first, second):
-    n, order, rows, probe = first
-    ech, _ = _echelon(order, rows)
+    n, order, rows, probe = _by_rank(first)
+    ech, _ = _echelon(rows)
     snapshot = (ech.rank, ech.pivot_columns(), [dict(r) for r in ech.integer_rows()],
                 ech.reduce(probe))
     dup = ech.copy()
