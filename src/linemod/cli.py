@@ -73,8 +73,13 @@ _suite_degree = _int_at_least(2, "an integer >= 2, the first degree a line-modul
 
 
 def _load_presentation(spec: str):
+    """The presentation ``--algebra`` names: a .alg file, or a preset that
+    is a presentation (not a bracket table or a quadric)."""
     if spec.endswith(".alg") or "/" in spec:
         return parse_algebra(Path(spec).read_text())
+    if spec not in PRESENTATION_NAMES:
+        raise LinemodError(f"--algebra: {spec!r} is neither a .alg file nor a preset "
+                           f"presentation; presentations: {', '.join(PRESENTATION_NAMES)}")
     return preset(spec)
 
 

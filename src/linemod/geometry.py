@@ -11,21 +11,21 @@ the Hodge dual of ``q``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RankDeficientError
 from .linalg import IntegerPlane, fraction_vector, normalize_integer_vector
 
 
-@dataclass(frozen=True)
 class Line:
-    """The line V(u, v) cut out by two independent degree-one forms."""
+    """The line V(u, v) cut out by two independent degree-one forms.
 
-    forms: tuple
+    Lines are immutable and compare and hash by the line, not the forms."""
 
-    def __post_init__(self):
-        u, v = (fraction_vector(f) for f in self.forms)
+    __slots__ = ("forms", "_plane")
+
+    def __init__(self, forms):
+        u, v = (fraction_vector(f) for f in forms)
         if len(u) != 4 or len(v) != 4:
             raise ValueError("forms must have four coordinates")
         plane = IntegerPlane(u, v)
@@ -33,6 +33,9 @@ class Line:
             raise RankDeficientError("the two forms are linearly dependent")
         object.__setattr__(self, "forms", (u, v))
         object.__setattr__(self, "_plane", plane)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Line.{name} cannot be assigned")
 
     def canonical(self) -> tuple:
         """The primitive dual Plücker vector (q01, q02, q03, q12, q13, q23)
@@ -82,14 +85,13 @@ def lines_meet(L1: Line, L2: Line) -> bool:
             + a[1, 2] * b[0, 3] - a[1, 3] * b[0, 2] + a[2, 3] * b[0, 1]) == 0
 
 
-@dataclass(frozen=True)
 class Quadric:
     """A quadric surface, as a nonzero symmetric 4x4 rational matrix."""
 
-    matrix: tuple
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        M = tuple(map(fraction_vector, self.matrix))
+    def __init__(self, matrix):
+        M = tuple(map(fraction_vector, matrix))
         if len(M) != 4 or any(len(r) != 4 for r in M):
             raise ValueError("quadric matrix must be 4x4")
         if all(c == 0 for row in M for c in row):
@@ -98,7 +100,7 @@ class Quadric:
             for j in range(4):
                 if M[i][j] != M[j][i]:
                     raise ValueError("quadric matrix must be symmetric")
-        object.__setattr__(self, "matrix", M)
+        self.matrix = M
 
     def evaluate(self, point) -> Fraction:
         return self.polarize(point, point)

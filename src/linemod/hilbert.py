@@ -12,9 +12,9 @@ presentations (enveloping algebras) the same brute-force way.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import InhomogeneousError, LinemodError, OracleCapError
 from .linalg import SparseEchelon
@@ -272,8 +272,7 @@ def hilbert_two_routes(p, max_degree: int, oracle_degree: int) -> tuple:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class CyclicModuleModel:
+class CyclicModuleModel(NamedTuple):
     """Rewrite-route model of A/(sum A g_i) in degrees <= N.
 
     ``basis`` holds the normal words of each degree (a basis of A_d);
@@ -330,8 +329,7 @@ def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> C
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class FilteredModel:
+class FilteredModel(NamedTuple):
     """Free-word model of a filtered quotient of a presented algebra.
 
     The free words of level <= max_degree are numbered once (``column``),

@@ -10,11 +10,11 @@ two independent routes that must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
 from random import Random
+from typing import NamedTuple
 
 from .errors import (
     AdmissibilityError,
@@ -28,7 +28,6 @@ from .ncalg import Generator, NcPoly, up_to_scale
 from .rewrite import Presentation, RewriteSystem, complete, ideal_member, normal_form
 
 
-@dataclass(frozen=True)
 class BracketTable:
     """Structure constants of a bracket algebra.
 
@@ -40,25 +39,28 @@ class BracketTable:
     enveloping presentation on the same ordered basis names.
     """
 
-    name: str
-    kind: str                      # "lie" | "super" | "color"
-    basis_names: tuple
-    table: tuple
-    signs: tuple
-    enveloping: Presentation
-    grading_group: str | None = None
-    labels: tuple | None = None
+    __slots__ = ("name", "kind", "basis_names", "table", "signs", "enveloping",
+                 "grading_group", "labels", "_terms")
 
-    def __post_init__(self):
+    def __init__(self, name: str, kind: str, basis_names: tuple, table: tuple, signs: tuple,
+                 enveloping: Presentation, grading_group: str | None, labels: tuple | None):
+        self.name = name
+        self.kind = kind                  # "lie" | "super" | "color"
+        self.basis_names = basis_names
+        self.table = table
+        self.signs = signs
+        self.enveloping = enveloping
+        self.grading_group = grading_group
+        self.labels = labels
         # the nonzero structure constants as (i, j, k, c), integral ones as int
         terms = []
-        for i, row in enumerate(self.table):
+        for i, row in enumerate(table):
             for j, entry in enumerate(row):
                 for k, c in enumerate(entry):
                     if c:
                         c = Fraction(c)
                         terms.append((i, j, k, c.numerator if c.denominator == 1 else c))
-        object.__setattr__(self, "_terms", tuple(terms))
+        self._terms = tuple(terms)
 
     @property
     def dimension(self) -> int:
@@ -89,22 +91,46 @@ def bracket(x, y, T: BracketTable) -> tuple:
     return _bracket(x, y, T, Fraction(0))
 
 
-@dataclass(frozen=True)
 class SubalgebraSpec:
     """A two-dimensional subspace given by two coefficient vectors.
 
     Rank, membership and coordinates are read in integer arithmetic from
     the ``IntegerPlane`` of the two vectors, built once on construction.
+    ``over`` builds the plane straight from integer rows over a common
+    denominator and makes the Fraction vectors only when they are read.
     """
 
-    v1: tuple
-    v2: tuple
+    __slots__ = ("_plane", "_vectors")
 
-    def __post_init__(self):
-        v1, v2 = fraction_vector(self.v1), fraction_vector(self.v2)
-        object.__setattr__(self, "v1", v1)
-        object.__setattr__(self, "v2", v2)
-        object.__setattr__(self, "_plane", IntegerPlane(v1, v2))
+    def __init__(self, v1, v2):
+        self._vectors = (fraction_vector(v1), fraction_vector(v2))
+        self._plane = IntegerPlane(*self._vectors)
+
+    @staticmethod
+    def over(r1, r2, den: int) -> "SubalgebraSpec":
+        """The span of the integer rows ``r1 / den`` and ``r2 / den``."""
+        S = SubalgebraSpec.__new__(SubalgebraSpec)
+        S._vectors = None
+        S._plane = IntegerPlane(r1, r2, den)
+        return S
+
+    def basis(self) -> tuple:
+        """The two vectors, as tuples of Fractions."""
+        if self._vectors is None:
+            den = self._plane.den
+            self._vectors = tuple(tuple(Fraction(x, den) for x in r) for r in self._plane.basis)
+        return self._vectors
+
+    @property
+    def v1(self) -> tuple:
+        return self.basis()[0]
+
+    @property
+    def v2(self) -> tuple:
+        return self.basis()[1]
+
+    def __eq__(self, other):
+        return isinstance(other, SubalgebraSpec) and self.basis() == other.basis()
 
     def rank(self) -> int:
         return self._plane.rank()
@@ -113,21 +139,19 @@ class SubalgebraSpec:
         if self.rank() != 2:
             raise RankDeficientError("subspace basis is rank deficient")
 
-    def basis(self) -> tuple:
-        return (self.v1, self.v2)
 
-
-@dataclass(frozen=True)
 class Functional:
     """Values of a linear functional on the two basis vectors of a
     SubalgebraSpec."""
 
-    on_v1: Fraction
-    on_v2: Fraction
+    __slots__ = ("on_v1", "on_v2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "on_v1", Fraction(self.on_v1))
-        object.__setattr__(self, "on_v2", Fraction(self.on_v2))
+    def __init__(self, on_v1, on_v2):
+        self.on_v1 = Fraction(on_v1)
+        self.on_v2 = Fraction(on_v2)
+
+    def __eq__(self, other):
+        return isinstance(other, Functional) and self.values() == other.values()
 
     def values(self) -> tuple:
         return (self.on_v1, self.on_v2)
@@ -145,7 +169,7 @@ def is_graded_subspace(S: SubalgebraSpec, labels) -> bool:
     """Whether S is the sum of its intersections with the homogeneous
     components of the grading with the given per-coordinate labels."""
     S.require_rank2()
-    n = len(S.v1)
+    n = len(S._plane.basis[0])
     total = 0
     for lab in sorted(set(labels)):
         # dim of S intersected with the component: 2 minus the rank of the
@@ -317,18 +341,17 @@ def require_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     family: str
     members: list                  # dicts: params, closed, graded
     sufficiency_pass: bool
     samples: int
     closed_sample_count: int
     counterexamples: list
-    completeness_pass: bool = field(init=False)
 
-    def __post_init__(self):
-        self.completeness_pass = not self.counterexamples
+    @property
+    def completeness_pass(self) -> bool:
+        return not self.counterexamples
 
 
 def _random_ratio(rng: Random) -> tuple:
@@ -341,16 +364,15 @@ def random_fraction(rng: Random) -> Fraction:
     return Fraction(*_random_ratio(rng))
 
 
-def _mix(rng: Random, u, v, den: int) -> tuple:
-    """A random invertible integer 2x2 combination of the vectors u / den
-    and v / den, for integer u and v: integer sums, then one Fraction per
-    entry."""
+def _mix(rng: Random, u, v) -> tuple:
+    """A random invertible integer 2x2 combination of the integer vectors u
+    and v, in integer arithmetic."""
     while True:
         a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
         if a * d - b * c != 0:
             break
-    return (tuple(Fraction(a * x + b * y, den) for x, y in zip(u, v)),
-            tuple(Fraction(c * x + d * y, den) for x, y in zip(u, v)))
+    return (tuple(a * x + b * y for x, y in zip(u, v)),
+            tuple(c * x + d * y for x, y in zip(u, v)))
 
 
 def random_mix(rng: Random, u, v) -> tuple:
@@ -358,8 +380,9 @@ def random_mix(rng: Random, u, v) -> tuple:
     2x2 combination of them, taken on integer numerators over one common
     denominator."""
     den = lcm(*(x.denominator for x in (*u, *v)))
-    return _mix(rng, [x.numerator * (den // x.denominator) for x in u],
-                [x.numerator * (den // x.denominator) for x in v], den)
+    rows = _mix(rng, [x.numerator * (den // x.denominator) for x in u],
+                [x.numerator * (den // x.denominator) for x in v])
+    return tuple(tuple(Fraction(x, den) for x in r) for r in rows)
 
 
 def _random_rank2(rng: Random) -> SubalgebraSpec:
@@ -368,16 +391,17 @@ def _random_rank2(rng: Random) -> SubalgebraSpec:
     All three echelon charts of the Grassmannian are covered, with most
     samples in the dense chart.  Each chart's rows are drawn as integer
     numerators over one denominator: the same draws, in the same order, as
-    rows of ``random_fraction`` entries mixed by ``random_mix``.
+    rows of ``random_fraction`` entries mixed by ``random_mix``.  The mixed
+    rows stay integers (``SubalgebraSpec.over``).
     """
     roll = rng.random()
     if roll < 0.80:
         (p, q), (r, s) = _random_ratio(rng), _random_ratio(rng)
-        return SubalgebraSpec(*_mix(rng, (q * s, 0, p * s), (0, q * s, r * q), q * s))
+        return SubalgebraSpec.over(*_mix(rng, (q * s, 0, p * s), (0, q * s, r * q)), q * s)
     if roll < 0.97:
         p, q = _random_ratio(rng)
-        return SubalgebraSpec(*_mix(rng, (q, p, 0), (0, 0, q), q))
-    return SubalgebraSpec(*_mix(rng, (0, 1, 0), (0, 0, 1), 1))
+        return SubalgebraSpec.over(*_mix(rng, (q, p, 0), (0, 0, q)), q)
+    return SubalgebraSpec.over(*_mix(rng, (0, 1, 0), (0, 0, 1)), 1)
 
 
 def family_member(S: SubalgebraSpec, T: BracketTable) -> bool:

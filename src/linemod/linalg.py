@@ -199,8 +199,9 @@ def fraction_vector(vec) -> tuple:
 
 
 class IntegerPlane:
-    """The span of two rational vectors ``u`` and ``v``, read in integer
-    arithmetic.
+    """The span of two rational vectors ``u / den`` and ``v / den``, read in
+    integer arithmetic (``den`` is 1 unless integer rows ``u`` and ``v``
+    are given over a common denominator).
 
     ``ints`` holds the primitive integer multiples ``a`` of u and ``b`` of v,
     and ``plucker`` the Plücker coordinates ``p_ij = a_i b_j - a_j b_i`` for
@@ -211,11 +212,12 @@ class IntegerPlane:
     ``p_ij``.
     """
 
-    __slots__ = ("basis", "ints", "plucker")
+    __slots__ = ("basis", "den", "ints", "plucker")
 
-    def __init__(self, u, v):
+    def __init__(self, u, v, den: int = 1):
         a, b = normalize_integer_vector(u), normalize_integer_vector(v)
         self.basis = (u, v)
+        self.den = den
         self.ints = (a, b)
         self.plucker = {(i, j): a[i] * b[j] - a[j] * b[i]
                         for i, j in combinations(range(len(a)), 2)}
@@ -243,10 +245,11 @@ class IntegerPlane:
         return next(ij for ij, p in self.plucker.items() if p)
 
     def solve(self, w) -> tuple:
-        """The Fractions ``(x, y)`` with ``w = x u + y v``, by Cramer's rule
-        on the coordinates of the pivot; ``w`` must lie in the span."""
+        """The Fractions ``(x, y)`` with ``w = (x u + y v) / den``, by
+        Cramer's rule on the coordinates of the pivot; ``w`` must lie in the
+        span."""
         i, j = self.pivot()
         u, v = self.basis
         det = u[i] * v[j] - u[j] * v[i]
-        return (Fraction(w[i] * v[j] - w[j] * v[i], det),
-                Fraction(u[i] * w[j] - u[j] * w[i], det))
+        return (Fraction(self.den * (w[i] * v[j] - w[j] * v[i]), det),
+                Fraction(self.den * (u[i] * w[j] - u[j] * w[i]), det))

@@ -10,8 +10,8 @@ bounded degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import geometry
 from .errors import InhomogeneousError, RankDeficientError, SubalgebraFormError
@@ -37,19 +37,19 @@ from .ncalg import NcPoly
 from .rewrite import Presentation, RewriteSystem
 
 
-@dataclass(frozen=True)
 class LineModuleSpec:
     """A cyclic quotient of a graded algebra by two independent degree-one
     left ideal generators."""
 
-    system: RewriteSystem
-    generators: tuple
+    __slots__ = ("system", "generators", "_model")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+    def __init__(self, system: RewriteSystem, generators):
+        self.system = system
+        self.generators = tuple(generators)
+        self._model = None
         if len(self.generators) != 2:
             raise ValueError("a line module spec needs exactly two generators")
-        degrees = self.system.presentation.z_degrees
+        degrees = system.presentation.z_degrees
         for g in self.generators:
             if g.is_zero() or g.z_degrees(degrees) != {1}:
                 raise InhomogeneousError("line module generators must be homogeneous of degree one")
@@ -73,21 +73,19 @@ class LineModuleSpec:
         Its data in degrees <= d are those of the model built to d, so the
         largest model built so far serves every bound it reaches; a larger
         bound builds a new one, which is kept in its place."""
-        model = getattr(self, "_model", None)
+        model = self._model
         if model is None or model.max_degree < max_degree:
-            model = cyclic_module_model(self.system, self.generators, max_degree)
-            object.__setattr__(self, "_model", model)
+            model = self._model = cyclic_module_model(self.system, self.generators, max_degree)
         return model
 
 
-@dataclass
-class CertificationReport:
+class CertificationReport(NamedTuple):
     """Outcome of a degreewise certificate; failing any degree fails all."""
 
     expected: list
     found: list
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +140,7 @@ def certify_line_module(M: LineModuleSpec, max_degree: int) -> CertificationRepo
     """Dimension certificate: the cyclic quotient has dims d+1 up to the bound."""
     expected = line_module_dims(max_degree)
     found = M.model(max_degree).dims(max_degree)
-    return CertificationReport(expected, found, found == expected)
+    return CertificationReport(expected, found, found == expected, {})
 
 
 def is_Z2_graded_line_module(M: LineModuleSpec) -> bool:
@@ -179,8 +177,7 @@ def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> 
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class InducedModuleSpec:
+class InducedModuleSpec(NamedTuple):
     """A module induced from a one-dimensional subalgebra module, filtered
     by total degree inside the enveloping presentation."""
 

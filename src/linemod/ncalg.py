@@ -9,9 +9,7 @@ all values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import LinemodError, UngradedAlphabetError
@@ -22,24 +20,35 @@ Word = tuple
 EMPTY_WORD: Word = ()
 
 
-@dataclass(frozen=True)
 class Generator:
     """One generator of a presented algebra.
 
     ``z_degree`` is the weight in the integer grading (1 for every algebra
     shipped with this package).  ``group_label`` is the optional label in a
     finite grading group, stored as a tuple of bits: ``(1,)`` for Z2,
-    ``(1, 0)`` for Z2 x Z2.
+    ``(1, 0)`` for Z2 x Z2.  Generators are immutable and compare and hash
+    by value, since a presentation's hash reads them.
     """
 
-    index: int
-    name: str
-    z_degree: int = 1
-    group_label: tuple | None = None
+    __slots__ = ("index", "name", "z_degree", "group_label")
 
-    def __post_init__(self):
-        if self.z_degree < 1:
-            raise ValueError(f"generator {self.name!r} must have positive degree")
+    def __init__(self, index: int, name: str, z_degree: int = 1, group_label: tuple | None = None):
+        if z_degree < 1:
+            raise ValueError(f"generator {name!r} must have positive degree")
+        for slot, value in zip(Generator.__slots__, (index, name, z_degree, group_label)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Generator.{name} cannot be assigned")
+
+    def _key(self) -> tuple:
+        return (self.index, self.name, self.z_degree, self.group_label)
+
+    def __eq__(self, other):
+        return isinstance(other, Generator) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def check_alphabet(generators: Iterable[Generator]) -> tuple[Generator, ...]:
@@ -265,7 +274,6 @@ def up_to_scale(a: NcPoly, b: NcPoly) -> bool:
     return b == a.scale(b.coeff(w) / a.coeff(w))
 
 
-@dataclass(frozen=True)
 class TermOrder:
     """Degree-lexicographic order on words.
 
@@ -276,8 +284,14 @@ class TermOrder:
     multiplicative, and well-founded on each degree.
     """
 
-    degrees: tuple
-    ranks: tuple
+    __slots__ = ("degrees", "ranks", "_index_precedence")
+
+    def __init__(self, degrees: tuple, ranks: tuple):
+        self.degrees = degrees
+        self.ranks = ranks
+        # under index-order precedence the word itself is the lexicographic
+        # part of ``heap_key``
+        self._index_precedence = ranks == tuple(range(len(ranks)))
 
     @staticmethod
     def from_precedence(degrees: tuple, precedence: "tuple | None" = None) -> "TermOrder":
@@ -298,14 +312,9 @@ class TermOrder:
 
     def heap_key(self, word: Word):
         """Key decreasing along the order: the greatest word has the least
-        key, so a min-heap or an ascending sort takes it first.  Under
-        index-order precedence the word itself is the lexicographic part."""
+        key, so a min-heap or an ascending sort takes it first."""
         lex = word if self._index_precedence else tuple(self.ranks[g] for g in word)
         return (-self.word_degree(word), -len(word), lex)
-
-    @cached_property
-    def _index_precedence(self) -> bool:
-        return self.ranks == tuple(range(len(self.ranks)))
 
     def compare(self, a: Word, b: Word) -> int:
         """-1, 0 or 1 according to a < b, a == b, a > b."""

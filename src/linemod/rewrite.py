@@ -12,10 +12,10 @@ elements of degree at most N.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .errors import (
     DegenerateRelationError,
@@ -25,7 +25,6 @@ from .errors import (
 from .ncalg import EMPTY_WORD, NcPoly, TermOrder, Word, check_alphabet, group_degree
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Generators plus defining relations of an associative algebra.
 
@@ -34,32 +33,46 @@ class Presentation:
     group homogeneous.  Integer homogeneity is recorded, not required:
     enveloping algebras such as U(g) are genuinely inhomogeneous and are
     handled by filtering on total degree.
+
+    Presentations are immutable and compare and hash by value; the hash,
+    which keys the filtered model's cache, is computed once.
     """
 
-    name: str
-    generators: tuple
-    relations: tuple
-    grading_group: str | None = None
+    __slots__ = ("name", "generators", "relations", "grading_group", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", check_alphabet(self.generators))
-        rels = tuple(self.relations)
-        object.__setattr__(self, "relations", rels)
-        n = len(self.generators)
+    def __init__(self, name: str, generators, relations, grading_group: str | None = None):
+        generators = check_alphabet(generators)
+        rels = tuple(relations)
+        n = len(generators)
         for i, rel in enumerate(rels):
             if rel.is_zero():
-                raise DegenerateRelationError(f"relation {i} of {self.name!r} is zero")
+                raise DegenerateRelationError(f"relation {i} of {name!r} is zero")
             for w in rel.support():
                 if any(g < 0 or g >= n for g in w):
-                    raise ValueError(f"relation {i} of {self.name!r} uses undeclared generators")
-        if self.grading_group is not None:
-            labels = self.group_labels()
+                    raise ValueError(f"relation {i} of {name!r} uses undeclared generators")
+        if grading_group is not None:
+            labels = tuple(g.group_label for g in generators)
             for i, rel in enumerate(rels):
                 degs = {group_degree(w, labels) for w in rel.support()}
                 if len(degs) > 1:
                     raise InhomogeneousError(
-                        f"relation {i} of {self.name!r} is not {self.grading_group}-homogeneous"
+                        f"relation {i} of {name!r} is not {grading_group}-homogeneous"
                     )
+        key = (name, generators, rels, grading_group)
+        for slot, value in zip(Presentation.__slots__, key + (hash(key),)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Presentation.{name} cannot be assigned")
+
+    def _key(self) -> tuple:
+        return (self.name, self.generators, self.relations, self.grading_group)
+
+    def __eq__(self, other):
+        return isinstance(other, Presentation) and self._key() == other._key()
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def z_degrees(self) -> tuple:
@@ -85,24 +98,21 @@ class Presentation:
         return TermOrder.from_precedence(self.z_degrees)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """An oriented relation lhs -> rhs with every rhs word below the lhs."""
 
     lhs: Word
     rhs: NcPoly
 
 
-@dataclass(frozen=True)
-class DerivedRule:
+class DerivedRule(NamedTuple):
     """Provenance record for a rule added during completion."""
 
     lhs: Word
     source: str            # "relation" or "overlap"
-    overlap_word: Word | None = None
+    overlap_word: Word | None
 
 
-@dataclass
 class RewriteSystem:
     """A completed, degree-bounded reduction system.
 
@@ -110,15 +120,18 @@ class RewriteSystem:
     been verified to resolve; normal forms are unique for inputs of degree
     at most this bound, and ``normal_form`` refuses inputs above it.
     ``discarded_above_bound`` flags derived rules that were dropped because
-    their degree exceeded the bound.
+    their degree exceeded the bound.  ``trace`` lists the ``DerivedRule``
+    of every rule added during completion.
     """
 
-    presentation: Presentation
-    order: TermOrder
-    rules: list
-    confluent_up_to: int
-    trace: list = field(default_factory=list)
-    discarded_above_bound: bool = False
+    def __init__(self, presentation: Presentation, order: TermOrder, rules: list,
+                 confluent_up_to: int, trace: list, discarded_above_bound: bool):
+        self.presentation = presentation
+        self.order = order
+        self.rules = rules
+        self.confluent_up_to = confluent_up_to
+        self.trace = trace
+        self.discarded_above_bound = discarded_above_bound
 
     def rule_for(self, lhs: Word) -> Rule | None:
         return self._by_lhs.get(lhs)
@@ -498,8 +511,7 @@ def ideal_member(x: NcPoly, system: RewriteSystem) -> bool:
     return normal_form(x, system).is_zero()
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One rewrite application: the coefficient times ``word`` was replaced
     using the rule with left side ``rule_lhs`` at ``position``."""
 

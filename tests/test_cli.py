@@ -274,6 +274,23 @@ def test_unknown_preset_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["complete", "--algebra", "sl2_table"],
+    ["certify-line", "--algebra", "sl2_table", "--gen", "e", "--gen", "h"],
+    ["hilbert", "--algebra", "sl11_quadric"],
+])
+def test_algebra_must_be_a_presentation(capsys, argv):
+    # a bracket table or a quadric is a preset but not a presentation
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --algebra: {argv[2]!r} is neither a .alg file nor a preset presentation; "
+        "presentations: sl2_A, sl2_U, sl11_U, sl11_Uhat, sl11_H, sl11_Hhat, slc_U, slc_H, "
+        "sl21_Hhat\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["classify-sub", "--preset", "bogus"])

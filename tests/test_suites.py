@@ -44,7 +44,7 @@ def test_route_disagreement_fails_its_check(monkeypatch, name, check_name, count
     assert check["witness"] == f"injected for phi {calls[2].values()}"
 
 
-_FAILED_CERTIFICATE = modules.CertificationReport([1, 2, 3], [1, 2, 2], False)
+_FAILED_CERTIFICATE = modules.CertificationReport([1, 2, 3], [1, 2, 2], False, {})
 
 
 # each check's pass reads every condition its entries are built from
