@@ -7,6 +7,11 @@ and right shifts of the rows that gave a pivot below) and row-reduces with
 exact rational arithmetic, never consulting the rewrite system.  The
 filtered variant realizes cyclic quotients of genuinely inhomogeneous
 presentations (enveloping algebras) the same brute-force way.
+
+The cyclic-module route passes each module generator to the rewrite
+engine as its primitive integer multiple, which spans the same left ideal,
+so with integer structure constants its rows are ``int``-valued from the
+memo to the echelon.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InhomogeneousError, LinemodError, OracleCapError
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, normalize_integer_vector
 from .ncalg import EMPTY_WORD
 from .rewrite import Presentation, RewriteSystem, complete
 
@@ -298,17 +303,20 @@ def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> C
     Each row ``NF(b g)``, for a normal word ``b`` and a generator ``g``, is
     read from the system's memo of normal word times letter
     (``RewriteSystem.right_multiply``); the certified-range check keeps every
-    product in the confluent range, where it equals a full reduction."""
+    product in the confluent range, where it equals a full reduction.  A
+    generator enters as its primitive integer multiple, which generates the
+    same left ideal, so the rows carry no denominators of its own."""
     pres = system.presentation
     if not pres.is_z_homogeneous():
         raise InhomogeneousError(f"{pres.name!r} is not graded")
     system.require_certified(max_degree)
     degrees = pres.z_degrees
-    gens = tuple(generators)
-    gen_degs = []
-    for g in gens:
+    gens, gen_degs = [], []
+    for g in generators:
         if g.is_zero() or not g.is_z_homogeneous(degrees):
             raise InhomogeneousError("module generators must be nonzero and homogeneous")
+        words, coeffs = zip(*g.items())
+        gens.append(dict(zip(words, normalize_integer_vector(coeffs))))
         gen_degs.append(next(iter(g.z_degrees(degrees))))
     basis = normal_words_by_degree(system, max_degree)
     positions = [{w: i for i, w in enumerate(basis[d])} for d in range(max_degree + 1)]

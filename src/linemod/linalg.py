@@ -181,15 +181,20 @@ def dense_nullspace(rows, ncols) -> list:
 
 def normalize_integer_vector(vec) -> tuple:
     """Scale a vector of ints and Fractions to coprime integers with positive
-    leading sign (the zero vector stays zero)."""
-    den = lcm(*(v.denominator for v in vec))
-    ints = [v.numerator * (den // v.denominator) for v in vec]
+    leading sign (the zero vector stays zero).  A vector of ints needs no
+    common denominator, and one already coprime with positive lead is
+    returned as it is, as a tuple."""
+    if all(type(v) is int for v in vec):
+        ints = vec
+    else:
+        den = lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (den // v.denominator) for v in vec]
     g = gcd(*ints)
     if not g:
         return tuple(ints)
     if next(v for v in ints if v) < 0:
         g = -g
-    return tuple(v // g for v in ints)
+    return tuple(ints) if g == 1 else tuple(v // g for v in ints)
 
 
 def fraction_vector(vec) -> tuple:

@@ -7,6 +7,14 @@ style, but only up to a degree bound N: every overlap word of degree at
 most N is checked, derived rules of higher degree are discarded and
 flagged, and the resulting system certifies unique normal forms for
 elements of degree at most N.
+
+Coefficients are rationals, but presentations with integer structure
+constants, every preset among them, give mostly integers.  Inside the
+engine an integral coefficient stays an ``int``: each rule keeps its right-hand side
+as compacted (word, coefficient) pairs (``Rule.pairs``), which reductions,
+S-polynomials and the memo of normal word times letter all multiply.
+``Fraction`` objects are made where a value leaves the engine: normal
+forms, trace steps and rule right-hand sides are ``Fraction``-valued.
 """
 
 from __future__ import annotations
@@ -98,11 +106,18 @@ class Presentation:
         return TermOrder.from_precedence(self.z_degrees)
 
 
-class Rule(NamedTuple):
-    """An oriented relation lhs -> rhs with every rhs word below the lhs."""
+class Rule:
+    """An oriented relation lhs -> rhs with every rhs word below the lhs.
 
-    lhs: Word
-    rhs: NcPoly
+    ``pairs`` holds the (word, coefficient) pairs of ``rhs`` with integral
+    coefficients as ``int``, compacted once per rule for the engine."""
+
+    __slots__ = ("lhs", "rhs", "pairs")
+
+    def __init__(self, lhs: Word, rhs: NcPoly):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.pairs = tuple((w, _compact(c)) for w, c in rhs.items())
 
 
 class DerivedRule(NamedTuple):
@@ -152,7 +167,9 @@ class RewriteSystem:
     def right_multiply(self, word: Word, terms) -> dict:
         """Normal form of ``word * x`` for a normal word ``word`` and ``x`` a
         word -> coefficient dict or an NcPoly, read from the memo of normal
-        word times letter.  No degree check: it equals ``reduce`` of the product only
+        word times letter.  Its values are ``int`` where ``x`` and the memo
+        are integral, for the exact kernel, which takes ints and Fractions
+        alike.  No degree check: it equals ``reduce`` of the product only
         within ``confluent_up_to``, where normal forms are unique."""
         out, _ = self._products.fold(word, terms.items(), True)
         return {w: c for w, c in out.items() if c}
@@ -245,10 +262,12 @@ def _reduce(terms: dict, automaton: LhsAutomaton, order: TermOrder,
     The greatest pending word is taken first and rewritten at its leftmost
     match.  A rewrite only produces smaller words, so like terms are merged
     before they are reduced, each word is rewritten at most once, and the
-    words taken form a strictly decreasing sequence.
+    words taken form a strictly decreasing sequence.  Integral coefficients
+    are merged as ``int``; the normal form's values and the steps'
+    coefficients are ``Fraction``s.
     """
     key = order.heap_key
-    pending = dict(terms)
+    pending = {w: _compact(c) for w, c in terms.items()}
     heap = [(key(w), w) for w in pending]
     heapify(heap)
     out = {}
@@ -259,13 +278,13 @@ def _reduce(terms: dict, automaton: LhsAutomaton, order: TermOrder,
             continue
         m = _find_match(word, automaton)
         if m is None:
-            out[word] = coeff
+            out[word] = Fraction(coeff)
             continue
         pos, rule = m
         if steps is not None:
-            steps.append(TraceStep(word, coeff, pos, rule.lhs))
+            steps.append(TraceStep(word, Fraction(coeff), pos, rule.lhs))
         prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-        for w, c in rule.rhs.items():
+        for w, c in rule.pairs:
             nw = prefix + w + suffix
             if nw in pending:
                 pending[nw] += coeff * c
@@ -292,14 +311,13 @@ class _ProductTable:
     filling ends; it runs on an explicit stack, not by recursion.  Only
     reducible products are stored, each as one flat tuple ``(word, coeff,
     word, coeff, ...)`` with the words interned and integral coefficients
-    as ``int``.
+    as ``int``, folded from the rules' ``pairs``.
     """
 
     def __init__(self, rules):
         self._by_last = {}    # last letter -> [(len(lhs), lhs, rhs pairs)]
         for r in rules:
-            rhs = tuple((w, _compact(c)) for w, c in r.rhs.items())
-            self._by_last.setdefault(r.lhs[-1], []).append((len(r.lhs), r.lhs, rhs))
+            self._by_last.setdefault(r.lhs[-1], []).append((len(r.lhs), r.lhs, r.pairs))
         self._table = {}      # reducible product -> (word, coeff, word, coeff, ...)
         self._words = {}      # interned normal words of the stored pairs
 
@@ -486,9 +504,9 @@ def _spolynomial(overlap: Word, r1: Rule, r2: Rule, automaton: LhsAutomaton,
     """Difference of the two one-step reductions of the overlap word, in
     normal form.  Empty dict means the ambiguity resolves."""
     tail = overlap[len(r1.lhs):]
-    diff = {w + tail: c for w, c in r1.rhs.items()}
+    diff = {w + tail: c for w, c in r1.pairs}
     head = overlap[: len(overlap) - len(r2.lhs)]
-    for w, c in r2.rhs.items():
+    for w, c in r2.pairs:
         diff[head + w] = diff.get(head + w, 0) - c
     return _reduce(diff, automaton, order)
 

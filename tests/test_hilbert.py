@@ -20,6 +20,7 @@ from linemod.hilbert import (
     word_counts,
     words_of_degree,
 )
+from linemod.dsl import parse_algebra, parse_expression
 from linemod.liealg import Functional, SubalgebraSpec, shift_generators
 from linemod.linalg import SparseEchelon
 from linemod.ncalg import Generator, NcPoly
@@ -335,6 +336,68 @@ def test_cyclic_dims_generator_basis_invariant(hhat_system):
                 break
         mixed = (g1.scale(a) + g2.scale(b), g1.scale(c) + g2.scale(d))
         assert cyclic_module_model(hhat_system, mixed, 5).dims(5) == base
+
+
+# skew polynomial ring: its completed rules have non-integral right-hand
+# sides (x*y -> 3/2 y*x), so the memo holds Fractions
+_SKEW = """algebra skew {
+  generators x y z;
+  relations { 2*x*y - 3*y*x; x*z - z*x; 2*y*z - 5*z*y; }
+}"""
+_SCALED_CASES = {
+    "slc_H": ("a1 - 1/2*a4", "a2 + a3"),
+    "sl2_A": ("e", "h - 2*t"),
+    "skew": ("x - 1/2*z", "2/3*y"),
+}
+
+
+@lru_cache(maxsize=None)
+def _scaled_case(name):
+    """The completed system, the generators and their cyclic model to
+    degree 5."""
+    pres = parse_algebra(_SKEW) if name == "skew" else preset(name)
+    system = complete(pres, max_degree=5)
+    gens = tuple(parse_expression(g, pres) for g in _SCALED_CASES[name])
+    return system, gens, cyclic_module_model(system, gens, 5)
+
+
+_NONZERO_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+
+
+@pytest.mark.parametrize("name", sorted(_SCALED_CASES))
+@settings(max_examples=25, deadline=None)
+@given(scales=st.tuples(_NONZERO_RATIONALS, _NONZERO_RATIONALS))
+def test_scaled_generators_keep_the_cyclic_model(name, scales):
+    # a generator enters the memo as its primitive integer multiple, so any
+    # rational multiple of it gives the same rows, and the same primitive
+    # echelon rows
+    system, gens, base = _scaled_case(name)
+    scaled = tuple(g.scale(s) for g, s in zip(gens, scales))
+    model = cyclic_module_model(system, scaled, 5)
+    assert model.dims(5) == base.dims(5)
+    assert [e.pivot_columns() for e in model.ideal] == [e.pivot_columns() for e in base.ideal]
+    assert [e.integer_rows() for e in model.ideal] == [e.integer_rows() for e in base.ideal]
+
+
+def test_skew_case_memo_holds_fractions():
+    system, _, base = _scaled_case("skew")
+    assert base.dims(5) == [1, 1, 1, 1, 1, 1]
+    coeffs = [c for entry in system._products._table.values() for c in entry[1::2]]
+    assert any(type(c) is Fraction for c in coeffs)
+
+
+def test_integral_memo_after_a_model_build(color_system, monkeypatch):
+    # rational generators over integer structure constants: the memo and
+    # every row the echelons take are int-valued
+    added = []
+    add = SparseEchelon.add
+    monkeypatch.setattr(SparseEchelon, "add", lambda ech, row: added.append(row) or add(ech, row))
+    pres = color_system.presentation
+    gens = tuple(parse_expression(g, pres) for g in ("a1 - 1/2*a4", "a2 + a3 + 5/3*a4"))
+    assert cyclic_module_model(color_system, gens, 6).dims(6) == line_module_dims(6)
+    table = color_system._products._table
+    assert table and all(type(c) is int for entry in table.values() for c in entry[1::2])
+    assert added and all(type(c) is int for row in added for c in row.values())
 
 
 # ----------------------------------------------------------------------

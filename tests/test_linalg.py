@@ -66,6 +66,17 @@ def test_normalize_integer_vector():
     assert normalize_integer_vector((0, 0)) == (0, 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=6))
+def test_normalize_integer_vector_on_ints(ints):
+    # an int vector skips the common denominator; the output is the same
+    # tuple of ints as for the equal Fraction vector, a list or a tuple in
+    out = normalize_integer_vector(tuple(ints))
+    assert out == normalize_integer_vector([Fraction(v) for v in ints])
+    assert out == normalize_integer_vector(ints)
+    assert type(out) is tuple and all(type(v) is int for v in out)
+
+
 # ----------------------------------------------------------------------
 # the integer kernel against an independent dense Gauss-Jordan
 # ----------------------------------------------------------------------

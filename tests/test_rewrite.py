@@ -105,6 +105,20 @@ def test_trace_replay_soundness(hhat_system):
     assert replayed == normal_form(poly, hhat_system)
 
 
+def test_integral_system_reduces_in_ints_and_returns_fractions(color_system):
+    # the rules' pairs are ints; what leaves the engine is Fraction-valued,
+    # which reports render as "p/q" strings
+    assert all(type(c) is int for r in color_system.rules for _, c in r.pairs)
+    assert all(type(c) is Fraction for r in color_system.rules for c in r.rhs.terms.values())
+    terms = {(0, 1, 2, 0): 3, (3, 2, 1): Fraction(-1, 2), (2, 1): Fraction(4)}
+    out = color_system.reduce(terms)
+    assert out and all(type(c) is Fraction for c in out.values())
+    poly = NcPoly(terms)
+    steps = derivation_trace(poly, color_system)
+    assert steps and all(type(st.coefficient) is Fraction for st in steps)
+    assert NcPoly(out) == normal_form(poly, color_system) == replay_trace(poly, steps, color_system)
+
+
 def test_normal_form_idempotent(hhat_system):
     rng = Random(9)
     for _ in range(20):
