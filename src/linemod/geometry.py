@@ -20,9 +20,10 @@ from .linalg import IntegerPlane, fraction_vector, normalize_integer_vector
 class Line:
     """The line V(u, v) cut out by two independent degree-one forms.
 
-    Lines are immutable and compare and hash by the line, not the forms."""
+    Lines are immutable and compare and hash by the line, not the forms.
+    The forms, as tuples of Fractions, are the basis of the line's plane."""
 
-    __slots__ = ("forms", "_plane")
+    __slots__ = ("_plane",)
 
     def __init__(self, forms):
         u, v = (fraction_vector(f) for f in forms)
@@ -31,11 +32,14 @@ class Line:
         plane = IntegerPlane(u, v)
         if plane.rank() != 2:
             raise RankDeficientError("the two forms are linearly dependent")
-        object.__setattr__(self, "forms", (u, v))
         object.__setattr__(self, "_plane", plane)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Line.{name} cannot be assigned")
+
+    @property
+    def forms(self) -> tuple:
+        return self._plane.basis
 
     def canonical(self) -> tuple:
         """The primitive dual Plücker vector (q01, q02, q03, q12, q13, q23)
@@ -108,9 +112,6 @@ class Quadric:
     def polarize(self, p, q) -> Fraction:
         p, q, M = fraction_vector(p), fraction_vector(q), self.matrix
         return sum(M[i][j] * p[i] * q[j] for i in range(4) for j in range(4) if M[i][j])
-
-    def contains_point(self, point) -> bool:
-        return self.evaluate(point) == 0
 
 
 def quadric_from_coeffs(coeffs: dict) -> Quadric:

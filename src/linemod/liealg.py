@@ -18,12 +18,11 @@ from typing import NamedTuple
 
 from .errors import (
     AdmissibilityError,
-    RankDeficientError,
     RouteDisagreementError,
     SubalgebraFormError,
 )
 from .hilbert import filtered_model
-from .linalg import IntegerPlane, fraction_vector
+from .linalg import IntegerPlane
 from .ncalg import Generator, NcPoly, up_to_scale
 from .rewrite import Presentation, RewriteSystem, complete, ideal_member, normal_form
 
@@ -39,18 +38,17 @@ class BracketTable:
     enveloping presentation on the same ordered basis names.
     """
 
-    __slots__ = ("name", "kind", "basis_names", "table", "signs", "enveloping",
-                 "grading_group", "labels", "_terms")
+    __slots__ = ("name", "kind", "basis_names", "table", "signs", "enveloping", "labels",
+                 "_terms")
 
     def __init__(self, name: str, kind: str, basis_names: tuple, table: tuple, signs: tuple,
-                 enveloping: Presentation, grading_group: str | None, labels: tuple | None):
+                 enveloping: Presentation, labels: tuple | None):
         self.name = name
         self.kind = kind                  # "lie" | "super" | "color"
         self.basis_names = basis_names
         self.table = table
         self.signs = signs
         self.enveloping = enveloping
-        self.grading_group = grading_group
         self.labels = labels
         # the nonzero structure constants as (i, j, k, c), integral ones as int
         terms = []
@@ -91,53 +89,9 @@ def bracket(x, y, T: BracketTable) -> tuple:
     return _bracket(x, y, T, Fraction(0))
 
 
-class SubalgebraSpec:
-    """A two-dimensional subspace given by two coefficient vectors.
-
-    Rank, membership and coordinates are read in integer arithmetic from
-    the ``IntegerPlane`` of the two vectors, built once on construction.
-    ``over`` builds the plane straight from integer rows over a common
-    denominator and makes the Fraction vectors only when they are read.
-    """
-
-    __slots__ = ("_plane", "_vectors")
-
-    def __init__(self, v1, v2):
-        self._vectors = (fraction_vector(v1), fraction_vector(v2))
-        self._plane = IntegerPlane(*self._vectors)
-
-    @staticmethod
-    def over(r1, r2, den: int) -> "SubalgebraSpec":
-        """The span of the integer rows ``r1 / den`` and ``r2 / den``."""
-        S = SubalgebraSpec.__new__(SubalgebraSpec)
-        S._vectors = None
-        S._plane = IntegerPlane(r1, r2, den)
-        return S
-
-    def basis(self) -> tuple:
-        """The two vectors, as tuples of Fractions."""
-        if self._vectors is None:
-            den = self._plane.den
-            self._vectors = tuple(tuple(Fraction(x, den) for x in r) for r in self._plane.basis)
-        return self._vectors
-
-    @property
-    def v1(self) -> tuple:
-        return self.basis()[0]
-
-    @property
-    def v2(self) -> tuple:
-        return self.basis()[1]
-
-    def __eq__(self, other):
-        return isinstance(other, SubalgebraSpec) and self.basis() == other.basis()
-
-    def rank(self) -> int:
-        return self._plane.rank()
-
-    def require_rank2(self):
-        if self.rank() != 2:
-            raise RankDeficientError("subspace basis is rank deficient")
+# a two-dimensional subspace, given by two coefficient vectors (``v1``,
+# ``v2``) or by integer rows over a common denominator
+SubalgebraSpec = IntegerPlane
 
 
 class Functional:
@@ -161,20 +115,19 @@ def is_subalgebra(S: SubalgebraSpec, T: BracketTable) -> bool:
     """Closure under the bracket, tested on all four ordered pairs of the
     integer basis."""
     S.require_rank2()
-    plane = S._plane
-    return all(plane.contains(_bracket(x, y, T, 0)) for x in plane.ints for y in plane.ints)
+    return all(S.contains(_bracket(x, y, T, 0)) for x in S.ints for y in S.ints)
 
 
 def is_graded_subspace(S: SubalgebraSpec, labels) -> bool:
     """Whether S is the sum of its intersections with the homogeneous
     components of the grading with the given per-coordinate labels."""
     S.require_rank2()
-    n = len(S._plane.basis[0])
+    n = len(S.basis[0])
     total = 0
     for lab in sorted(set(labels)):
         # dim of S intersected with the component: 2 minus the rank of the
         # basis on the coordinates outside the component
-        total += 2 - S._plane.rank_on([i for i in range(n) if labels[i] != lab])
+        total += 2 - S.rank_on([i for i in range(n) if labels[i] != lab])
     return total == 2
 
 
@@ -183,7 +136,8 @@ def is_graded_subspace(S: SubalgebraSpec, labels) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _combo(S: SubalgebraSpec, coeffs) -> tuple:
+def combination(S: SubalgebraSpec, coeffs) -> tuple:
+    """The vector ``x v1 + y v2`` of S for ``coeffs = (x, y)``."""
     x, y = coeffs
     return tuple(x * a + y * b for a, b in zip(S.v1, S.v2))
 
@@ -196,16 +150,16 @@ def sl11_form(S: SubalgebraSpec, T: BracketTable):
     of that shape.  Basis order of the ambient algebra is (e, f, h).
     """
     S.require_rank2()
-    if not S._plane.contains((0, 0, 1)):
+    if not S.contains((0, 0, 1)):
         raise SubalgebraFormError("subspace does not contain the even basis vector")
-    c0 = S._plane.solve((0, 0, 1))
+    c0 = S.solve((0, 0, 1))
     # complement with zero h coordinate; v1 is independent of h unless h is
     # a multiple of v1
     w, wc = (S.v1, (Fraction(1), Fraction(0)))
     if c0[1] == 0:
         w, wc = (S.v2, (Fraction(0), Fraction(1)))
     c1 = (wc[0] - w[2] * c0[0], wc[1] - w[2] * c0[1])
-    u2 = _combo(S, c1)
+    u2 = combination(S, c1)
     alpha, beta = u2[0], u2[1]
     if u2[2] or (not alpha and not beta):
         raise SubalgebraFormError("could not split off an odd complement")
@@ -221,21 +175,21 @@ def color_form(S: SubalgebraSpec, T: BracketTable):
     S.require_rank2()
     for i in range(3):
         unit = tuple(1 if m == i else 0 for m in range(3))
-        if not S._plane.contains(unit):
+        if not S.contains(unit):
             continue
         j, k = [m for m in range(3) if m != i]
         # the combinations with zero i-th coordinate; a_i in S makes the
         # coordinates (a, b) nonzero, so they form a line
         a, b = S.v1[i], S.v2[i]
         null = (-b / a, 1) if a else (1, 0)
-        u2 = _combo(S, null)
+        u2 = combination(S, null)
         if not u2[j]:
             raise SubalgebraFormError("complement is a multiple of a single basis vector")
         mu = u2[k] / u2[j]
         if mu not in (1, -1):
             raise SubalgebraFormError(f"complement slope {mu} is not +-1")
         c1 = (null[0] / u2[j], null[1] / u2[j])
-        return (i, j, k, mu), (S._plane.solve(unit), c1)
+        return (i, j, k, mu), (S.solve(unit), c1)
     raise SubalgebraFormError("subspace contains no grading basis vector")
 
 
@@ -291,17 +245,17 @@ def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
         return closed_form_on_pair(T.kind, canonical_pair(S, phi, T))
     if not is_subalgebra(S, T):
         raise SubalgebraFormError("subspace is not closed under the bracket")
-    x, y = S._plane.solve(bracket(S.v1, S.v2, T))
+    x, y = S.solve(bracket(S.v1, S.v2, T))
     value = x * phi.on_v1 + y * phi.on_v2
     if value == 0:
         return True, ""
     return False, f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
 
 
-def shift_generators(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> tuple:
+def shift_generators(S: SubalgebraSpec, phi: Functional) -> tuple:
     """The left-ideal generators x - phi(x) over the enveloping alphabet."""
     return tuple(NcPoly.linear(vec) - NcPoly.one().scale(value)
-                 for vec, value in zip(S.basis(), phi.values()))
+                 for vec, value in zip((S.v1, S.v2), phi.values()))
 
 
 def properness_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable,
@@ -310,7 +264,7 @@ def properness_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable,
     i.e. the identity is not spanned by the filtered left ideal.  The span
     stops at the first row that puts the identity in it."""
     model = filtered_model(T.enveloping, max_degree)
-    return model.is_proper(shift_generators(S, phi, T))
+    return model.is_proper(shift_generators(S, phi))
 
 
 def admissible_functional(S: SubalgebraSpec, phi: Functional, T: BracketTable,
@@ -392,16 +346,16 @@ def _random_rank2(rng: Random) -> SubalgebraSpec:
     samples in the dense chart.  Each chart's rows are drawn as integer
     numerators over one denominator: the same draws, in the same order, as
     rows of ``random_fraction`` entries mixed by ``random_mix``.  The mixed
-    rows stay integers (``SubalgebraSpec.over``).
+    rows stay integers, over that denominator.
     """
     roll = rng.random()
     if roll < 0.80:
         (p, q), (r, s) = _random_ratio(rng), _random_ratio(rng)
-        return SubalgebraSpec.over(*_mix(rng, (q * s, 0, p * s), (0, q * s, r * q)), q * s)
+        return SubalgebraSpec(*_mix(rng, (q * s, 0, p * s), (0, q * s, r * q)), q * s)
     if roll < 0.97:
         p, q = _random_ratio(rng)
-        return SubalgebraSpec.over(*_mix(rng, (q, p, 0), (0, 0, q)), q)
-    return SubalgebraSpec.over(*_mix(rng, (0, 1, 0), (0, 0, 1)), 1)
+        return SubalgebraSpec(*_mix(rng, (q, p, 0), (0, 0, q)), q)
+    return SubalgebraSpec(*_mix(rng, (0, 1, 0), (0, 0, 1)))
 
 
 def family_member(S: SubalgebraSpec, T: BracketTable) -> bool:
@@ -409,8 +363,8 @@ def family_member(S: SubalgebraSpec, T: BracketTable) -> bool:
     if T.kind == "lie":
         # solvable nonabelian plane: the derived subalgebra is one
         # dimensional and inside the plane (a Borel of sl2)
-        w = _bracket(*S._plane.ints, T, 0)
-        return any(w) and S._plane.contains(w)
+        w = _bracket(*S.ints, T, 0)
+        return any(w) and S.contains(w)
     try:
         canonical_form(S, T)
         return True

@@ -15,8 +15,9 @@ another echelon's pivot rows in at a constant column offset, which keeps
 echelon form (the graded oracle's left shifts ``x * I``).
 
 Two-dimensional subspaces (subalgebra planes, lines of ``P^3`` as planes of
-forms) need no echelon: an ``IntegerPlane`` reads rank, membership and
-coordinates from the integer Plücker coordinates of its basis.
+forms) need no echelon: ``IntegerPlane``, the one type for the span of two
+vectors, reads rank, membership and coordinates from the integer Plücker
+coordinates of its basis.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+
+from .errors import RankDeficientError
 
 
 def _integer_row(row: dict) -> tuple:
@@ -46,27 +49,25 @@ class SparseEchelon:
     """
 
     def __init__(self):
-        self._pivots = {}        # column -> primitive integer row (dict), lead > 0
-        self._pivot_order = []   # insertion order of pivot columns
+        self._pivots = {}   # column -> primitive integer row (dict), lead > 0; insertion order
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
     def pivot_columns(self) -> list:
-        return list(self._pivot_order)
+        return list(self._pivots)
 
     def integer_rows(self) -> list:
         """The stored primitive integer rows, in insertion order; callers
         must not mutate them."""
-        return [self._pivots[c] for c in self._pivot_order]
+        return list(self._pivots.values())
 
     def copy(self) -> "SparseEchelon":
         """An independent echelon with the same pivots; rows added to the
         copy leave this one unchanged."""
         new = SparseEchelon()
         new._pivots = dict(self._pivots)   # stored rows are never mutated
-        new._pivot_order = list(self._pivot_order)
         return new
 
     def _eliminate(self, row: dict) -> tuple:
@@ -123,7 +124,6 @@ class SparseEchelon:
         if g != 1:
             red = {c: v // g for c, v in red.items()}
         self._pivots[pivot] = red
-        self._pivot_order.append(pivot)
         return pivot
 
     def add_shifted(self, other: "SparseEchelon", offset: int):
@@ -135,13 +135,12 @@ class SparseEchelon:
         ``ValueError``, inserting nothing, when a moved pivot column is
         already a pivot here.
         """
-        targets = [c + offset for c in other._pivot_order]
+        targets = [c + offset for c in other._pivots]
         taken = [t for t in targets if t in self._pivots]
         if taken:
             raise ValueError(f"pivot column {taken[0]} is already taken")
         for t, row in zip(targets, other.integer_rows()):
             self._pivots[t] = {c + offset: v for c, v in row.items()}
-        self._pivot_order += targets
 
     def contains(self, row: dict) -> bool:
         return not self._eliminate(_integer_row(row)[0])[0]
@@ -203,6 +202,11 @@ def fraction_vector(vec) -> tuple:
     return tuple(c if type(c) is Fraction else Fraction(c) for c in vec)
 
 
+def _over(vec, den: int) -> tuple:
+    """The Fraction tuple ``vec / den``."""
+    return fraction_vector(vec) if den == 1 else tuple(Fraction(x, den) for x in vec)
+
+
 class IntegerPlane:
     """The span of two rational vectors ``u / den`` and ``v / den``, read in
     integer arithmetic (``den`` is 1 unless integer rows ``u`` and ``v``
@@ -215,6 +219,10 @@ class IntegerPlane:
     ``w_i p_jk - w_j p_ik + w_k p_ij`` of ``(w; a; b)`` vanishes, and its
     coordinates over ``(u, v)`` follow by Cramer's rule on the first nonzero
     ``p_ij``.
+
+    ``v1`` and ``v2`` are the two vectors as tuples of Fractions, made when
+    they are read.  Planes compare equal when these vectors are equal, not
+    when they span the same plane, and are unhashable.
     """
 
     __slots__ = ("basis", "den", "ints", "plucker")
@@ -227,6 +235,17 @@ class IntegerPlane:
         self.plucker = {(i, j): a[i] * b[j] - a[j] * b[i]
                         for i, j in combinations(range(len(a)), 2)}
 
+    @property
+    def v1(self) -> tuple:
+        return _over(self.basis[0], self.den)
+
+    @property
+    def v2(self) -> tuple:
+        return _over(self.basis[1], self.den)
+
+    def __eq__(self, other):
+        return isinstance(other, IntegerPlane) and (self.v1, self.v2) == (other.v1, other.v2)
+
     def rank_on(self, coords) -> int:
         """Rank of the two vectors restricted to the given ascending
         coordinates."""
@@ -238,6 +257,10 @@ class IntegerPlane:
 
     def rank(self) -> int:
         return self.rank_on(range(len(self.basis[0])))
+
+    def require_rank2(self):
+        if self.rank() != 2:
+            raise RankDeficientError("subspace basis is rank deficient")
 
     def contains(self, w) -> bool:
         """Whether ``w`` lies in the span; the rank must be 2."""

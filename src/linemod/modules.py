@@ -25,9 +25,9 @@ from .hilbert import (
 from .liealg import (
     BracketTable,
     Functional,
-    SubalgebraSpec,
     canonical_form,
     canonical_pair,
+    combination,
     is_graded_subspace,
     require_admissible,
     shift_generators,
@@ -93,7 +93,7 @@ class CertificationReport(NamedTuple):
 # ----------------------------------------------------------------------
 
 
-def build_L_h_phi(S: SubalgebraSpec, phi: Functional, system: RewriteSystem,
+def build_L_h_phi(S: IntegerPlane, phi: Functional, system: RewriteSystem,
                   table: BracketTable) -> LineModuleSpec:
     """The module over the homogenized algebra attached to a pair (S, phi),
     for a superalgebra or color table.
@@ -106,8 +106,7 @@ def build_L_h_phi(S: SubalgebraSpec, phi: Functional, system: RewriteSystem,
     _, C = canonical_form(S, table)
     t = NcPoly.gen(len(system.presentation.generators) - 1)
     return LineModuleSpec(system, tuple(
-        NcPoly.linear([x * a + y * b for a, b in zip(S.v1, S.v2)])
-        - t.scale(x * phi.on_v1 + y * phi.on_v2)
+        NcPoly.linear(combination(S, (x, y))) - t.scale(x * phi.on_v1 + y * phi.on_v2)
         for x, y in C))
 
 
@@ -124,10 +123,10 @@ def pair_from_line(line: geometry.Line, table: BracketTable):
         raise SubalgebraFormError("line lies in V(t)")
     u, v = line.forms
     (alpha, beta), (lam, gamma) = canonical_pair(
-        SubalgebraSpec(u[:3], v[:3]), Functional(-u[3], -v[3]), table)
+        IntegerPlane(u[:3], v[:3]), Functional(-u[3], -v[3]), table)
     # canonical projective representative: leading odd coefficient 1
     scale = alpha if alpha else beta
-    S = SubalgebraSpec((0, 0, 1), (alpha / scale, beta / scale, 0))
+    S = IntegerPlane((0, 0, 1), (alpha / scale, beta / scale, 0))
     return S, Functional(lam, gamma / scale)
 
 
@@ -150,7 +149,7 @@ def is_Z2_graded_line_module(M: LineModuleSpec) -> bool:
     labels = pres.group_labels()
     if any(lab is None for lab in labels):
         raise InhomogeneousError(f"{pres.name!r} carries no grading")
-    return is_graded_subspace(SubalgebraSpec(*M.coefficients()), labels)
+    return is_graded_subspace(IntegerPlane(*M.coefficients()), labels)
 
 
 def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> bool:
@@ -183,7 +182,7 @@ class InducedModuleSpec(NamedTuple):
 
     enveloping: Presentation
     table: BracketTable
-    subalgebra: SubalgebraSpec
+    subalgebra: IntegerPlane
     phi: Functional
 
 
@@ -196,7 +195,7 @@ def induced_module_dims(I: InducedModuleSpec, max_degree: int) -> list:
     """
     require_admissible(I.subalgebra, I.phi, I.table)
     return filtered_cyclic_dims(
-        I.enveloping, shift_generators(I.subalgebra, I.phi, I.table), max_degree
+        I.enveloping, shift_generators(I.subalgebra, I.phi), max_degree
     )
 
 
@@ -214,7 +213,7 @@ def annihilator_contains_generators(I: InducedModuleSpec, M: LineModuleSpec) -> 
     if graded.generator_names()[:hom] != env.generator_names():
         raise ValueError("graded and enveloping alphabets do not match")
     model = filtered_model(env, 2)
-    ideal = model.ideal_echelon(shift_generators(I.subalgebra, I.phi, I.table))
+    ideal = model.ideal_echelon(shift_generators(I.subalgebra, I.phi))
     return all(model.contains(ideal, NcPoly((() if w[0] == hom else w, c) for w, c in g.items()))
                for g in M.generators)
 

@@ -202,7 +202,6 @@ def _table(algebra, enveloping: str) -> BracketTable:
         table=alg.table,
         signs=alg.signs,
         enveloping=preset(enveloping),
-        grading_group=alg.grading_group,
         labels=alg.labels,
     )
 

@@ -124,8 +124,7 @@ class DerivedRule(NamedTuple):
     """Provenance record for a rule added during completion."""
 
     lhs: Word
-    source: str            # "relation" or "overlap"
-    overlap_word: Word | None
+    overlap_word: Word | None   # None for a rule from a relation
 
 
 class RewriteSystem:
@@ -450,8 +449,7 @@ def complete(presentation: Presentation, order: TermOrder | None = None, *,
             poly_queue.append((NcPoly.monomial(lhs) - retired.rhs, None))
         rules[rule.lhs] = rule
         automaton = LhsAutomaton(rules.values(), ngens)
-        trace.append(DerivedRule(rule.lhs, "relation" if overlap_word is None else "overlap",
-                                 overlap_word))
+        trace.append(DerivedRule(rule.lhs, overlap_word))
         # keep right-hand sides fully reduced, all against this automaton.
         # Every rhs is normal against the rules before this one, and
         # retiring a rule makes no word reducible, so only an rhs with the

@@ -545,10 +545,10 @@ def run_sl21() -> list:
     derived = [
         {
             "rule": format_word(rec.lhs, names),
-            "from_overlap": format_word(rec.overlap_word, names) if rec.overlap_word else None,
+            "from_overlap": format_word(rec.overlap_word, names),
         }
         for rec in system.trace
-        if rec.source == "overlap"
+        if rec.overlap_word is not None
     ]
     checks.append(_check(
         "zero_divisor_certificate",

@@ -502,7 +502,7 @@ def _pairs(draw):
 @given(_pairs(), st.integers(2, 4))
 def test_is_proper_matches_quotient_dims_on_enveloping_algebras(drawn, bound):
     table, env, S, phi = drawn
-    _check_filtered_routes(filtered_model(env, bound), shift_generators(S, phi, table))
+    _check_filtered_routes(filtered_model(env, bound), shift_generators(S, phi))
 
 
 @pytest.mark.parametrize("env,table,sub,admissible,inadmissible", [
@@ -514,11 +514,11 @@ def test_is_proper_matches_quotient_dims_on_enveloping_algebras(drawn, bound):
 def test_is_proper_gives_both_answers(env, table, sub, admissible, inadmissible):
     model = filtered_model(preset(env), 4)
     S = SubalgebraSpec(*sub)
-    shifts = shift_generators(S, Functional(*admissible), preset(table))
+    shifts = shift_generators(S, Functional(*admissible))
     assert model.is_proper(shifts)
     assert _check_filtered_routes(model, shifts)[0] == 1
     if inadmissible is not None:
-        shifts = shift_generators(S, Functional(*inadmissible), preset(table))
+        shifts = shift_generators(S, Functional(*inadmissible))
         assert not model.is_proper(shifts)
         assert _check_filtered_routes(model, shifts)[0] == 0
 

@@ -351,3 +351,37 @@ def test_integer_plane_matches_gauss_jordan(vectors, data):
         x, y = plane.solve(w)
         assert type(x) is type(y) is Fraction
         assert tuple(x * a + y * b for a, b in zip(u, v)) == w
+
+
+@st.composite
+def rows_over_a_denominator(draw):
+    """Two integer rows of length 1-5, a probe row of the same length, and
+    a denominator."""
+    row = st.tuples(*[st.integers(-6, 6)] * draw(st.integers(1, 5)))
+    return draw(row), draw(row), draw(row), draw(st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_over_a_denominator(), st.data())
+def test_plane_over_a_denominator_matches_fraction_plane(drawn, data):
+    r1, r2, probe, den = drawn
+    n = len(r1)
+    over = IntegerPlane(r1, r2, den)
+    plane = IntegerPlane(*(tuple(Fraction(x, den) for x in r) for r in (r1, r2)))
+    assert (over.v1, over.v2) == (plane.v1, plane.v2)
+    assert all(type(c) is Fraction for c in over.v1 + over.v2 + plane.v1 + plane.v2)
+    assert over == plane and plane == over
+    assert over.rank() == plane.rank()
+    coords = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    assert over.rank_on(coords) == plane.rank_on(coords)
+    # equality is by the two vectors, not by the plane they span
+    assert (IntegerPlane(r2, r1, den) == over) == (r1 == r2)
+    with pytest.raises(TypeError):
+        hash(over)
+    if over.rank() != 2:
+        return
+    x, y = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    for w in (probe, tuple(x * a + y * b for a, b in zip(r1, r2))):
+        assert over.contains(w) == plane.contains(w)
+        if over.contains(w):
+            assert over.solve(w) == plane.solve(w)

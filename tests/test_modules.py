@@ -72,7 +72,7 @@ def test_build_color_members(color_system):
     for member in family_members(table):
         key = (member["params"]["i"], member["params"]["mu"])
         gens = tuple(deg1(g) for g in expected[key])
-        v1, v2 = member["spec"].basis()
+        v1, v2 = member["spec"].v1, member["spec"].v2
         M = build_L_h_phi(member["spec"], Functional(3, -half), color_system, table)
         assert M.generators == gens
         # the same pair on the basis (v1 + 2 v2, v1 - v2)
