@@ -136,79 +136,83 @@ def is_graded_subspace(S: SubalgebraSpec, labels) -> bool:
 # ----------------------------------------------------------------------
 
 
-def combination(S: SubalgebraSpec, coeffs) -> tuple:
-    """The vector ``x v1 + y v2`` of S for ``coeffs = (x, y)``."""
-    x, y = coeffs
-    return tuple(x * a + y * b for a, b in zip(S.v1, S.v2))
+def sl11_basis(alpha, beta) -> tuple:
+    """The canonical basis (h, alpha e + beta f) of sl(1|1), basis order
+    (e, f, h)."""
+    return (0, 0, 1), (alpha, beta, 0)
 
 
-def sl11_form(S: SubalgebraSpec, T: BracketTable):
+def color_basis(i: int, mu) -> tuple:
+    """The canonical basis (a_i, a_j + mu a_k), j < k, of the color algebra."""
+    j, k = [m for m in range(3) if m != i]
+    return (tuple(1 if m == i else 0 for m in range(3)),
+            tuple(1 if m == j else (mu if m == k else 0) for m in range(3)))
+
+
+def sl11_form(S: SubalgebraSpec):
     """Canonicalize S to the shape span(h, alpha e + beta f).
 
-    Returns ((alpha, beta), C) where C is the 2x2 matrix expressing the
-    canonical basis over (v1, v2); raises SubalgebraFormError when S is not
-    of that shape.  Basis order of the ambient algebra is (e, f, h).
+    Returns ((alpha, beta), sl11_basis(alpha, beta)); raises
+    SubalgebraFormError when S is not of that shape.  Basis order of the
+    ambient algebra is (e, f, h).
     """
     S.require_rank2()
     if not S.contains((0, 0, 1)):
         raise SubalgebraFormError("subspace does not contain the even basis vector")
-    c0 = S.solve((0, 0, 1))
-    # complement with zero h coordinate; v1 is independent of h unless h is
-    # a multiple of v1
-    w, wc = (S.v1, (Fraction(1), Fraction(0)))
-    if c0[1] == 0:
-        w, wc = (S.v2, (Fraction(0), Fraction(1)))
-    c1 = (wc[0] - w[2] * c0[0], wc[1] - w[2] * c0[1])
-    u2 = combination(S, c1)
-    alpha, beta = u2[0], u2[1]
-    if u2[2] or (not alpha and not beta):
-        raise SubalgebraFormError("could not split off an odd complement")
-    return (alpha, beta), (c0, c1)
+    # with h in S, a basis vector off the h axis is alpha e + beta f plus a
+    # multiple of h; v1 is off it unless it is a multiple of h, and then v2 is
+    w = S.v1
+    if not w[0] and not w[1]:
+        w = S.v2
+    return (w[0], w[1]), sl11_basis(w[0], w[1])
 
 
-def color_form(S: SubalgebraSpec, T: BracketTable):
+def color_form(S: SubalgebraSpec):
     """Canonicalize S to the shape span(a_i, a_j + mu a_k) with mu = +-1.
 
-    Returns ((i, j, k, mu), C) with j < k; raises SubalgebraFormError when
-    S is not of that shape.
+    Returns ((i, j, k, mu), color_basis(i, mu)) with j < k; raises
+    SubalgebraFormError when S is not of that shape.
     """
     S.require_rank2()
+    a, b = S.ints
     for i in range(3):
-        unit = tuple(1 if m == i else 0 for m in range(3))
-        if not S.contains(unit):
+        if not S.contains(tuple(1 if m == i else 0 for m in range(3))):
             continue
         j, k = [m for m in range(3) if m != i]
-        # the combinations with zero i-th coordinate; a_i in S makes the
-        # coordinates (a, b) nonzero, so they form a line
-        a, b = S.v1[i], S.v2[i]
-        null = (-b / a, 1) if a else (1, 0)
-        u2 = combination(S, null)
-        if not u2[j]:
+        # a_i b - b_i a spans the vectors of S with zero i-th coordinate (a_i
+        # in S makes (a_i, b_i) nonzero); its j-th and k-th coordinates
+        x_j, x_k = a[i] * b[j] - b[i] * a[j], a[i] * b[k] - b[i] * a[k]
+        if not x_j:
             raise SubalgebraFormError("complement is a multiple of a single basis vector")
-        mu = u2[k] / u2[j]
+        mu = Fraction(x_k, x_j)
         if mu not in (1, -1):
             raise SubalgebraFormError(f"complement slope {mu} is not +-1")
-        c1 = (null[0] / u2[j], null[1] / u2[j])
-        return (i, j, k, mu), (S.solve(unit), c1)
+        return (i, j, k, mu), color_basis(i, mu)
     raise SubalgebraFormError("subspace contains no grading basis vector")
 
 
 def canonical_form(S: SubalgebraSpec, T: BracketTable) -> tuple:
-    """``(params, C)`` of ``sl11_form`` or ``color_form``, by the kind of T:
-    the classified shape of S and the rows (x, y) of its canonical basis
-    vectors x v1 + y v2."""
+    """``(params, basis)`` of ``sl11_form`` or ``color_form``, by the kind
+    of T: the classified shape of S and its canonical basis, two vectors in
+    ambient coordinates derived from the parameters."""
     if T.kind == "super":
-        return sl11_form(S, T)
+        return sl11_form(S)
     if T.kind == "color":
-        return color_form(S, T)
+        return color_form(S)
     raise ValueError(f"no canonical pairs for bracket kind {T.kind!r}")
+
+
+def phi_at(S: SubalgebraSpec, phi: Functional, w) -> Fraction:
+    """phi's value on the vector w of S, from its values on v1 and v2."""
+    x, y = S.solve(w)
+    return x * phi.on_v1 + y * phi.on_v2
 
 
 def canonical_pair(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> tuple:
     """A classified pair in canonical form: the parameters of
     ``canonical_form``, and phi's values on the canonical basis."""
-    params, C = canonical_form(S, T)
-    return params, tuple(x * phi.on_v1 + y * phi.on_v2 for x, y in C)
+    params, basis = canonical_form(S, T)
+    return params, tuple(phi_at(S, phi, w) for w in basis)
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +249,7 @@ def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
         return closed_form_on_pair(T.kind, canonical_pair(S, phi, T))
     if not is_subalgebra(S, T):
         raise SubalgebraFormError("subspace is not closed under the bracket")
-    x, y = S.solve(bracket(S.v1, S.v2, T))
-    value = x * phi.on_v1 + y * phi.on_v2
+    value = phi_at(S, phi, bracket(S.v1, S.v2, T))
     if value == 0:
         return True, ""
     return False, f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
@@ -378,20 +381,12 @@ def family_members(T: BracketTable) -> list:
     if T.kind == "super":
         params = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 3), (-1, 5), (7, 2)]
         return [
-            {"params": {"alpha": a, "beta": b},
-             "spec": SubalgebraSpec((0, 0, 1), (a, b, 0))}
+            {"params": {"alpha": a, "beta": b}, "spec": SubalgebraSpec(*sl11_basis(a, b))}
             for a, b in params
         ]
     if T.kind == "color":
-        out = []
-        for i in range(3):
-            j, k = [m for m in range(3) if m != i]
-            for mu in (1, -1):
-                unit = tuple(1 if m == i else 0 for m in range(3))
-                w = tuple((1 if m == j else (mu if m == k else 0)) for m in range(3))
-                out.append({"params": {"i": i + 1, "mu": mu},
-                            "spec": SubalgebraSpec(unit, w)})
-        return out
+        return [{"params": {"i": i + 1, "mu": mu}, "spec": SubalgebraSpec(*color_basis(i, mu))}
+                for i in range(3) for mu in (1, -1)]
     if T.kind == "lie":
         members = [
             {"params": {"borel": "upper"}, "spec": SubalgebraSpec((1, 0, 0), (0, 0, 1))},

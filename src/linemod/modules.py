@@ -27,10 +27,11 @@ from .liealg import (
     Functional,
     canonical_form,
     canonical_pair,
-    combination,
     is_graded_subspace,
+    phi_at,
     require_admissible,
     shift_generators,
+    sl11_basis,
 )
 from .linalg import IntegerPlane
 from .ncalg import NcPoly
@@ -103,11 +104,10 @@ def build_L_h_phi(S: IntegerPlane, phi: Functional, system: RewriteSystem,
     t the homogenizer: h - phi(h) t and alpha e + beta f - phi(...) t, or
     a_i - phi(a_i) a4 and (a_j + mu a_k) - phi(...) a4.
     """
-    _, C = canonical_form(S, table)
+    _, basis = canonical_form(S, table)
     t = NcPoly.gen(len(system.presentation.generators) - 1)
-    return LineModuleSpec(system, tuple(
-        NcPoly.linear(combination(S, (x, y))) - t.scale(x * phi.on_v1 + y * phi.on_v2)
-        for x, y in C))
+    return LineModuleSpec(system, tuple(NcPoly.linear(u) - t.scale(phi_at(S, phi, u))
+                                        for u in basis))
 
 
 def pair_from_line(line: geometry.Line, table: BracketTable):
@@ -126,7 +126,7 @@ def pair_from_line(line: geometry.Line, table: BracketTable):
         IntegerPlane(u[:3], v[:3]), Functional(-u[3], -v[3]), table)
     # canonical projective representative: leading odd coefficient 1
     scale = alpha if alpha else beta
-    S = IntegerPlane((0, 0, 1), (alpha / scale, beta / scale, 0))
+    S = IntegerPlane(*sl11_basis(alpha / scale, beta / scale))
     return S, Functional(lam, gamma / scale)
 
 

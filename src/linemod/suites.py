@@ -31,13 +31,14 @@ from .liealg import (
     Functional,
     SubalgebraSpec,
     admissible_functional,
-    canonical_pair,
+    canonical_form,
     classify_2dim_subalgebras,
     closed_form_on_pair,
     color_minor_identity,
     family_members,
     random_fraction,
     random_mix,
+    sl11_basis,
     table_consistent_with_presentation,
 )
 from .modules import (
@@ -200,8 +201,7 @@ def run_sl2(samples: int, seed: int, max_degree: int, oracle_degree: int) -> lis
 
 
 def _sl11_pair(alpha, beta, lam, gamma):
-    S = SubalgebraSpec((0, 0, 1), (alpha, beta, 0))
-    return S, Functional(Fraction(lam), Fraction(gamma))
+    return SubalgebraSpec(*sl11_basis(alpha, beta)), Functional(Fraction(lam), Fraction(gamma))
 
 
 def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> list:
@@ -416,7 +416,7 @@ def run_slc(samples: int, seed: int, max_degree: int, oracle_degree: int) -> lis
         S = member["spec"]
         # a member's basis is its canonical basis, so phi = (x, y) on it is
         # already the canonical pair's value part
-        params, _ = canonical_pair(S, Functional(0, 0), table)
+        params, _ = canonical_form(S, table)
         admissible_points = {(x, y) for x in grid for y in grid
                              if closed_form_on_pair(table.kind, (params, (x, y)))[0]}
         expected_points = {(x, y) for x in grid for y in grid

@@ -2,11 +2,12 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linemod.modules as modules
 from linemod.errors import AdmissibilityError, RankDeficientError, SubalgebraFormError
 from linemod.geometry import Line, classify_line_family_color
-from linemod.liealg import Functional, SubalgebraSpec, family_members
+from linemod.liealg import Functional, SubalgebraSpec, canonical_pair, family_members
 from linemod.modules import (
     InducedModuleSpec,
     LineModuleSpec,
@@ -80,6 +81,57 @@ def test_build_color_members(color_system):
                            tuple(a - b for a, b in zip(v1, v2)))
         M = build_L_h_phi(S, Functional(3 - 2 * half, 3 + half), color_system, table)
         assert M.generators == gens
+
+
+_values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _rebased(draw, S, phi):
+    """The pair (S, phi) on a random basis (a v1 + b v2, c v1 + d v2) / den
+    of S, for S given by integer vectors, with phi's values carried by the
+    same mix.  The new plane takes integer rows over the common denominator
+    den, or the Fraction vectors they stand for."""
+    a, b, c, d = draw(st.tuples(*[st.integers(-3, 3)] * 4).filter(
+        lambda m: m[0] * m[3] != m[1] * m[2]))
+    den = draw(st.integers(1, 6))
+    u, v = S.basis
+    rows = (tuple(a * x + b * y for x, y in zip(u, v)),
+            tuple(c * x + d * y for x, y in zip(u, v)))
+    values = Functional(Fraction(a * phi.on_v1 + b * phi.on_v2, den),
+                        Fraction(c * phi.on_v1 + d * phi.on_v2, den))
+    if draw(st.booleans()):
+        return SubalgebraSpec(*rows, den), values
+    return SubalgebraSpec(*(tuple(Fraction(x, den) for x in r) for r in rows)), values
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), values=st.tuples(_values, _values))
+def test_color_pair_does_not_depend_on_the_basis(color_system, data, values):
+    table = preset("slc_table")
+    S, phi = data.draw(st.sampled_from(family_members(table)))["spec"], Functional(*values)
+    S2, phi2 = data.draw(_rebased(S, phi))
+    assert canonical_pair(S2, phi2, table) == canonical_pair(S, phi, table)
+    assert (build_L_h_phi(S2, phi2, color_system, table).line()
+            == build_L_h_phi(S, phi, color_system, table).line())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), odd=st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any),
+       values=st.tuples(_values, _values))
+def test_sl11_pair_does_not_depend_on_the_basis(hhat_system, data, odd, values):
+    # the canonical odd vector is read off the basis, so it may be rescaled:
+    # lambda is the same and (alpha : beta : gamma) the same point
+    table = preset("sl11_table")
+    S, phi = pair(*odd, *values)
+    S2, phi2 = data.draw(_rebased(S, phi))
+    (alpha, beta), (lam, gamma) = canonical_pair(S2, phi2, table)
+    assert lam == phi.on_v1
+    point, point2 = (*odd, phi.on_v2), (alpha, beta, gamma)
+    assert any(point2) and all(point[m] * point2[n] == point[n] * point2[m]
+                               for m in range(3) for n in range(3))
+    assert (build_L_h_phi(S2, phi2, hhat_system, table).line()
+            == build_L_h_phi(S, phi, hhat_system, table).line())
 
 
 def test_build_rejects_lie_tables(hhat_system):
