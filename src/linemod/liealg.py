@@ -179,8 +179,8 @@ def color_form(S: SubalgebraSpec):
         if not S.contains(tuple(1 if m == i else 0 for m in range(3))):
             continue
         j, k = [m for m in range(3) if m != i]
-        # a_i b - b_i a spans the vectors of S with zero i-th coordinate (a_i
-        # in S makes (a_i, b_i) nonzero); its j-th and k-th coordinates
+        # x_j, x_k: coordinates j, k of a_i b - b_i a, which spans the vectors
+        # of S with zero i-th coordinate (a_i in S makes (a_i, b_i) nonzero)
         x_j, x_k = a[i] * b[j] - b[i] * a[j], a[i] * b[k] - b[i] * a[k]
         if not x_j:
             raise SubalgebraFormError("complement is a multiple of a single basis vector")
