@@ -214,11 +214,13 @@ def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
 
     The left shifts x*p of the echelon rows p of I_{d - deg x} are
     independent, pivoting at x*pivot(p), and go in without elimination
-    (``SparseEchelon.add_shifted``); the relation and right-shift rows are
-    reduced against them, the right shifts' columns read from
-    ``right_shift_columns``.  The quotient dimension is the number of
-    degree-d words minus the rank.  This route never consults the rewrite
-    system.
+    (``SparseEchelon.add_shifted``), each a reference to p under the
+    column offset of x's block, not a copy; the relation and right-shift
+    rows are reduced against them, the right shifts' columns read from
+    ``right_shift_columns``.  N_d is read back with
+    ``SparseEchelon.rows_from``, past the left shifts, so no shifted row
+    is ever built.  The quotient dimension is the number of degree-d words
+    minus the rank.  This route never consults the rewrite system.
     """
     if not p.is_z_homogeneous():
         raise InhomogeneousError(f"{p.name!r} is not graded")
@@ -255,7 +257,7 @@ def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
                 for row in gained[d - g]:
                     ech.add({cols[c]: v for c, v in row.items()})
         dims.append(counts[d] - ech.rank)
-        echelons[d], gained[d] = ech, ech.integer_rows()[shifted:]
+        echelons[d], gained[d] = ech, ech.rows_from(shifted)
         echelons.pop(d - reach, None)   # degree d + 1 and above shift no lower
         gained.pop(d - reach, None)
     return dims

@@ -244,11 +244,14 @@ def closed_form_on_pair(kind: str, pair) -> tuple:
 
 
 def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
-    """Per-family closed condition.  Returns (bool, reason string)."""
-    if T.kind != "lie":
-        return closed_form_on_pair(T.kind, canonical_pair(S, phi, T))
+    """Per-family closed condition.  Returns (bool, reason string).
+
+    Raises SubalgebraFormError, for every kind of table, when S is not
+    closed under the bracket, before any canonical form is read."""
     if not is_subalgebra(S, T):
         raise SubalgebraFormError("subspace is not closed under the bracket")
+    if T.kind != "lie":
+        return closed_form_on_pair(T.kind, canonical_pair(S, phi, T))
     value = phi_at(S, phi, bracket(S.v1, S.v2, T))
     if value == 0:
         return True, ""

@@ -10,9 +10,11 @@ primitive integer row (content divided out, positive leading entry), and an
 elimination step is ``row <- (b/g) row - (a/g) pivot`` with ``g = gcd(a, b)``.
 ``Fraction`` objects are made only where results leave the kernel.
 ``reduced_echelon`` and ``dense_nullspace`` are thin wrappers over it.
-Rows known to be independent need no elimination: ``add_shifted`` copies
-another echelon's pivot rows in at a constant column offset, which keeps
-echelon form (the graded oracle's left shifts ``x * I``).
+Rows known to be independent need no elimination: ``add_shifted`` inserts
+another echelon's pivot rows at a constant column offset, which keeps
+echelon form (the graded oracle's left shifts ``x * I``).  A shifted pivot
+is stored as a reference to its source row plus that offset, never as a
+copy; elimination reads its columns moved by the offset.
 
 Two-dimensional subspaces (subalgebra planes, lines of ``P^3`` as planes of
 forms) need no echelon: ``IntegerPlane``, the one type for the span of two
@@ -23,7 +25,7 @@ coordinates of its basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm
 
 from .errors import RankDeficientError
@@ -45,11 +47,14 @@ class SparseEchelon:
 
     A row's pivot is its least column.  Pivot rows are stored as primitive
     integer rows with no column below the pivot, so a single ascending
-    elimination pass reduces any row completely.
+    elimination pass reduces any row completely.  Each is kept as ``(row,
+    offset)``: the entry of ``row`` at column ``c`` sits in column ``c +
+    offset``.  Rows that ``add`` inserts have offset 0; ``add_shifted``
+    shares another echelon's rows under a new offset.
     """
 
     def __init__(self):
-        self._pivots = {}   # column -> primitive integer row (dict), lead > 0; insertion order
+        self._pivots = {}   # column -> (primitive integer row, offset), lead > 0; insertion order
 
     @property
     def rank(self) -> int:
@@ -58,10 +63,13 @@ class SparseEchelon:
     def pivot_columns(self) -> list:
         return list(self._pivots)
 
-    def integer_rows(self) -> list:
-        """The stored primitive integer rows, in insertion order; callers
-        must not mutate them."""
-        return list(self._pivots.values())
+    def rows_from(self, start: int) -> list:
+        """The stored primitive integer rows after the first ``start``, in
+        insertion order and absolute columns.  A row with offset 0 is
+        returned as stored, and callers must not mutate it; a shifted row
+        is built with its columns moved."""
+        return [row if not off else {c + off: v for c, v in row.items()}
+                for row, off in islice(self._pivots.values(), start, None)]
 
     def copy(self) -> "SparseEchelon":
         """An independent echelon with the same pivots; rows added to the
@@ -85,9 +93,9 @@ class SparseEchelon:
                     hit = c
             if hit is None:
                 return row, scale
-            prow = pivots[hit]
+            prow, off = pivots[hit]
             a = row[hit]
-            b = prow[hit]
+            b = prow[hit - off]
             g = gcd(a, b)
             if g != b:
                 m = b // g
@@ -95,6 +103,7 @@ class SparseEchelon:
                 row = {c: v * m for c, v in row.items()}
             f = a // g
             for c, v in prow.items():
+                c += off
                 s = row.get(c, 0) - f * v
                 if s:
                     row[c] = s
@@ -123,24 +132,25 @@ class SparseEchelon:
             g = -g
         if g != 1:
             red = {c: v // g for c, v in red.items()}
-        self._pivots[pivot] = red
+        self._pivots[pivot] = (red, 0)
         return pivot
 
     def add_shifted(self, other: "SparseEchelon", offset: int):
         """Insert every pivot row of ``other`` with its columns moved by
         ``offset``, as a pivot row at its moved pivot, with no elimination.
 
-        A shift by a constant keeps the column order, so each moved row is
-        still a primitive row with no column below its pivot.  Raises
-        ``ValueError``, inserting nothing, when a moved pivot column is
-        already a pivot here.
+        A moved row is a reference to ``other``'s row under its offset plus
+        ``offset``, not a copy.  A shift by a constant keeps the column
+        order, so each moved row is still a primitive row with no column
+        below its pivot.  Raises ``ValueError``, inserting nothing, when a
+        moved pivot column is already a pivot here.
         """
         targets = [c + offset for c in other._pivots]
         taken = [t for t in targets if t in self._pivots]
         if taken:
             raise ValueError(f"pivot column {taken[0]} is already taken")
-        for t, row in zip(targets, other.integer_rows()):
-            self._pivots[t] = {c + offset: v for c, v in row.items()}
+        for t, (row, off) in zip(targets, other._pivots.values()):
+            self._pivots[t] = (row, off + offset)
 
     def contains(self, row: dict) -> bool:
         return not self._eliminate(_integer_row(row)[0])[0]

@@ -158,6 +158,17 @@ def test_induce_inadmissible_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("command", ["admissible", "induce"])
+@pytest.mark.parametrize("table, sub", [("sl11", "e, f"), ("slc", "a1, a2"), ("sl2", "e, f")])
+def test_plane_not_closed_is_named_for_every_table(capsys, command, table, sub):
+    # closure is checked before the plane's canonical form is read
+    code = main([command, "--preset", table, "--sub", sub, "--phi", "1, 2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: subspace is not closed under the bracket\n"
+
+
+@pytest.mark.parametrize("command", ["admissible", "induce"])
 def test_negative_max_degree_is_usage_error(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--preset", "sl11", "--sub", "h, e", "--phi", "0,0",

@@ -376,7 +376,7 @@ def test_scaled_generators_keep_the_cyclic_model(name, scales):
     model = cyclic_module_model(system, scaled, 5)
     assert model.dims(5) == base.dims(5)
     assert [e.pivot_columns() for e in model.ideal] == [e.pivot_columns() for e in base.ideal]
-    assert [e.integer_rows() for e in model.ideal] == [e.integer_rows() for e in base.ideal]
+    assert [e.rows_from(0) for e in model.ideal] == [e.rows_from(0) for e in base.ideal]
 
 
 def test_skew_case_memo_holds_fractions():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -194,7 +195,7 @@ def test_pivot_rows_are_lead_one_reductions(data):
     ech, added = _echelon(rows)
     prefix = []
     pivot_rows = iter({c: Fraction(v, row[pivot]) for c, v in row.items()}
-                      for row, pivot in zip(ech.integer_rows(), ech.pivot_columns()))
+                      for row, pivot in zip(ech.rows_from(0), ech.pivot_columns()))
     for row, pivot in zip(rows, added):
         if pivot is not None:
             stored = next(pivot_rows)
@@ -211,13 +212,13 @@ def test_pivot_rows_are_lead_one_reductions(data):
 def test_copy_is_independent(first, second):
     n, order, rows, probe = _by_rank(first)
     ech, _ = _echelon(rows)
-    snapshot = (ech.rank, ech.pivot_columns(), [dict(r) for r in ech.integer_rows()],
+    snapshot = (ech.rank, ech.pivot_columns(), [dict(r) for r in ech.rows_from(0)],
                 ech.reduce(probe))
     dup = ech.copy()
     extra = [{c % n: v for c, v in r.items()} for r in second[2]]
     for row in extra:
         dup.add(row)
-    assert (ech.rank, ech.pivot_columns(), ech.integer_rows(), ech.reduce(probe)) == snapshot
+    assert (ech.rank, ech.pivot_columns(), ech.rows_from(0), ech.reduce(probe)) == snapshot
     rref = gauss_jordan(rows + extra, order)
     assert dup.rank == len(rref)
     assert dup.reduce(probe) == reference_reduce(probe, rref)
@@ -249,6 +250,89 @@ def test_shifted_insertion_matches_adding_the_shifted_rows(first, second, extra,
     assert shifted.reduce(probe) == plain.reduce(probe)
 
 
+def _materialized(blocks, rows):
+    """The echelon of the given blocks' rows moved by their offsets, each
+    row added as a copy in absolute columns, then of further rows."""
+    ech = SparseEchelon()
+    for block_rows, off in blocks:
+        for r in block_rows:
+            ech.add({c + off: v for c, v in r.items()})
+    for r in rows:
+        ech.add(r)
+    return ech
+
+
+def _state(ech, probe):
+    return ech.rank, ech.pivot_columns(), [dict(r) for r in ech.rows_from(0)], ech.reduce(probe)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(), matrices(), matrices(), matrices(), st.integers(0, 3), st.integers(0, 3))
+def test_shifting_a_shifted_echelon_composes_offsets(low, mid, top, more, gap, start):
+    # as the graded oracle builds one degree from the one below: a middle
+    # echelon of shifted rows plus rows of its own, itself shifted into two
+    # column blocks under further rows
+    width = gap + low[0] + mid[0]
+    ncols = start + 2 * width
+    mid_rows = [{c % width: v for c, v in r.items()} for r in mid[2]]
+    top_rows = [{c % ncols: v for c, v in r.items()} for r in top[2]]
+    more_rows = [{c % ncols: v for c, v in r.items()} for r in more[2]]
+    mid_probe = {c % width: v for c, v in mid[3].items()}
+    probe = {c % ncols: v for c, v in top[3].items()}
+    base = SparseEchelon()
+    for r in low[2]:
+        base.add(r)
+    middle = SparseEchelon()
+    middle.add_shifted(base, gap)
+    for r in mid_rows:
+        middle.add(r)
+    ref_middle = _materialized([(low[2], gap)], mid_rows)
+    assert _state(middle, mid_probe) == _state(ref_middle, mid_probe)
+    shifted = SparseEchelon()
+    shifted.add_shifted(middle, start)
+    shifted.add_shifted(middle, start + width)
+    for r in top_rows:
+        shifted.add(r)
+    stored = ref_middle.rows_from(0)
+    ref = _materialized([(stored, start), (stored, start + width)], top_rows)
+    before = _state(shifted, probe)
+    assert before == _state(ref, probe)
+    # rows added to a copy, on top of rows shifted twice, leave the
+    # original and the echelon it shifted unchanged
+    dup, ref_dup = shifted.copy(), ref.copy()
+    for r in more_rows:
+        dup.add(r)
+        ref_dup.add(r)
+    assert _state(dup, probe) == _state(ref_dup, probe)
+    assert _state(shifted, probe) == before
+    assert _state(middle, mid_probe) == _state(ref_middle, mid_probe)
+
+
+def test_shifting_copies_no_row():
+    # 40 rows of 101 entries: a shift stores references, so it allocates a
+    # small share of what one copy of the rows takes
+    low = SparseEchelon()
+    for i in range(40):
+        low.add({i: 1, **{c: (i * c) % 7 + 1 for c in range(40, 140)}})
+    tracemalloc.start()
+    try:
+        def allocated(action):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kept = action()
+            peak = tracemalloc.get_traced_memory()[1]
+            del kept
+            return peak - before
+
+        high = SparseEchelon()
+        shift = allocated(lambda: high.add_shifted(low, 1000))
+        copy = allocated(lambda: [{c + 1000: v for c, v in r.items()} for r in low.rows_from(0)])
+    finally:
+        tracemalloc.stop()
+    assert high.rank == 40
+    assert shift < copy / 10
+
+
 def test_shifted_insertion_onto_a_taken_pivot_raises():
     ech, low = SparseEchelon(), SparseEchelon()
     ech.add({2: 1, 3: 1})
@@ -261,7 +345,7 @@ def test_shifted_insertion_onto_a_taken_pivot_raises():
     assert (ech.rank, ech.pivot_columns()) == (1, [2])
     ech.add_shifted(low, 3)
     assert ech.pivot_columns() == [2, 3, 4]
-    assert ech.integer_rows()[1:] == [{3: 1}, {4: 2, 5: 1}]
+    assert ech.rows_from(1) == [{3: 1}, {4: 2, 5: 1}]
 
 
 @settings(max_examples=100, deadline=None)
