@@ -15,24 +15,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-from .dsl import format_poly, format_steps, format_word, parse_algebra, parse_expression, print_algebra
+from . import __version__, dsl, geometry, hilbert, liealg, modules, suites
 from .errors import DSLSyntaxError, LinemodError, RouteDisagreementError
-from .geometry import Line, classify_line_family_color
-from .hilbert import hilbert_two_routes, oracle_degree_within_cap
-from .liealg import (
-    Functional,
-    SubalgebraSpec,
-    admissible_functional,
-    classify_2dim_subalgebras,
-    closed_form_admissible,
-)
-from .modules import InducedModuleSpec, LineModuleSpec, certify_line_module, induced_module_dims
 from .ncalg import TermOrder
-from .presets import PRESENTATION_NAMES, preset
+from .presets import PRESENTATION_NAMES, SL21_BOUNDS, preset
 from .reports import build_report, render
 from .rewrite import complete, normal_form
-from .suites import SL21_BOUNDS, run_suite
 
 _TABLES = {"sl2": "sl2_table", "sl11": "sl11_table", "slc": "slc_table"}
 
@@ -72,15 +60,23 @@ _properness_degree = _int_at_least(2, "an integer >= 2, the degree of the envelo
 _suite_degree = _int_at_least(2, "an integer >= 2, the first degree a line-module check can fail")
 
 
-def _load_presentation(spec: str):
+def _load_presentation(args):
     """The presentation ``--algebra`` names: a .alg file, or a preset that
-    is a presentation (not a bracket table or a quadric)."""
+    is a presentation (not a bracket table or a quadric).  ``--max-degree``
+    must reach the degree of its relations, where completion starts."""
+    spec = args.algebra
     if spec.endswith(".alg") or "/" in spec:
-        return parse_algebra(Path(spec).read_text())
-    if spec not in PRESENTATION_NAMES:
+        pres = dsl.parse_algebra(Path(spec).read_text())
+    elif spec not in PRESENTATION_NAMES:
         raise LinemodError(f"--algebra: {spec!r} is neither a .alg file nor a preset "
                            f"presentation; presentations: {', '.join(PRESENTATION_NAMES)}")
-    return preset(spec)
+    else:
+        pres = preset(spec)
+    degree = pres.relation_degree()
+    if args.max_degree < degree:
+        raise LinemodError(f"--max-degree {args.max_degree} is below the degree {degree} "
+                           f"of the relations of {pres.name!r}")
+    return pres
 
 
 def _resolve_order(presentation, order_spec):
@@ -118,7 +114,7 @@ def _parse_forms(text: str, presentation, flag: str, what: str) -> tuple:
     if len(parts) != 2:
         raise LinemodError(f"{flag} expects two comma-separated expressions")
     n = len(presentation.generators)
-    return tuple(parse_expression(part.strip(), presentation).linear_coefficients(n, what)
+    return tuple(dsl.parse_expression(part.strip(), presentation).linear_coefficients(n, what)
                  for part in parts)
 
 
@@ -134,7 +130,7 @@ def _require_oracle_within(args):
 
 
 def _load_and_complete(args):
-    pres = _load_presentation(args.algebra)
+    pres = _load_presentation(args)
     system = complete(pres, order=_resolve_order(pres, args.order), max_degree=args.max_degree)
     return pres, system, pres.generator_names()
 
@@ -142,7 +138,7 @@ def _load_and_complete(args):
 def _complete(args):
     pres, system, names = _load_and_complete(args)
     rules = [
-        {"lhs": format_word(r.lhs, names), "rhs": format_poly(r.rhs, names, system.order)}
+        {"lhs": dsl.format_word(r.lhs, names), "rhs": dsl.format_poly(r.rhs, names, system.order)}
         for r in system.rules
     ]
     return (
@@ -161,22 +157,24 @@ def _normal_form(args):
     """``nf``, or ``trace`` with the rewrites of the same pass."""
     pres, system, names = _load_and_complete(args)
     steps = [] if args.command == "trace" else None
-    result = normal_form(parse_expression(args.expr, pres), system, steps)
+    result = normal_form(dsl.parse_expression(args.expr, pres), system, steps)
     inputs = {"algebra": pres.name, "expr": args.expr, "order": args.order}
-    text = format_poly(result, names, system.order)
+    text = dsl.format_poly(result, names, system.order)
     if steps is None:
         return inputs, {"normal_form": text, "is_zero": result.is_zero()}, True
-    return inputs, {"steps": format_steps(steps, names), "normal_form": text}, True
+    return inputs, {"steps": dsl.format_steps(steps, names), "normal_form": text}, True
 
 
 def _hilbert(args):
-    pres = _load_presentation(args.algebra)
+    pres = _load_presentation(args)
     oracle_degree = args.oracle_degree
     if oracle_degree is None:
-        oracle_degree = oracle_degree_within_cap(pres, min(_ORACLE_DEGREE, args.max_degree))
+        oracle_degree = hilbert.oracle_degree_within_cap(
+            pres, min(_ORACLE_DEGREE, args.max_degree))
     else:
         _require_oracle_within(args)
-    rewrite_dims, oracle_dims, agree = hilbert_two_routes(pres, args.max_degree, oracle_degree)
+    rewrite_dims, oracle_dims, agree = hilbert.hilbert_two_routes(
+        pres, args.max_degree, oracle_degree)
     return (
         {"algebra": pres.name, "max_degree": args.max_degree, "oracle_degree": oracle_degree},
         {"rewrite_route": rewrite_dims, "oracle_route": oracle_dims, "routes_agree": agree},
@@ -187,14 +185,14 @@ def _hilbert(args):
 def _certify_line(args):
     if len(args.gen) != 2:
         raise LinemodError("--gen must be given exactly twice")
-    pres = _load_presentation(args.algebra)
+    pres = _load_presentation(args)
     system = complete(pres, max_degree=args.max_degree)
-    gens = tuple(parse_expression(g, pres) for g in args.gen)
+    gens = tuple(dsl.parse_expression(g, pres) for g in args.gen)
     try:
-        spec = LineModuleSpec(system, gens)
+        spec = modules.LineModuleSpec(system, gens)
     except LinemodError as exc:
         raise LinemodError(f"--gen: {exc}") from exc
-    cert = certify_line_module(spec, args.max_degree)
+    cert = modules.certify_line_module(spec, args.max_degree)
     return (
         {"algebra": pres.name, "generators": args.gen, "max_degree": args.max_degree},
         {"dims": cert.found, "expected": cert.expected, "is_line_module": cert.passed},
@@ -203,8 +201,8 @@ def _certify_line(args):
 
 
 def _classify_sub(args):
-    rep = classify_2dim_subalgebras(preset(_TABLES[args.preset]),
-                                    samples=args.samples, seed=args.seed)
+    rep = liealg.classify_2dim_subalgebras(preset(_TABLES[args.preset]),
+                                           samples=args.samples, seed=args.seed)
     return (
         {"preset": args.preset, "samples": args.samples},
         {
@@ -223,12 +221,12 @@ def _pair(args):
     """The bracket table, ``--sub`` and ``--phi`` of ``admissible`` and
     ``induce``, and the inputs both report."""
     table = preset(_TABLES[args.preset])
-    S = SubalgebraSpec(*_parse_forms(args.sub, table.enveloping, "--sub",
-                                     "subalgebra basis entries"))
+    S = liealg.SubalgebraSpec(*_parse_forms(args.sub, table.enveloping, "--sub",
+                                            "subalgebra basis entries"))
     phi_parts = args.phi.split(",")
     if len(phi_parts) != 2:
         raise LinemodError("--phi expects two comma-separated rationals")
-    phi = Functional(*(_parse_fraction(part) for part in phi_parts))
+    phi = liealg.Functional(*(_parse_fraction(part) for part in phi_parts))
     inputs = {"preset": args.preset, "sub": args.sub, "phi": args.phi,
               "max_degree": args.max_degree}
     return table, S, phi, inputs
@@ -237,8 +235,8 @@ def _pair(args):
 def _admissible(args):
     table, S, phi, inputs = _pair(args)
     # both routes agree, or admissible_functional raises
-    admissible = admissible_functional(S, phi, table, args.max_degree)
-    reason = closed_form_admissible(S, phi, table)[1]
+    admissible = liealg.admissible_functional(S, phi, table, args.max_degree)
+    reason = liealg.closed_form_admissible(S, phi, table)[1]
     return inputs, {"admissible": admissible, "closed_form": admissible,
                     "bounded_degree_properness": admissible,
                     "violated_condition": reason or None}, True
@@ -246,13 +244,13 @@ def _admissible(args):
 
 def _induce(args):
     table, S, phi, inputs = _pair(args)
-    spec = InducedModuleSpec(preset(_INDUCE_ENV[args.preset]), table, S, phi)
-    return inputs, {"filtration_dims": induced_module_dims(spec, args.max_degree)}, True
+    spec = modules.InducedModuleSpec(preset(_INDUCE_ENV[args.preset]), table, S, phi)
+    return inputs, {"filtration_dims": modules.induced_module_dims(spec, args.max_degree)}, True
 
 
 def _classify_line(args):
-    line = Line(_parse_forms(args.line, preset("slc_H"), "--line", "line forms"))
-    tags = classify_line_family_color(line)
+    line = geometry.Line(_parse_forms(args.line, preset("slc_H"), "--line", "line forms"))
+    tags = geometry.classify_line_family_color(line)
     return ({"preset": args.preset, "line": args.line},
             {"families": tags if tags else ["none"], "plucker": list(line.plucker())},
             True)
@@ -268,8 +266,8 @@ def _verify_paper(args):
     if args.oracle_degree is None:
         args.oracle_degree = min(_ORACLE_DEGREE, args.max_degree)
     _require_oracle_within(args)
-    result = run_suite(args.suite, samples=args.samples, seed=args.seed,
-                       max_degree=args.max_degree, oracle_degree=args.oracle_degree)
+    result = suites.run_suite(args.suite, samples=args.samples, seed=args.seed,
+                              max_degree=args.max_degree, oracle_degree=args.oracle_degree)
     return ({"suite": args.suite, "samples": args.samples,
              "max_degree": args.max_degree, "oracle_degree": args.oracle_degree},
             result, result["pass"])
@@ -281,7 +279,7 @@ def _emit_presets(args):
     written = []
     for name in PRESENTATION_NAMES:
         path = target / f"{name.lower()}.alg"
-        path.write_text(print_algebra(preset(name)))
+        path.write_text(dsl.print_algebra(preset(name)))
         written.append(str(path))
     return {"dir": args.dir}, {"written": written}, True
 

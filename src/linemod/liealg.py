@@ -23,7 +23,7 @@ from .errors import (
 )
 from .hilbert import filtered_model
 from .linalg import IntegerPlane
-from .ncalg import Generator, NcPoly, up_to_scale
+from .ncalg import Generator, NcPoly, bracket_relation, up_to_scale
 from .rewrite import Presentation, RewriteSystem, complete, ideal_member, normal_form
 
 
@@ -63,15 +63,6 @@ class BracketTable:
     @property
     def dimension(self) -> int:
         return len(self.basis_names)
-
-
-def bracket_relation(table, signs, i: int, j: int, homogenizer: int | None) -> NcPoly:
-    """The free-algebra element b_i b_j - signs[i][j] b_j b_i - <b_i,b_j> for
-    the structure constants ``table``, with each bracket term times the
-    generator ``homogenizer`` unless it is None."""
-    tail = () if homogenizer is None else (homogenizer,)
-    return NcPoly([((i, j), 1), ((j, i), -signs[i][j])]
-                  + [((k,) + tail, -c) for k, c in enumerate(table[i][j]) if c])
 
 
 def _bracket(x, y, T: BracketTable, zero) -> tuple:

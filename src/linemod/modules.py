@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import geometry
+from . import geometry, liealg
 from .errors import InhomogeneousError, RankDeficientError, SubalgebraFormError
 from .hilbert import (
     CyclicModuleModel,
@@ -21,17 +21,6 @@ from .hilbert import (
     filtered_cyclic_dims,
     filtered_model,
     line_module_dims,
-)
-from .liealg import (
-    BracketTable,
-    Functional,
-    canonical_form,
-    canonical_pair,
-    is_graded_subspace,
-    phi_at,
-    require_admissible,
-    shift_generators,
-    sl11_basis,
 )
 from .linalg import IntegerPlane
 from .ncalg import NcPoly
@@ -94,8 +83,8 @@ class CertificationReport(NamedTuple):
 # ----------------------------------------------------------------------
 
 
-def build_L_h_phi(S: IntegerPlane, phi: Functional, system: RewriteSystem,
-                  table: BracketTable) -> LineModuleSpec:
+def build_L_h_phi(S: IntegerPlane, phi: liealg.Functional, system: RewriteSystem,
+                  table: liealg.BracketTable) -> LineModuleSpec:
     """The module over the homogenized algebra attached to a pair (S, phi),
     for a superalgebra or color table.
 
@@ -104,13 +93,13 @@ def build_L_h_phi(S: IntegerPlane, phi: Functional, system: RewriteSystem,
     t the homogenizer: h - phi(h) t and alpha e + beta f - phi(...) t, or
     a_i - phi(a_i) a4 and (a_j + mu a_k) - phi(...) a4.
     """
-    _, basis = canonical_form(S, table)
+    _, basis = liealg.canonical_form(S, table)
     t = NcPoly.gen(len(system.presentation.generators) - 1)
-    return LineModuleSpec(system, tuple(NcPoly.linear(u) - t.scale(phi_at(S, phi, u))
+    return LineModuleSpec(system, tuple(NcPoly.linear(u) - t.scale(liealg.phi_at(S, phi, u))
                                         for u in basis))
 
 
-def pair_from_line(line: geometry.Line, table: BracketTable):
+def pair_from_line(line: geometry.Line, table: liealg.BracketTable):
     """Invert the pair -> line map in the superalgebra case.
 
     The line must meet V(h, t) and not lie in V(t); the result is the
@@ -122,12 +111,12 @@ def pair_from_line(line: geometry.Line, table: BracketTable):
     if line.in_plane((0, 0, 0, 1)):
         raise SubalgebraFormError("line lies in V(t)")
     u, v = line.forms
-    (alpha, beta), (lam, gamma) = canonical_pair(
-        IntegerPlane(u[:3], v[:3]), Functional(-u[3], -v[3]), table)
+    (alpha, beta), (lam, gamma) = liealg.canonical_pair(
+        IntegerPlane(u[:3], v[:3]), liealg.Functional(-u[3], -v[3]), table)
     # canonical projective representative: leading odd coefficient 1
     scale = alpha if alpha else beta
-    S = IntegerPlane(*sl11_basis(alpha / scale, beta / scale))
-    return S, Functional(lam, gamma / scale)
+    S = IntegerPlane(*liealg.sl11_basis(alpha / scale, beta / scale))
+    return S, liealg.Functional(lam, gamma / scale)
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +138,7 @@ def is_Z2_graded_line_module(M: LineModuleSpec) -> bool:
     labels = pres.group_labels()
     if any(lab is None for lab in labels):
         raise InhomogeneousError(f"{pres.name!r} carries no grading")
-    return is_graded_subspace(IntegerPlane(*M.coefficients()), labels)
+    return liealg.is_graded_subspace(IntegerPlane(*M.coefficients()), labels)
 
 
 def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> bool:
@@ -181,9 +170,9 @@ class InducedModuleSpec(NamedTuple):
     by total degree inside the enveloping presentation."""
 
     enveloping: Presentation
-    table: BracketTable
+    table: liealg.BracketTable
     subalgebra: IntegerPlane
-    phi: Functional
+    phi: liealg.Functional
 
 
 def induced_module_dims(I: InducedModuleSpec, max_degree: int) -> list:
@@ -193,9 +182,9 @@ def induced_module_dims(I: InducedModuleSpec, max_degree: int) -> list:
     Raises AdmissibilityError (naming the violated condition) when phi does
     not define a one-dimensional module.
     """
-    require_admissible(I.subalgebra, I.phi, I.table)
+    liealg.require_admissible(I.subalgebra, I.phi, I.table)
     return filtered_cyclic_dims(
-        I.enveloping, shift_generators(I.subalgebra, I.phi), max_degree
+        I.enveloping, liealg.shift_generators(I.subalgebra, I.phi), max_degree
     )
 
 
@@ -213,7 +202,7 @@ def annihilator_contains_generators(I: InducedModuleSpec, M: LineModuleSpec) -> 
     if graded.generator_names()[:hom] != env.generator_names():
         raise ValueError("graded and enveloping alphabets do not match")
     model = filtered_model(env, 2)
-    ideal = model.ideal_echelon(shift_generators(I.subalgebra, I.phi))
+    ideal = model.ideal_echelon(liealg.shift_generators(I.subalgebra, I.phi))
     return all(model.contains(ideal, NcPoly((() if w[0] == hom else w, c) for w, c in g.items()))
                for g in M.generators)
 

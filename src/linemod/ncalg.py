@@ -265,6 +265,15 @@ class NcPoly:
         return max(sum(degrees[g] for g in w) for w in self._terms)
 
 
+def bracket_relation(table, signs, i: int, j: int, homogenizer: int | None) -> NcPoly:
+    """The free-algebra element b_i b_j - signs[i][j] b_j b_i - <b_i,b_j> for
+    the structure constants ``table``, with each bracket term times the
+    generator ``homogenizer`` unless it is None."""
+    tail = () if homogenizer is None else (homogenizer,)
+    return NcPoly([((i, j), 1), ((j, i), -signs[i][j])]
+                  + [((k,) + tail, -c) for k, c in enumerate(table[i][j]) if c])
+
+
 def up_to_scale(a: NcPoly, b: NcPoly) -> bool:
     """Whether ``b`` is a rational multiple of the nonzero ``a`` on the same
     support."""

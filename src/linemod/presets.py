@@ -3,7 +3,7 @@
 Each algebra is one record of bracket-table data: basis names, structure
 constants, signs, grading and the ordered pairs whose relations are
 presented.  Every presentation is derived from its record by one formula,
-``liealg.bracket_relation``: the enveloping presentation (genuinely
+``ncalg.bracket_relation``: the enveloping presentation (genuinely
 inhomogeneous, used for filtered computations) and its graded
 homogenization by a central degree-one generator.  The eight-dimensional
 superalgebra's constants come from the 3x3 supertrace-zero matrix model.
@@ -17,10 +17,9 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
+from . import geometry, liealg
 from .errors import UnknownPresetError
-from .geometry import Quadric, quadric_from_coeffs
-from .liealg import BracketTable, bracket_relation
-from .ncalg import Generator, NcPoly, group_identity
+from .ncalg import Generator, NcPoly, bracket_relation, group_identity
 from .rewrite import Presentation
 
 _CACHE: dict = {}
@@ -193,9 +192,9 @@ def _presentation(name: str, algebra, homogenizer: str | None, squares: bool) ->
     )
 
 
-def _table(algebra, enveloping: str) -> BracketTable:
+def _table(algebra, enveloping: str) -> liealg.BracketTable:
     alg = algebra()
-    return BracketTable(
+    return liealg.BracketTable(
         name=alg.name,
         kind=alg.kind,
         basis_names=alg.basis_names,
@@ -211,17 +210,17 @@ def _table(algebra, enveloping: str) -> BracketTable:
 # ----------------------------------------------------------------------
 
 
-def sl2_pencil_quadric(delta) -> Quadric:
+def sl2_pencil_quadric(delta) -> geometry.Quadric:
     """The quadric det + delta^2 t^2 in coordinates (e, f, h, t), where det
     is the determinant form -(h^2 + ef) of the 2x2 trace-zero model."""
     d = Fraction(delta)
-    return quadric_from_coeffs({(0, 1): -1, (2, 2): -1, (3, 3): d * d})
+    return geometry.quadric_from_coeffs({(0, 1): -1, (2, 2): -1, (3, 3): d * d})
 
 
-def sl11_middle_quadric() -> Quadric:
+def sl11_middle_quadric() -> geometry.Quadric:
     """The quadric ht - 2ef in coordinates (e, f, h, t) that carries the
     line-module lines not meeting V(h, t)."""
-    return quadric_from_coeffs({(2, 3): 1, (0, 1): -2})
+    return geometry.quadric_from_coeffs({(2, 3): 1, (0, 1): -2})
 
 
 # ----------------------------------------------------------------------
@@ -312,3 +311,6 @@ SL11_QUADRIC_LINE_PARAMS = (1, -1, 2, Fraction(1, 2), -3)
 SL2_BOREL_S = (0, 1, -2, Fraction(1, 3))
 
 SL2_LAMBDAS = (0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2), 5, Fraction(7, 3))
+
+# completion degree and oracle degree of the sl21 suite, which takes no bounds
+SL21_BOUNDS = (5, 3)

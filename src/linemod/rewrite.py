@@ -105,6 +105,12 @@ class Presentation:
         """Deglex with precedence in presentation order (first is highest)."""
         return TermOrder.from_precedence(self.z_degrees)
 
+    def relation_degree(self) -> int:
+        """The largest degree of a relation term (0 without relations), the
+        least degree bound ``complete`` accepts."""
+        degrees = self.z_degrees
+        return max((r.max_z_degree(degrees) for r in self.relations), default=0)
+
 
 class Rule:
     """An oriented relation lhs -> rhs with every rhs word below the lhs.
@@ -410,8 +416,7 @@ def complete(presentation: Presentation, order: TermOrder | None = None, *,
     """
     if order is None:
         order = presentation.default_order()
-    max_rel_degree = max(
-        (order.max_degree(r) for r in presentation.relations), default=0)
+    max_rel_degree = presentation.relation_degree()
     if max_degree < max_rel_degree:
         raise ValueError(f"degree bound {max_degree} is below the maximal relation degree {max_rel_degree}")
 

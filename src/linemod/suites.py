@@ -60,6 +60,7 @@ from .presets import (
     SL11_ADMISSIBLE,
     SL11_GRADED_PHI,
     SL11_QUADRIC_LINE_PARAMS,
+    SL21_BOUNDS,
     preset,
     sl2_pencil_quadric,
     sl11_middle_quadric,
@@ -503,10 +504,6 @@ def _random_line_in_plane_through_point(rng: Random, plane, point) -> Line:
 # ----------------------------------------------------------------------
 # sl21
 # ----------------------------------------------------------------------
-
-
-# completion degree and oracle degree of the sl21 suite, which takes no bounds
-SL21_BOUNDS = (5, 3)
 
 
 def run_sl21() -> list:

@@ -191,6 +191,24 @@ def test_admissible_bound_below_the_relations_is_usage_error(capsys, bound):
     assert "--max-degree" in captured.err and f"{bound!r}" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["complete"],
+    ["nf", "--expr", "e*f"],
+    ["trace", "--expr", "e*f"],
+    ["hilbert"],
+    ["certify-line", "--gen", "e", "--gen", "f"],
+])
+@pytest.mark.parametrize("bound", ["-1", "1"])
+def test_completion_bound_below_the_relations_is_named(capsys, command, bound):
+    # the message names the flag and the algebra, not the completion's own bound
+    code = main([*command, "--algebra", "sl2_A", "--max-degree", bound])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: --max-degree {bound} is below the degree 2 "
+                            "of the relations of 'sl2_A'\n")
+
+
 @pytest.mark.parametrize("command", ["admissible", "induce"])
 @pytest.mark.parametrize("phi, bad", [("1/0,2", "1/0"), ("abc,2", "abc"), ("3, 2/0", "2/0")])
 def test_bad_phi_rational_is_named(capsys, command, phi, bad):
