@@ -81,47 +81,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "BracketTable",
-    "CertificationReport",
-    "Functional",
-    "Generator",
-    "InducedModuleSpec",
-    "Line",
-    "LineModuleSpec",
-    "LinemodError",
-    "NcPoly",
-    "Presentation",
-    "Quadric",
-    "RewriteSystem",
-    "Rule",
-    "SubalgebraSpec",
-    "TermOrder",
-    "admissible_functional",
-    "bracket",
-    "build_L_h_phi",
-    "certify_homogenization_iso",
-    "certify_line_module",
-    "classify_2dim_subalgebras",
-    "classify_line_family_color",
-    "complete",
-    "derivation_trace",
-    "filtered_cyclic_dims",
-    "hilbert_algebra",
-    "ideal_member",
-    "induced_module_dims",
-    "is_Z2_graded_line_module",
-    "is_graded_subspace",
-    "is_subalgebra",
-    "line_on_quadric",
-    "lines_meet",
-    "normal_form",
-    "oracle_graded_dims",
-    "parse_algebra",
-    "parse_expression",
-    "preset",
-    "print_algebra",
-    "sl11_middle_quadric",
-    "sl2_pencil_quadric",
-    "torsion_free_on",
-]
+__all__ = sorted(_HOME)

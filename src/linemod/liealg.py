@@ -109,6 +109,12 @@ def is_subalgebra(S: SubalgebraSpec, T: BracketTable) -> bool:
     return all(S.contains(_bracket(x, y, T, 0)) for x in S.ints for y in S.ints)
 
 
+def require_subalgebra(S: SubalgebraSpec, T: BracketTable) -> None:
+    """Raise SubalgebraFormError when S is not closed under the bracket."""
+    if not is_subalgebra(S, T):
+        raise SubalgebraFormError("subspace is not closed under the bracket")
+
+
 def is_graded_subspace(S: SubalgebraSpec, labels) -> bool:
     """Whether S is the sum of its intersections with the homogeneous
     components of the grading with the given per-coordinate labels."""
@@ -138,6 +144,12 @@ def color_basis(i: int, mu) -> tuple:
     j, k = [m for m in range(3) if m != i]
     return (tuple(1 if m == i else 0 for m in range(3)),
             tuple(1 if m == j else (mu if m == k else 0) for m in range(3)))
+
+
+def sl2_borel_basis(s) -> tuple:
+    """The basis (E_s, H_s) of a Borel plane of sl2, basis order (e, f, h):
+    E_s = e - s^2 f + s h and H_s = h - 2s f; s = 0 gives span(e, h)."""
+    return (1, -s * s, s), (0, -2 * s, 1)
 
 
 def sl11_form(S: SubalgebraSpec):
@@ -239,8 +251,7 @@ def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
 
     Raises SubalgebraFormError, for every kind of table, when S is not
     closed under the bracket, before any canonical form is read."""
-    if not is_subalgebra(S, T):
-        raise SubalgebraFormError("subspace is not closed under the bracket")
+    require_subalgebra(S, T)
     if T.kind != "lie":
         return closed_form_on_pair(T.kind, canonical_pair(S, phi, T))
     value = phi_at(S, phi, bracket(S.v1, S.v2, T))
@@ -249,9 +260,11 @@ def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
     return False, f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
 
 
-def shift_generators(S: SubalgebraSpec, phi: Functional) -> tuple:
-    """The left-ideal generators x - phi(x) over the enveloping alphabet."""
-    return tuple(NcPoly.linear(vec) - NcPoly.one().scale(value)
+def shift_generators(S: SubalgebraSpec, phi: Functional, unit: NcPoly) -> tuple:
+    """The left-ideal generators x - phi(x) unit for x = v1, v2: with unit 1
+    over the enveloping alphabet, with the homogenizer for the line module.
+    The left ideal they generate depends on S, not on its basis."""
+    return tuple(NcPoly.linear(vec) - unit.scale(value)
                  for vec, value in zip((S.v1, S.v2), phi.values()))
 
 
@@ -261,7 +274,7 @@ def properness_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable,
     i.e. the identity is not spanned by the filtered left ideal.  The span
     stops at the first row that puts the identity in it."""
     model = filtered_model(T.enveloping, max_degree)
-    return model.is_proper(shift_generators(S, phi))
+    return model.is_proper(shift_generators(S, phi, NcPoly.one()))
 
 
 def admissible_functional(S: SubalgebraSpec, phi: Functional, T: BracketTable,
@@ -389,7 +402,7 @@ def family_members(T: BracketTable) -> list:
         for s in (1, -2, Fraction(1, 3)):
             members.append({
                 "params": {"borel": f"s={s}"},
-                "spec": SubalgebraSpec((1, -s * s, s), (0, -2 * s, 1)),
+                "spec": SubalgebraSpec(*sl2_borel_basis(s)),
             })
         return members
     raise ValueError(f"unknown bracket kind {T.kind!r}")

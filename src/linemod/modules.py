@@ -10,7 +10,6 @@ bounded degree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import geometry, liealg
@@ -86,17 +85,14 @@ class CertificationReport(NamedTuple):
 def build_L_h_phi(S: IntegerPlane, phi: liealg.Functional, system: RewriteSystem,
                   table: liealg.BracketTable) -> LineModuleSpec:
     """The module over the homogenized algebra attached to a pair (S, phi),
-    for a superalgebra or color table.
-
-    S must be of a classified shape (``canonical_form``); the left ideal
-    generators are u - phi(u) t for the canonical basis vectors u of S, with
-    t the homogenizer: h - phi(h) t and alpha e + beta f - phi(...) t, or
-    a_i - phi(a_i) a4 and (a_j + mu a_k) - phi(...) a4.
+    for any bracket table: H/H(x - phi(x) t : x in S), with t the
+    homogenizer.  The left ideal depends on S, not on its basis, so the
+    generators are x - phi(x) t for x = v1, v2.  S must be closed under the
+    bracket; phi need not be admissible.
     """
-    _, basis = liealg.canonical_form(S, table)
+    liealg.require_subalgebra(S, table)
     t = NcPoly.gen(len(system.presentation.generators) - 1)
-    return LineModuleSpec(system, tuple(NcPoly.linear(u) - t.scale(liealg.phi_at(S, phi, u))
-                                        for u in basis))
+    return LineModuleSpec(system, liealg.shift_generators(S, phi, t))
 
 
 def pair_from_line(line: geometry.Line, table: liealg.BracketTable):
@@ -152,7 +148,8 @@ def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> 
         ech = model.ideal[d + 1].copy()
         added = 0
         for w in model.basis[d]:
-            nf = M.system.reduce({(g,) + w: Fraction(1)})
+            # NF(g w) from the product memo, certified to max_degree by M.model
+            nf = M.system.right_multiply((), {(g,) + w: 1})
             if ech.add({pos_next[word]: c for word, c in nf.items()}) is not None:
                 added += 1
         if added != model.dim(d):
@@ -184,7 +181,7 @@ def induced_module_dims(I: InducedModuleSpec, max_degree: int) -> list:
     """
     liealg.require_admissible(I.subalgebra, I.phi, I.table)
     return filtered_cyclic_dims(
-        I.enveloping, liealg.shift_generators(I.subalgebra, I.phi), max_degree
+        I.enveloping, liealg.shift_generators(I.subalgebra, I.phi, NcPoly.one()), max_degree
     )
 
 
@@ -202,7 +199,7 @@ def annihilator_contains_generators(I: InducedModuleSpec, M: LineModuleSpec) -> 
     if graded.generator_names()[:hom] != env.generator_names():
         raise ValueError("graded and enveloping alphabets do not match")
     model = filtered_model(env, 2)
-    ideal = model.ideal_echelon(liealg.shift_generators(I.subalgebra, I.phi))
+    ideal = model.ideal_echelon(liealg.shift_generators(I.subalgebra, I.phi, NcPoly.one()))
     return all(model.contains(ideal, NcPoly((() if w[0] == hom else w, c) for w, c in g.items()))
                for g in M.generators)
 

@@ -276,10 +276,6 @@ def preset(name: str):
 # fixtures
 # ----------------------------------------------------------------------
 
-# parameter samples (alpha : beta) for the superalgebra family, with both
-# degenerate points included
-SL11_AB_SAMPLES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3), (-1, 5), (7, 2))
-
 # admissible tuples (alpha, beta, lambda, gamma) with gamma^2 = alpha beta lambda,
 # including the boundary cases alpha beta = 0
 SL11_ADMISSIBLE = (

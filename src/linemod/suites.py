@@ -39,6 +39,7 @@ from .liealg import (
     random_fraction,
     random_mix,
     sl11_basis,
+    sl2_borel_basis,
     table_consistent_with_presentation,
 )
 from .modules import (
@@ -56,7 +57,6 @@ from .ncalg import NcPoly, up_to_scale
 from .presets import (
     SL2_BOREL_S,
     SL2_LAMBDAS,
-    SL11_AB_SAMPLES,
     SL11_ADMISSIBLE,
     SL11_GRADED_PHI,
     SL11_QUADRIC_LINE_PARAMS,
@@ -142,6 +142,15 @@ def _two_route_check(name: str, preset_name: str, expected: list, max_degree: in
 # ----------------------------------------------------------------------
 
 
+def _sl2_borel_pairs() -> list:
+    """(tag, S, lambda) of each Borel fixture: span(e, h) at every lambda,
+    span(f, -h) at 3, and span(E_s, H_s) at 2 for each s."""
+    pairs = [("upper", SubalgebraSpec((1, 0, 0), (0, 0, 1)), lam) for lam in SL2_LAMBDAS]
+    pairs.append(("lower", SubalgebraSpec((0, 1, 0), (0, 0, -1)), Fraction(3)))
+    pairs += [(f"s={s}", SubalgebraSpec(*sl2_borel_basis(s)), Fraction(2)) for s in SL2_BOREL_S]
+    return pairs
+
+
 def run_sl2(samples: int, seed: int, max_degree: int, oracle_degree: int) -> list:
     checks = []
     system = _system("sl2_A", max(8, max_degree))
@@ -149,22 +158,15 @@ def run_sl2(samples: int, seed: int, max_degree: int, oracle_degree: int) -> lis
         "hilbert_two_routes_sl2_A", "sl2_A",
         [_binomial3(d) for d in range(9)], max_degree, oracle_degree))
 
-    # line modules from borel pairs: V(E, H - lambda t)
-    fixtures = []
-    for lam in SL2_LAMBDAS:
-        fixtures.append(("upper", NcPoly.gen(0), NcPoly.gen(2), lam))
-    fixtures.append(("lower", NcPoly.gen(1), NcPoly.linear((0, 0, -1)), Fraction(3)))
-    for s in SL2_BOREL_S:
-        E = NcPoly.linear((1, -s * s, s))
-        H = NcPoly.linear((0, -2 * s, 1))
-        fixtures.append((f"s={s}", E, H, Fraction(2)))
+    # line modules from borel pairs (S, phi = (0, lambda)): V(E, H - lambda t)
+    table = preset("sl2_table")
     results = []
     reports = {}   # the upper fixture at lambda 2 and s=0 are one module
-    for tag, E, H, lam in fixtures:
-        gens = (E, H - NcPoly.monomial((3,), lam))
-        if gens not in reports:
-            reports[gens] = certify_line_module(LineModuleSpec(system, gens), max_degree)
-        cert = reports[gens]
+    for tag, S, lam in _sl2_borel_pairs():
+        M = build_L_h_phi(S, Functional(0, lam), system, table)
+        if M.generators not in reports:
+            reports[M.generators] = certify_line_module(M, max_degree)
+        cert = reports[M.generators]
         results.append({"borel": tag, "lambda": lam, "dims": cert.found, "pass": cert.passed})
     checks.append(_check("line_modules_from_borel_pairs", _all_pass(results),
                          expected=line_module_dims(max_degree), fixtures=results))
@@ -182,12 +184,11 @@ def run_sl2(samples: int, seed: int, max_degree: int, oracle_degree: int) -> lis
     checks.append(_check("borel_lines_on_determinant_pencil", _all_pass(pencil),
                          cases=pencil))
 
-    rep = classify_2dim_subalgebras(preset("sl2_table"), samples=samples, seed=seed)
+    rep = classify_2dim_subalgebras(table, samples=samples, seed=seed)
     checks.append(_classification_check(
         "two_dim_subalgebras_are_borel", rep, rep.sufficiency_pass and rep.completeness_pass))
 
     rng = Random(seed + 101)
-    table = preset("sl2_table")
     checks.append(_route_agreement_check(
         ((member["spec"], Functional(random_fraction(rng), random_fraction(rng)))
          for member in family_members(table) for _ in range(25)),
@@ -264,8 +265,8 @@ def run_sl11(samples: int, seed: int, max_degree: int, oracle_degree: int) -> li
 
     rng = Random(seed + 11)
     checks.append(_route_agreement_check(
-        (_sl11_pair(alpha, beta, random_fraction(rng), random_fraction(rng))
-         for alpha, beta in SL11_AB_SAMPLES for _ in range(100)),
+        ((member["spec"], Functional(random_fraction(rng), random_fraction(rng)))
+         for member in family_members(table) for _ in range(100)),
         table,
     ))
 

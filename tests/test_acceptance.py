@@ -32,7 +32,6 @@ from linemod.modules import (
 from linemod.ncalg import NcPoly
 from linemod.presets import (
     SL2_LAMBDAS,
-    SL11_AB_SAMPLES,
     SL11_ADMISSIBLE,
     SL11_GRADED_PHI,
     SL11_QUADRIC_LINE_PARAMS,
@@ -128,10 +127,10 @@ def test_criterion_4_admissibility_equivalence():
     slc = preset("slc_table")
     trials = 0
     # admissible_functional raises RouteDisagreementError on any mismatch
-    for alpha, beta in SL11_AB_SAMPLES:
-        S = SubalgebraSpec((0, 0, 1), (alpha, beta, 0))
+    for member in family_members(sl11):
         for _ in range(100):
-            admissible_functional(S, Functional(small_fraction(rng), small_fraction(rng)), sl11)
+            admissible_functional(
+                member["spec"], Functional(small_fraction(rng), small_fraction(rng)), sl11)
             trials += 1
     for member in family_members(slc):
         for _ in range(100):

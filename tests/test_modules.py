@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linemod.modules as modules
+import linemod.suites as suites
 from linemod.errors import AdmissibilityError, RankDeficientError, SubalgebraFormError
 from linemod.geometry import Line, classify_line_family_color
-from linemod.liealg import Functional, SubalgebraSpec, canonical_pair, family_members
+from linemod.liealg import (
+    Functional,
+    SubalgebraSpec,
+    canonical_form,
+    canonical_pair,
+    family_members,
+    phi_at,
+)
 from linemod.modules import (
     InducedModuleSpec,
     LineModuleSpec,
@@ -21,7 +29,7 @@ from linemod.modules import (
     torsion_free_on,
 )
 from linemod.ncalg import NcPoly
-from linemod.presets import SL11_ADMISSIBLE, preset
+from linemod.presets import SL2_BOREL_S, SL2_LAMBDAS, SL11_ADMISSIBLE, preset
 
 
 def deg1(coeffs):
@@ -44,24 +52,30 @@ def test_build_examples(hhat_system):
     S, phi = pair(2, -3, 0, 0)
     M = build_L_h_phi(S, phi, hhat_system, table)
     assert M.generators == (deg1((0, 0, 1, 0)), deg1((2, -3, 0, 0)))
+    # the generators are v - phi(v) t for v = v1, v2; the line is that of the
+    # canonical basis (h, alpha e + beta f)
     # span(e + f + h, h) is span(h, e + f); phi(h) = 2, phi(e + f) = 3
     M = build_L_h_phi(SubalgebraSpec((1, 1, 1), (0, 0, 1)), Functional(5, 2),
                       hhat_system, table)
-    assert M.generators == (deg1((0, 0, 1, -2)), deg1((1, 1, 0, -3)))
+    assert M.generators == (deg1((1, 1, 1, -5)), deg1((0, 0, 1, -2)))
+    assert M.line() == Line(((0, 0, 1, -2), (1, 1, 0, -3)))
     # h = v1 / 3 and the odd complement v1 / 3 + v2 = e + 2f
     M = build_L_h_phi(SubalgebraSpec((0, 0, 3), (1, 2, -1)), Functional(6, 1),
                       hhat_system, table)
-    assert M.generators == (deg1((0, 0, 1, -2)), deg1((1, 2, 0, -3)))
+    assert M.generators == (deg1((0, 0, 3, -6)), deg1((1, 2, -1, -1)))
+    assert M.line() == Line(((0, 0, 1, -2), (1, 2, 0, -3)))
     # h = v2 / 4 and the odd complement v1 - v2 / 4 = 2e - 3f
     M = build_L_h_phi(SubalgebraSpec((2, -3, 1), (0, 0, 4)), Functional(1, 8),
                       hhat_system, table)
-    assert M.generators == (deg1((0, 0, 1, -2)), deg1((2, -3, 0, 1)))
+    assert M.generators == (deg1((2, -3, 1, -1)), deg1((0, 0, 4, -8)))
+    assert M.line() == Line(((0, 0, 1, -2), (2, -3, 0, 1)))
 
 
 def test_build_color_members(color_system):
     table = preset("slc_table")
     half = Fraction(1, 2)
-    # (i, mu) -> a_i - 3 a4 and a_j + mu a_k + a4 / 2, over (a1, a2, a3, a4)
+    # (i, mu) -> a_i - 3 a4 and a_j + mu a_k + a4 / 2, over (a1, a2, a3, a4):
+    # a member's basis is its canonical basis (a_i, a_j + mu a_k)
     expected = {
         (1, 1): ((1, 0, 0, -3), (0, 1, 1, half)),
         (1, -1): ((1, 0, 0, -3), (0, 1, -1, half)),
@@ -76,11 +90,14 @@ def test_build_color_members(color_system):
         v1, v2 = member["spec"].v1, member["spec"].v2
         M = build_L_h_phi(member["spec"], Functional(3, -half), color_system, table)
         assert M.generators == gens
-        # the same pair on the basis (v1 + 2 v2, v1 - v2)
-        S = SubalgebraSpec(tuple(a + 2 * b for a, b in zip(v1, v2)),
-                           tuple(a - b for a, b in zip(v1, v2)))
-        M = build_L_h_phi(S, Functional(3 - 2 * half, 3 + half), color_system, table)
-        assert M.generators == gens
+        # the same pair on the basis (v1 + 2 v2, v1 - v2): the generators
+        # v1 + 2 v2 - 2 a4 and v1 - v2 - 7/2 a4 cut out the same line
+        w1 = tuple(a + 2 * b for a, b in zip(v1, v2))
+        w2 = tuple(a - b for a, b in zip(v1, v2))
+        M = build_L_h_phi(SubalgebraSpec(w1, w2), Functional(3 - 2 * half, 3 + half),
+                          color_system, table)
+        assert M.generators == (deg1(w1 + (-2,)), deg1(w2 + (-3 - half,)))
+        assert M.line() == Line(expected[key])
 
 
 _values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -89,9 +106,9 @@ _values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 @st.composite
 def _rebased(draw, S, phi):
     """The pair (S, phi) on a random basis (a v1 + b v2, c v1 + d v2) / den
-    of S, for S given by integer vectors, with phi's values carried by the
-    same mix.  The new plane takes integer rows over the common denominator
-    den, or the Fraction vectors they stand for."""
+    of S, with phi's values carried by the same mix.  The new plane takes
+    the rows over the common denominator den, or the Fraction vectors they
+    stand for; the rows are integers when S is given by integer vectors."""
     a, b, c, d = draw(st.tuples(*[st.integers(-3, 3)] * 4).filter(
         lambda m: m[0] * m[3] != m[1] * m[2]))
     den = draw(st.integers(1, 6))
@@ -134,17 +151,73 @@ def test_sl11_pair_does_not_depend_on_the_basis(hhat_system, data, odd, values):
             == build_L_h_phi(S, phi, hhat_system, table).line())
 
 
-def test_build_rejects_lie_tables(hhat_system):
-    with pytest.raises(ValueError):
-        build_L_h_phi(SubalgebraSpec((1, 0, 0), (0, 0, 1)), Functional(0, 0),
-                      hhat_system, preset("sl2_table"))
+def _canonical_reference(S, phi, system, table) -> LineModuleSpec:
+    """The line module of (S, phi) built over the canonical basis of
+    ``canonical_form``, with phi's values carried there by ``phi_at``."""
+    _, basis = canonical_form(S, table)
+    t = NcPoly.gen(3)
+    return LineModuleSpec(system, tuple(NcPoly.linear(u) - t.scale(phi_at(S, phi, u))
+                                        for u in basis))
 
 
-def test_build_rejects_unclassified_subspace(hhat_system):
-    table = preset("sl11_table")
+@st.composite
+def _family_pairs(draw):
+    """(table name, S, phi, reference module generators) for a pair of the
+    sl(1|1) family, a color member or an sl2 member; for sl2, phi vanishes
+    on [S, S], which the member's first basis vector E spans, and the
+    reference is (E, H - lambda t) over the member's basis."""
+    values = draw(st.tuples(_values, _values))
+    name = draw(st.sampled_from(("sl11_table", "slc_table", "sl2_table")))
+    if name == "sl11_table":
+        odd = draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any))
+        S, phi = pair(*odd, *values)
+        return name, S, phi, None
+    S = draw(st.sampled_from(family_members(preset(name))))["spec"]
+    if name == "slc_table":
+        return name, S, Functional(*values), None
+    E, H = S.v1, S.v2
+    return name, S, Functional(0, values[1]), (deg1(E), deg1(H + (-values[1],)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), drawn=_family_pairs())
+def test_build_matches_the_canonical_reference_on_any_basis(hhat_system, color_system,
+                                                            a_system, data, drawn):
+    name, S, phi, sl2_gens = drawn
+    system = {"sl11_table": hhat_system, "slc_table": color_system,
+              "sl2_table": a_system}[name]
+    table = preset(name)
+    reference = (LineModuleSpec(system, sl2_gens) if sl2_gens
+                 else _canonical_reference(S, phi, system, table))
+    S2, phi2 = data.draw(_rebased(S, phi))
+    M = build_L_h_phi(S2, phi2, system, table)
+    assert M.line() == reference.line()
+    assert certify_line_module(M, 4).found == certify_line_module(reference, 4).found
+
+
+def test_sl2_borel_pairs_build_the_hand_written_generators(a_system):
+    # the sl2 suite's Borel pairs (S, (0, lambda)) give V(E, H - lambda t),
+    # the generators the suite once wrote by hand
+    table = preset("sl2_table")
+    hand = [(NcPoly.gen(0), NcPoly.gen(2), lam) for lam in SL2_LAMBDAS]
+    hand.append((NcPoly.gen(1), NcPoly.linear((0, 0, -1)), Fraction(3)))
+    hand += [(NcPoly.linear((1, -s * s, s)), NcPoly.linear((0, -2 * s, 1)), Fraction(2))
+             for s in SL2_BOREL_S]
+    pairs = suites._sl2_borel_pairs()
+    assert [lam for _, _, lam in pairs] == [lam for _, _, lam in hand]
+    for (_, S, lam), (E, H, _) in zip(pairs, hand, strict=True):
+        M = build_L_h_phi(S, Functional(0, lam), a_system, table)
+        assert M.generators == (E, H - NcPoly.monomial((3,), lam))
+
+
+def test_build_rejects_unclassified_subspace(hhat_system, a_system):
+    # span(e, f) is not closed: [e, f] = h in sl(1|1) and in sl2
     with pytest.raises(SubalgebraFormError):
         build_L_h_phi(SubalgebraSpec((1, 0, 0), (0, 1, 0)), Functional(0, 0),
-                      hhat_system, table)
+                      hhat_system, preset("sl11_table"))
+    with pytest.raises(SubalgebraFormError):
+        build_L_h_phi(SubalgebraSpec((1, 0, 0), (0, 1, 0)), Functional(0, 0),
+                      a_system, preset("sl2_table"))
 
 
 def test_spec_validation(hhat_system):
