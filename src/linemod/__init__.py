@@ -40,15 +40,7 @@ _EXPORTS = {
     ),
     "ncalg": ("Generator", "NcPoly", "TermOrder"),
     "presets": ("preset", "sl2_pencil_quadric", "sl11_middle_quadric"),
-    "rewrite": (
-        "Presentation",
-        "RewriteSystem",
-        "Rule",
-        "complete",
-        "derivation_trace",
-        "ideal_member",
-        "normal_form",
-    ),
+    "rewrite": ("Presentation", "RewriteSystem", "Rule", "complete", "normal_form"),
     "dsl": ("parse_algebra", "parse_expression", "print_algebra"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -167,14 +167,16 @@ def _normal_form(args):
 
 def _hilbert(args):
     pres = _load_presentation(args)
+    hilbert.require_graded(pres)   # before completing, which may fail otherwise
     oracle_degree = args.oracle_degree
     if oracle_degree is None:
         oracle_degree = hilbert.oracle_degree_within_cap(
             pres, min(_ORACLE_DEGREE, args.max_degree))
     else:
         _require_oracle_within(args)
+    system = complete(pres, max_degree=args.max_degree)
     rewrite_dims, oracle_dims, agree = hilbert.hilbert_two_routes(
-        pres, args.max_degree, oracle_degree)
+        system, args.max_degree, oracle_degree)
     return (
         {"algebra": pres.name, "max_degree": args.max_degree, "oracle_degree": oracle_degree},
         {"rewrite_route": rewrite_dims, "oracle_route": oracle_dims, "routes_agree": agree},
@@ -323,8 +325,8 @@ def main(argv=None) -> int:
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-degree", type=int, default=_MAX_DEGREE)
     p.add_argument("--oracle-degree", type=_non_negative_int,
-                   help=f"at most --max-degree; default: the largest degree <= {_ORACLE_DEGREE} "
-                        "whose monomials fit the oracle cap")
+                   help=f"at most --max-degree; default: the largest degree d <= {_ORACLE_DEGREE} "
+                        "such that the monomials of every degree up to d fit the oracle cap")
     _common_flags(p)
 
     p = commands.add_parser("certify-line", help="certify a cyclic quotient as a line module")

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .errors import InhomogeneousError, LinemodError, OracleCapError
 from .linalg import SparseEchelon, normalize_integer_vector
 from .ncalg import EMPTY_WORD
-from .rewrite import Presentation, RewriteSystem, complete
+from .rewrite import Presentation, RewriteSystem
 
 ORACLE_CAP_ENV = "LINEMOD_ORACLE_CAP"
 ORACLE_CAP_DEFAULT = 4096
@@ -93,18 +93,19 @@ def normal_word_counts(system: RewriteSystem, max_degree: int) -> list:
     return [sum(counts.values()) for counts in by_state]
 
 
-def hilbert_algebra(p, max_degree: int) -> list:
-    """Graded dimensions of the quotient algebra, by counting normal forms.
-
-    ``p`` may be a Presentation (completed here) or an already completed
-    RewriteSystem.
-    """
-    pres = p.presentation if isinstance(p, RewriteSystem) else p
-    if not pres.is_z_homogeneous():
+def require_graded(p: Presentation) -> None:
+    """Raise InhomogeneousError unless the relations of ``p`` are homogeneous
+    in the integer degree: the one check of every graded route."""
+    if not p.is_z_homogeneous():
         raise InhomogeneousError(
-            f"{pres.name!r} is not graded; use filtered_cyclic_dims for filtered dimensions"
+            f"{p.name!r} is not graded; use filtered_cyclic_dims for filtered dimensions"
         )
-    system = complete(p, max_degree=max_degree) if p is pres else p
+
+
+def hilbert_algebra(system: RewriteSystem, max_degree: int) -> list:
+    """Graded dimensions of the quotient algebra of a completed system, by
+    counting normal forms."""
+    require_graded(system.presentation)
     system.require_certified(max_degree)
     return normal_word_counts(system, max_degree)
 
@@ -129,12 +130,18 @@ def oracle_cap() -> int:
     return cap
 
 
-def oracle_degree_within_cap(p: Presentation, max_degree: int) -> int:
-    """The largest d <= max_degree whose degree-d monomials fit the oracle
-    cap (degree 0 always fits)."""
+def _first_over_cap(counts):
+    """``(d, counts[d], cap)`` for the first entry of ``counts`` above the
+    oracle cap, or None when every entry fits."""
     cap = oracle_cap()
-    counts = word_counts(p.z_degrees, max_degree)
-    return max((d for d, count in enumerate(counts) if count <= cap), default=0)
+    return next(((d, count, cap) for d, count in enumerate(counts) if count > cap), None)
+
+
+def oracle_degree_within_cap(p: Presentation, max_degree: int) -> int:
+    """The largest d <= max_degree such that the monomials of every degree
+    up to d fit the oracle cap (degree 0 always fits)."""
+    over = _first_over_cap(word_counts(p.z_degrees, max_degree))
+    return max_degree if over is None else over[0] - 1
 
 
 def word_counts(degrees: tuple, max_degree: int) -> list:
@@ -222,12 +229,14 @@ def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
     is ever built.  The quotient dimension is the number of degree-d words
     minus the rank.  This route never consults the rewrite system.
     """
-    if not p.is_z_homogeneous():
-        raise InhomogeneousError(f"{p.name!r} is not graded")
-    cap = oracle_cap()
+    require_graded(p)
     degrees = p.z_degrees
     reach = max(degrees, default=1)
     counts = word_counts(degrees, max_degree)
+    over = _first_over_cap(counts)
+    if over:
+        raise OracleCapError("degree {} has {} monomials, above the cap {}; "
+                             "set {} to allow this".format(*over, ORACLE_CAP_ENV))
     relations = {}   # degree -> relation rows over the words of that degree
     for rel in p.relations:
         rel_deg = next(iter(rel.z_degrees(degrees)))
@@ -238,11 +247,6 @@ def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
     gained = {}     # degree -> N_d, its echelon rows that are not left shifts
     dims = []
     for d in range(max_degree + 1):
-        if counts[d] > cap:
-            raise OracleCapError(
-                f"degree {d} has {counts[d]} monomials, above the cap {cap}; "
-                f"set {ORACLE_CAP_ENV} to allow this"
-            )
         starts = _block_starts(degrees, d)
         ech = SparseEchelon()
         for x, g in enumerate(degrees):
@@ -263,14 +267,13 @@ def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
     return dims
 
 
-def hilbert_two_routes(p, max_degree: int, oracle_degree: int) -> tuple:
-    """``(rewrite, oracle, agree)``: the graded dimensions by rewriting to
-    ``max_degree`` (``hilbert_algebra``, so ``p`` may be a Presentation or
-    a completed RewriteSystem), by the oracle to ``oracle_degree``, and
-    whether the two agree in degrees <= oracle_degree."""
-    rewrite = hilbert_algebra(p, max_degree)
-    oracle = oracle_graded_dims(p.presentation if isinstance(p, RewriteSystem) else p,
-                                oracle_degree)
+def hilbert_two_routes(system: RewriteSystem, max_degree: int, oracle_degree: int) -> tuple:
+    """``(rewrite, oracle, agree)``: the graded dimensions of a completed
+    system by rewriting to ``max_degree``, of its presentation by the
+    oracle to ``oracle_degree``, and whether the two agree in degrees <=
+    oracle_degree."""
+    rewrite = hilbert_algebra(system, max_degree)
+    oracle = oracle_graded_dims(system.presentation, oracle_degree)
     return rewrite, oracle, rewrite[:oracle_degree + 1] == oracle
 
 
@@ -309,8 +312,7 @@ def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> C
     generator enters as its primitive integer multiple, which generates the
     same left ideal, so the rows carry no denominators of its own."""
     pres = system.presentation
-    if not pres.is_z_homogeneous():
-        raise InhomogeneousError(f"{pres.name!r} is not graded")
+    require_graded(pres)
     system.require_certified(max_degree)
     degrees = pres.z_degrees
     gens, gen_degs = [], []
@@ -385,21 +387,10 @@ class FilteredModel(NamedTuple):
             ech.add(row)
         return ech
 
-    def contains(self, ideal: SparseEchelon, poly) -> bool:
-        """Whether the free-algebra element ``poly``, of level <=
-        max_degree, lies in ``ideal``, an echelon over this model's
-        columns such as ``ideal_echelon`` returns."""
-        return ideal.contains({self.column[w]: c for w, c in poly.items()})
-
-    def quotient_dims(self, shift_generators) -> list:
-        pivots = self.ideal_echelon(shift_generators).pivot_columns()
-        total = len(self.column)
-        return [total - start - sum(1 for c in pivots if c >= start)
-                for start in self.level_start]
-
     def is_proper(self, shift_generators) -> bool:
         """Whether the identity lies outside the ideal, i.e.
-        ``quotient_dims(shift_generators)[0] == 1``.
+        ``filtered_cyclic_dims(presentation, shift_generators,
+        max_degree)[0] == 1``.
 
         The empty word is the last column, so it is a pivot exactly when
         the ideal spans 1; once a pivot it stays one, so shift rows are
@@ -418,12 +409,9 @@ class FilteredModel(NamedTuple):
 def filtered_model(p: Presentation, max_degree: int) -> FilteredModel:
     """The filtered free-word model of a presentation, built once per
     (presentation, bound); the monomial cap is checked on every call."""
-    cap = oracle_cap()
-    for d, count in enumerate(accumulate(word_counts(p.z_degrees, max_degree))):
-        if count > cap:
-            raise OracleCapError(
-                f"filtration {d} needs {count} monomials, above the cap {cap}"
-            )
+    over = _first_over_cap(accumulate(word_counts(p.z_degrees, max_degree)))
+    if over:
+        raise OracleCapError("filtration {} needs {} monomials, above the cap {}".format(*over))
     return _filtered_model(p, max_degree)
 
 
@@ -462,4 +450,7 @@ def filtered_cyclic_dims(p: Presentation, shift_generators, max_degree: int) -> 
     Everything is spanned directly over free words, so the result is
     independent of any rewriting.
     """
-    return filtered_model(p, max_degree).quotient_dims(shift_generators)
+    model = filtered_model(p, max_degree)
+    pivots = model.ideal_echelon(shift_generators).pivot_columns()
+    total = len(model.column)
+    return [total - start - sum(1 for c in pivots if c >= start) for start in model.level_start]

@@ -24,7 +24,7 @@ from .errors import (
 from .hilbert import filtered_model
 from .linalg import IntegerPlane
 from .ncalg import Generator, NcPoly, bracket_relation, up_to_scale
-from .rewrite import Presentation, RewriteSystem, complete, ideal_member, normal_form
+from .rewrite import Presentation, RewriteSystem, complete, normal_form
 
 
 class BracketTable:
@@ -514,7 +514,7 @@ def color_minor_identity() -> bool:
             sign = (-1) ** sum(p[a] > p[b] for a, b in combinations(range(3), 2))
             det += (triple[p[0]][0] * triple[p[1]][1] * triple[p[2]][2]).scale(sign)
         minors.append(det)
-    if not all(ideal_member(m, quotient) for m in minors):
+    if not all(normal_form(m, quotient).is_zero() for m in minors):
         return False
     # the generators occur among the minors up to scale
     forms = [normal_form(m, polys) for m in minors]

@@ -189,9 +189,10 @@ def annihilator_contains_generators(I: InducedModuleSpec, M: LineModuleSpec) -> 
     """Each left ideal generator of M kills the cyclic generator of the
     homogenized induced module.
 
-    Dehomogenize each generator (homogenizer -> 1) and test membership in
-    the filtered left ideal of the induced module at filtration degree 2,
-    the degree of the enveloping relations.
+    Dehomogenize each generator (homogenizer -> 1; a generator has degree
+    one, so its words stay distinct) and test membership in the filtered
+    left ideal of the induced module at filtration degree 2, the degree of
+    the enveloping relations.
     """
     graded = M.system.presentation
     env = I.enveloping
@@ -200,7 +201,8 @@ def annihilator_contains_generators(I: InducedModuleSpec, M: LineModuleSpec) -> 
         raise ValueError("graded and enveloping alphabets do not match")
     model = filtered_model(env, 2)
     ideal = model.ideal_echelon(liealg.shift_generators(I.subalgebra, I.phi, NcPoly.one()))
-    return all(model.contains(ideal, NcPoly((() if w[0] == hom else w, c) for w, c in g.items()))
+    column = model.column
+    return all(ideal.contains({column[() if w[0] == hom else w]: c for w, c in g.items()})
                for g in M.generators)
 
 

@@ -163,19 +163,13 @@ class RewriteSystem:
             raise OutOfCertifiedRangeError(
                 f"degree {degree} exceeds the certified bound {self.confluent_up_to}")
 
-    def reduce(self, terms: dict, steps: list | None = None) -> dict:
-        """Normal form of a word -> coefficient map under the rules; each
-        rewrite is appended to ``steps`` as a TraceStep when a list is given.
-        No degree check: ``normal_form`` is the certified query."""
-        return _reduce(terms, self.automaton, self.order, steps)
-
     def right_multiply(self, word: Word, terms) -> dict:
         """Normal form of ``word * x`` for a normal word ``word`` and ``x`` a
         word -> coefficient dict or an NcPoly, read from the memo of normal
         word times letter.  Its values are ``int`` where ``x`` and the memo
         are integral, for the exact kernel, which takes ints and Fractions
-        alike.  No degree check: it equals ``reduce`` of the product only
-        within ``confluent_up_to``, where normal forms are unique."""
+        alike.  No degree check: it equals ``normal_form`` of the product
+        only within ``confluent_up_to``, where normal forms are unique."""
         out, _ = self._products.fold(word, terms.items(), True)
         return {w: c for w, c in out.items() if c}
 
@@ -521,15 +515,17 @@ def _spolynomial(overlap: Word, r1: Rule, r2: Rule, automaton: LhsAutomaton,
 
 def normal_form(x: NcPoly, system: RewriteSystem, steps: list | None = None) -> NcPoly:
     """The unique normal form of ``x`` (unique when the degree of ``x`` is
-    within the certified bound, which is enforced).  The same pass appends
-    its rewrites to ``steps`` when a list is given (see ``derivation_trace``)."""
+    within the certified bound, which is enforced); ``x`` lies in the
+    two-sided ideal iff its normal form is zero.
+
+    When a list is given, the same pass appends to ``steps`` a replayable
+    ``TraceStep`` per rewrite.  Steps always rewrite the greatest reducible
+    word of the current polynomial at its leftmost reducible position, so
+    the trace is deterministic, and expanding the steps witnesses that
+    x - normal_form(x) lies in the two-sided ideal.
+    """
     system.require_certified(system.order.max_degree(x))
-    return NcPoly(system.reduce(x.terms, steps))
-
-
-def ideal_member(x: NcPoly, system: RewriteSystem) -> bool:
-    """Certified two-sided ideal membership at bounded degree."""
-    return normal_form(x, system).is_zero()
+    return NcPoly(_reduce(x.terms, system.automaton, system.order, steps))
 
 
 class TraceStep(NamedTuple):
@@ -540,19 +536,6 @@ class TraceStep(NamedTuple):
     coefficient: Fraction
     position: int
     rule_lhs: Word
-
-
-def derivation_trace(x: NcPoly, system: RewriteSystem) -> list:
-    """A replayable list of single rewrite steps from ``x`` to its normal form.
-
-    Steps always rewrite the greatest reducible word of the current
-    polynomial at its leftmost reducible position, so the trace is
-    deterministic.  Expanding the steps witnesses that x - normal_form(x)
-    lies in the two-sided ideal.
-    """
-    steps = []
-    normal_form(x, system, steps)
-    return steps
 
 
 def replay_trace(x: NcPoly, steps, system: RewriteSystem) -> NcPoly:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from linemod import cli
 from linemod.cli import main
 from linemod.presets import preset
 
@@ -115,13 +116,46 @@ def test_hilbert_default_oracle_degree_within_max_degree(capsys):
     assert report["results"]["routes_agree"] is True
 
 
-def test_hilbert_oracle_degree_above_max_degree_is_usage_error(capsys):
+def test_hilbert_default_oracle_degree_stops_below_the_first_degree_over_the_cap(
+        tmp_path, capsys, monkeypatch):
+    # with every generator of degree 2 the odd degrees are empty: degree 3
+    # fits a cap of 2, but degree 2 below it has 3 monomials
+    alg = tmp_path / "even.alg"
+    alg.write_text("algebra E { generators x y z; degree 2 2 2; relations { x*y - y*x; } }")
+    monkeypatch.setenv("LINEMOD_ORACLE_CAP", "2")
+    code, out = run_cli(capsys, "hilbert", "--algebra", str(alg), "--max-degree", "4")
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["oracle_degree"] == 1
+    assert report["results"]["oracle_route"] == [1, 0]
+    assert report["results"]["rewrite_route"] == [1, 0, 3, 0, 8]
+
+
+def test_hilbert_oracle_degree_above_max_degree_is_usage_error(capsys, monkeypatch):
+    # refused before anything is completed
+    monkeypatch.setattr(cli, "complete", None)
     code = main(["hilbert", "--algebra", "sl2_A", "--max-degree", "2",
                  "--oracle-degree", "3"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert "--oracle-degree 3" in captured.err and "--max-degree 2" in captured.err
+
+
+@pytest.mark.parametrize("algebra", ["sl2_U", "collapse"])
+def test_hilbert_of_an_ungraded_algebra_is_usage_error(tmp_path, capsys, monkeypatch, algebra):
+    # refused before anything is completed: completing `collapse` (x*y = 1,
+    # y*x = 0) would fail first, with a message that does not name it
+    argv = ["hilbert", "--algebra", algebra]
+    if algebra == "collapse":
+        argv[2] = str(tmp_path / "collapse.alg")
+        Path(argv[2]).write_text("algebra collapse { generators x y; relations { x*y - 1; y*x; } }")
+    monkeypatch.setattr(cli, "complete", None)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {algebra!r} is not graded")
 
 
 def test_admissible(capsys):

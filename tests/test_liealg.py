@@ -138,6 +138,58 @@ def test_admissibility_routes_agree_random():
             admissible_functional(S, phi, table)
 
 
+def _on_and_off_the_admissible_set(T, member, rng):
+    """phi's values on a family member's own basis (v1, v2), drawn on the
+    admissible set, and the same values with one shifted off it."""
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    params = member["params"]
+    if T.kind == "lie":
+        # phi vanishes on [S, S], spanned by [v1, v2] = x v1 + y v2
+        S = member["spec"]
+        x, y = S.solve(bracket(S.v1, S.v2, T))
+        r = frac() or 1
+        phi = (r * y, -r * x)
+        return phi, ((phi[0] + 1, phi[1]) if x else (phi[0], phi[1] + 1))
+    if T.kind == "super":
+        # gamma^2 = alpha beta lambda, so gamma = 0 when alpha beta = 0
+        ab = params["alpha"] * params["beta"]
+        if not ab:
+            lam = frac()
+            return (lam, 0), (lam, 1)
+        gamma = frac()
+        return (gamma * gamma / ab, gamma), (gamma * gamma / ab + 1, gamma)
+    # phi(a_i) = mu/2 or phi(a_j + mu a_k) = 0
+    half, r = Fraction(params["mu"], 2), frac()
+    if rng.random() < 0.5:
+        r = r or 1
+        return (half, r), (half + 1, r)
+    r = r if r != half else half + 1
+    return (r, 0), (r, 1)
+
+
+@pytest.mark.parametrize("T", [SL2, SL11, SLC], ids=lambda T: T.kind)
+def test_admissible_functionals_sampled_on_purpose(T):
+    # random functionals rarely land on the admissible set (3 of the sl2
+    # suite's 125 trials do), so each family member gets points drawn on it
+    # and points shifted off it, over a random integer mix of its basis
+    rng = Random(14)
+    for member in family_members(T):
+        S = member["spec"]
+        for _ in range(5):
+            phi, off = _on_and_off_the_admissible_set(T, member, rng)
+            while True:
+                a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+                if a * d != b * c:
+                    break
+            mixed = SubalgebraSpec(tuple(a * x + b * y for x, y in zip(S.v1, S.v2)),
+                                   tuple(c * x + d * y for x, y in zip(S.v1, S.v2)))
+            for values, expected in ((phi, True), (off, False)):
+                carried = Functional(a * values[0] + b * values[1], c * values[0] + d * values[1])
+                assert admissible_functional(mixed, carried, T) is expected, (member, values)
+
+
 def test_properness_detects_collapse():
     S = SubalgebraSpec((0, 0, 1), (1, 1, 0))
     assert properness_admissible(S, Functional(4, 2), SL11)

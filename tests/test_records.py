@@ -76,6 +76,17 @@ def test_a_command_runs_only_the_modules_it_reads(argv, ran, skipped):
     assert not loaded & skipped
 
 
+def test_cli_runs_as_a_module_without_a_runpy_warning():
+    # the benchmark starts every child as `python -m linemod.cli`; runpy
+    # warns when the module it runs is already in sys.modules
+    src = os.path.dirname(os.path.dirname(linemod.__file__))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "linemod.cli",
+                           "--version"], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"linemod {linemod.__version__}\n"
+
+
 def test_exports_are_their_home_modules_objects():
     table = [name for names in linemod._EXPORTS.values() for name in names]
     assert sorted(table) == sorted(linemod.__all__) == sorted(set(table))
