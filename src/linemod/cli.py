@@ -188,6 +188,7 @@ def _certify_line(args):
     if len(args.gen) != 2:
         raise LinemodError("--gen must be given exactly twice")
     pres = _load_presentation(args)
+    hilbert.require_graded(pres)   # before completing, which may fail otherwise
     system = complete(pres, max_degree=args.max_degree)
     gens = tuple(dsl.parse_expression(g, pres) for g in args.gen)
     try:

@@ -8,22 +8,24 @@ exact rational arithmetic, never consulting the rewrite system.  The
 filtered variant realizes cyclic quotients of genuinely inhomogeneous
 presentations (enveloping algebras) the same brute-force way.
 
-The cyclic-module route passes each module generator to the rewrite
-engine as its primitive integer multiple, which spans the same left ideal,
-so with integer structure constants its rows are ``int``-valued from the
-memo to the echelon.
+The cyclic-module route completes the left ideal of its generators
+one-sidedly, bounded by degree, and counts the normal words that no
+leading word ends; it builds no echelon.  Each generator and basis element
+is kept as its primitive integer multiple, which spans the same left ideal.
 """
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InhomogeneousError, LinemodError, OracleCapError
 from .linalg import SparseEchelon, normalize_integer_vector
-from .ncalg import EMPTY_WORD
+from .ncalg import EMPTY_WORD, Word
 from .rewrite import Presentation, RewriteSystem
 
 ORACLE_CAP_ENV = "LINEMOD_ORACLE_CAP"
@@ -283,57 +285,135 @@ def hilbert_two_routes(system: RewriteSystem, max_degree: int, oracle_degree: in
 
 
 class CyclicModuleModel(NamedTuple):
-    """Rewrite-route model of A/(sum A g_i) in degrees <= N.
+    """Rewrite-route model of M = A/(sum A g_i) in degrees <= N.
 
-    ``basis`` holds the normal words of each degree (a basis of A_d);
-    ``ideal`` holds, per degree, the echelonized row space of the left
-    ideal expressed over those words.
+    ``leads`` maps each leading word of a one-sided Gröbner basis of the
+    left ideal L to its element, a word -> coefficient dict over normal
+    words of A; no leading word is a suffix of another.  ``basis`` holds,
+    per degree, the normal words with no suffix in ``leads``: a basis of M
+    in that degree.
     """
 
     max_degree: int
+    system: RewriteSystem
+    leads: dict
     basis: dict
-    ideal: list
-    positions: list
-
-    def dim(self, d: int) -> int:
-        return len(self.basis[d]) - self.ideal[d].rank
 
     def dims(self, max_degree: int) -> list:
-        return [self.dim(d) for d in range(max_degree + 1)]
+        return [len(self.basis[d]) for d in range(max_degree + 1)]
+
+    def reduce(self, terms) -> dict:
+        """The normal form in M of an element of A given as a word ->
+        coefficient dict over normal words of degree <= N: supported on
+        ``basis`` words, and equal to ``terms`` modulo L.
+
+        Words are taken greatest first.  A word ``w = u * lead(g)``, times
+        its coefficient c, goes to ``-c / lc(g)`` times the rest of ``NF(u *
+        g)``, whose greatest word is w as w is normal and the order is
+        multiplicative.  Coefficients stay exact: ``int`` where integral,
+        else ``Fraction``."""
+        system, leads = self.system, self.leads
+        key = system.order.heap_key
+        pending = dict(terms)
+        heap = [(key(w), w) for w in pending]
+        heapify(heap)
+        out = {}
+        while heap:
+            word = heappop(heap)[1]
+            c = pending.pop(word)
+            if not c:
+                continue
+            k = _lead_start(word, leads)
+            if k is None:
+                out[word] = c
+                continue
+            h = system.right_multiply(word[:k], leads[word[k:]])
+            q = Fraction(c) / h[word]
+            q = q.numerator if q.denominator == 1 else q
+            for w, a in h.items():
+                if w == word:
+                    continue   # c - q * lc == 0
+                if w in pending:
+                    pending[w] -= q * a
+                else:
+                    pending[w] = -q * a
+                    heappush(heap, (key(w), w))
+        return out
+
+
+def _lead_start(word: Word, leads: dict):
+    """The start of the suffix of ``word`` that is a leading word, or None.
+    At most one is: of two such suffixes, the shorter would be a suffix of
+    the longer."""
+    return next((k for k in range(len(word), -1, -1) if word[k:] in leads), None)
 
 
 def cyclic_module_model(system: RewriteSystem, generators, max_degree: int) -> CyclicModuleModel:
-    """Build the degreewise linear model of the cyclic left module.
+    """Build the degreewise model of the cyclic left module by a one-sided
+    Buchberger completion of the left ideal L = sum A g_i, bounded by
+    degree (Mora 1994).
 
-    Each row ``NF(b g)``, for a normal word ``b`` and a generator ``g``, is
-    read from the system's memo of normal word times letter
-    (``RewriteSystem.right_multiply``); the certified-range check keeps every
-    product in the confluent range, where it equals a full reduction.  A
-    generator enters as its primitive integer multiple, which generates the
-    same left ideal, so the rows carry no denominators of its own."""
+    Elements are normal forms over normal words, read from the system's
+    memo of normal word times letter (``RewriteSystem.right_multiply``);
+    the certified-range check keeps every product in the confluent range.
+    A generator enters as ``NF(g)`` of its primitive integer multiple,
+    which generates the same left ideal.  Pending elements are taken by
+    degree.  Each is reduced against the leading words found so far
+    (``CyclicModuleModel.reduce``), and a nonzero remainder g is kept,
+    as its primitive integer multiple, under its greatest word.  Reducing
+    every word, not only the greatest, keeps the elements short, and with
+    them the products ``NF(u * g)`` that later reductions subtract.  For
+    a new leading word l, ``NF(p * g)`` is queued for every rule lhs ``p *
+    s`` with p and s nonempty, s a prefix of l, and ``deg p + deg g <= N``.
+
+    Why the result is complete: for normal words u and l, the word u * l is
+    reducible only through an lhs that straddles the join, so u = v * p for
+    such a p, and ``NF(u * g) = NF(v * NF(p * g))``.  The queued
+    ``NF(p * g)`` reduces to zero by elements ``u_j * g_j`` with ``u_j *
+    lead(g_j)`` normal and below p * l; multiplied by v, each term is below
+    u * l, so by induction on that word every ``NF(u * g)`` is a
+    combination of products ``u' * g'`` whose leading words ``u' *
+    lead(g')`` are normal.  These products span L in degrees <= N, so the
+    leading words of L are the normal words with a suffix among the
+    leading words found, and M has the others as its basis.  A leading
+    word of positive degree is never a proper suffix of a later one, and
+    every queued element has a higher degree than its parent, so the
+    completion ends.  A leading word () (a generator whose normal form is
+    a nonzero constant) is a suffix of every word, and M is then zero.
+    """
     pres = system.presentation
     require_graded(pres)
     system.require_certified(max_degree)
+    order = system.order
     degrees = pres.z_degrees
-    gens, gen_degs = [], []
+    pending = []   # heap of (degree, serial, element)
     for g in generators:
         if g.is_zero() or not g.is_z_homogeneous(degrees):
             raise InhomogeneousError("module generators must be nonzero and homogeneous")
-        words, coeffs = zip(*g.items())
-        gens.append(dict(zip(words, normalize_integer_vector(coeffs))))
-        gen_degs.append(next(iter(g.z_degrees(degrees))))
-    basis = normal_words_by_degree(system, max_degree)
-    positions = [{w: i for i, w in enumerate(basis[d])} for d in range(max_degree + 1)]
-    ideal = [SparseEchelon() for _ in range(max_degree + 1)]
-    for d in range(max_degree + 1):
-        pos = positions[d]
-        for g, gdeg in zip(gens, gen_degs):
-            if d < gdeg:
-                continue
-            for b in basis[d - gdeg]:
-                nf = system.right_multiply(b, g)
-                ideal[d].add({pos[w]: c for w, c in nf.items()})
-    return CyclicModuleModel(max_degree, basis, ideal, positions)
+        deg = next(iter(g.z_degrees(degrees)))
+        if deg <= max_degree:
+            words, coeffs = zip(*g.items())
+            nf = system.right_multiply(EMPTY_WORD, dict(zip(words, normalize_integer_vector(coeffs))))
+            pending.append((deg, len(pending), nf))
+    heapify(pending)
+    serial = len(pending)
+    splits = [(lhs[:k], lhs[k:], order.word_degree(lhs[:k]))
+              for lhs in (r.lhs for r in system.rules) for k in range(1, len(lhs))]
+    model = CyclicModuleModel(max_degree, system, {}, {})
+    while pending:
+        deg, _, f = heappop(pending)
+        f = model.reduce(f)
+        if not f:
+            continue
+        lead = min(f, key=order.heap_key)
+        g = model.leads[lead] = dict(zip(f, normalize_integer_vector(tuple(f.values()))))
+        for p, s, p_deg in splits:
+            if deg + p_deg <= max_degree and lead[:len(s)] == s:
+                heappush(pending, (deg + p_deg, serial, system.right_multiply(p, g)))
+                serial += 1
+    for d, words in normal_words_by_degree(system, max_degree).items():
+        model.basis[d] = [w for w in words if _lead_start(w, model.leads) is None]
+    return model
 
 
 # ----------------------------------------------------------------------

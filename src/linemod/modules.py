@@ -21,7 +21,7 @@ from .hilbert import (
     filtered_model,
     line_module_dims,
 )
-from .linalg import IntegerPlane
+from .linalg import IntegerPlane, SparseEchelon
 from .ncalg import NcPoly
 from .rewrite import Presentation, RewriteSystem
 
@@ -139,21 +139,20 @@ def is_Z2_graded_line_module(M: LineModuleSpec) -> bool:
 
 def torsion_free_on(M: LineModuleSpec, generator_name: str, max_degree: int) -> bool:
     """Whether multiplication by the named (central) degree-one generator is
-    injective on the module in every degree below the bound."""
+    injective on the module in every degree below the bound: the images
+    ``NF_M(g w)`` of the degree-d module basis have full rank over the
+    degree-(d + 1) basis."""
     pres = M.system.presentation
     g = pres.gen_index(generator_name)
     model = M.model(max_degree)
     for d in range(max_degree):
-        pos_next = model.positions[d + 1]
-        ech = model.ideal[d + 1].copy()
-        added = 0
+        column = {w: i for i, w in enumerate(model.basis[d + 1])}
+        ech = SparseEchelon()
         for w in model.basis[d]:
             # NF(g w) from the product memo, certified to max_degree by M.model
-            nf = M.system.right_multiply((), {(g,) + w: 1})
-            if ech.add({pos_next[word]: c for word, c in nf.items()}) is not None:
-                added += 1
-        if added != model.dim(d):
-            return False
+            image = model.reduce(M.system.right_multiply((), {(g,) + w: 1}))
+            if ech.add({column[word]: c for word, c in image.items()}) is None:
+                return False
     return True
 
 

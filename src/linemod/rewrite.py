@@ -386,12 +386,13 @@ class _ProductTable:
             stack.pop()
 
 
-def _orient(poly: NcPoly, order: TermOrder) -> Rule:
-    """Orient a nonzero polynomial into a rule on its greatest word."""
+def _orient(poly: NcPoly, order: TermOrder, name: str) -> Rule:
+    """Orient a nonzero polynomial into a rule on its greatest word; a
+    nonzero constant means the algebra presented as ``name`` is zero."""
     lead = order.leading_word(poly)
     if lead == EMPTY_WORD:
         raise DegenerateRelationError(
-            "relation reduces to a nonzero constant; the presented algebra is zero"
+            f"a relation of {name!r} reduces to a nonzero constant; the presented algebra is zero"
         )
     c = poly.coeff(lead)
     rest = poly - NcPoly.monomial(lead, c)
@@ -438,7 +439,7 @@ def complete(presentation: Presentation, order: TermOrder | None = None, *,
         red = NcPoly(_reduce(poly.terms, automaton, order))
         if red.is_zero():
             continue
-        rule = _orient(red, order)
+        rule = _orient(red, order, presentation.name)
         if order.word_degree(rule.lhs) > max_degree:
             discarded = True
             continue

@@ -145,7 +145,7 @@ def test_hilbert_oracle_degree_above_max_degree_is_usage_error(capsys, monkeypat
 @pytest.mark.parametrize("algebra", ["sl2_U", "collapse"])
 def test_hilbert_of_an_ungraded_algebra_is_usage_error(tmp_path, capsys, monkeypatch, algebra):
     # refused before anything is completed: completing `collapse` (x*y = 1,
-    # y*x = 0) would fail first, with a message that does not name it
+    # y*x = 0) would fail first, on the constant it derives
     argv = ["hilbert", "--algebra", algebra]
     if algebra == "collapse":
         argv[2] = str(tmp_path / "collapse.alg")
@@ -156,6 +156,24 @@ def test_hilbert_of_an_ungraded_algebra_is_usage_error(tmp_path, capsys, monkeyp
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {algebra!r} is not graded")
+
+
+@pytest.mark.parametrize("command, message", [
+    # refused as ungraded before completing, like `hilbert`
+    (["certify-line", "--gen", "x", "--gen", "y"], "error: 'C' is not graded"),
+    # these complete it: the overlap x*y*x gives x = (x*y)*x = x*(y*x) = 0,
+    # and then x*y - 1 reduces to the constant -1
+    (["complete"], "error: a relation of 'C' reduces to a nonzero constant"),
+    (["nf", "--expr", "x"], "error: a relation of 'C' reduces to a nonzero constant"),
+])
+def test_a_collapsing_algebra_is_named_in_the_error(tmp_path, capsys, command, message):
+    alg = tmp_path / "C.alg"
+    alg.write_text("algebra C { generators x y; relations { x*y - 1; y*x; } }")
+    code = main([command[0], "--algebra", str(alg), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(message)
 
 
 def test_admissible(capsys):

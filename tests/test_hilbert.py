@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,8 @@ from linemod.hilbert import (
 from linemod.dsl import parse_algebra, parse_expression
 from linemod.liealg import Functional, SubalgebraSpec, shift_generators
 from linemod.linalg import SparseEchelon
-from linemod.ncalg import Generator, NcPoly
+from linemod.modules import torsion_free_on
+from linemod.ncalg import Generator, NcPoly, TermOrder
 from linemod.presets import preset
 from linemod.rewrite import Presentation, complete
 
@@ -368,15 +370,15 @@ _NONZERO_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=1
 @settings(max_examples=25, deadline=None)
 @given(scales=st.tuples(_NONZERO_RATIONALS, _NONZERO_RATIONALS))
 def test_scaled_generators_keep_the_cyclic_model(name, scales):
-    # a generator enters the memo as its primitive integer multiple, so any
-    # rational multiple of it gives the same rows, and the same primitive
-    # echelon rows
+    # a generator enters the completion as its primitive integer multiple,
+    # so any rational multiple of it gives the same leading words, the same
+    # basis elements and the same module basis
     system, gens, base = _scaled_case(name)
     scaled = tuple(g.scale(s) for g, s in zip(gens, scales))
     model = cyclic_module_model(system, scaled, 5)
     assert model.dims(5) == base.dims(5)
-    assert [e.pivot_columns() for e in model.ideal] == [e.pivot_columns() for e in base.ideal]
-    assert [e.rows_from(0) for e in model.ideal] == [e.rows_from(0) for e in base.ideal]
+    assert model.leads == base.leads
+    assert model.basis == base.basis
 
 
 def test_skew_case_memo_holds_fractions():
@@ -386,18 +388,124 @@ def test_skew_case_memo_holds_fractions():
     assert any(type(c) is Fraction for c in coeffs)
 
 
-def test_integral_memo_after_a_model_build(color_system, monkeypatch):
+def test_integral_memo_after_a_model_build(color_system):
     # rational generators over integer structure constants: the memo and
-    # every row the echelons take are int-valued
-    added = []
-    add = SparseEchelon.add
-    monkeypatch.setattr(SparseEchelon, "add", lambda ech, row: added.append(row) or add(ech, row))
+    # every basis element of the left ideal are int-valued
     pres = color_system.presentation
     gens = tuple(parse_expression(g, pres) for g in ("a1 - 1/2*a4", "a2 + a3 + 5/3*a4"))
-    assert cyclic_module_model(color_system, gens, 6).dims(6) == line_module_dims(6)
+    model = cyclic_module_model(color_system, gens, 6)
+    assert model.dims(6) == line_module_dims(6)
     table = color_system._products._table
     assert table and all(type(c) is int for entry in table.values() for c in entry[1::2])
-    assert added and all(type(c) is int for row in added for c in row.values())
+    assert all(type(c) is int for g in model.leads.values() for c in g.values())
+
+
+# ----------------------------------------------------------------------
+# the cyclic model against the all-rows echelon it replaced
+# ----------------------------------------------------------------------
+
+
+def _reference_cyclic(system, generators, max_degree):
+    """The cyclic module by row reduction: per degree d, every row NF(b g)
+    for a generator g and a normal word b of degree d - deg g, over the
+    normal words of degree d.  Returns ``(dims, torsion_free)``, where
+    ``torsion_free(x)`` decides whether left multiplication by the letter x
+    is injective from each degree below the bound to the next."""
+    degrees = system.presentation.z_degrees
+    basis = normal_words_by_degree(system, max_degree)
+    positions = [{w: i for i, w in enumerate(basis[d])} for d in range(max_degree + 1)]
+    ideal = [SparseEchelon() for _ in range(max_degree + 1)]
+    for g in generators:
+        g_deg = next(iter(g.z_degrees(degrees)))
+        for d in range(g_deg, max_degree + 1):
+            for b in basis[d - g_deg]:
+                ideal[d].add({positions[d][w]: c for w, c in system.right_multiply(b, g).items()})
+    dims = [len(basis[d]) - ideal[d].rank for d in range(max_degree + 1)]
+
+    def torsion_free(x):
+        # the images x*b of all of A_d span x*M_d modulo L_{d+1}
+        for d in range(max_degree):
+            ech = ideal[d + 1].copy()
+            added = sum(
+                ech.add({positions[d + 1][w]: c
+                         for w, c in system.right_multiply((), {(x,) + b: 1}).items()}) is not None
+                for b in basis[d])
+            if added != dims[d]:
+                return False
+        return True
+
+    return dims, torsion_free
+
+
+def _check_against_reference(system, generators, bound):
+    """Dims, and torsion of every letter of degree one, agree with the
+    all-rows echelon."""
+    model = cyclic_module_model(system, generators, bound)
+    dims, torsion_free = _reference_cyclic(system, generators, bound)
+    assert model.dims(bound) == dims
+    # torsion_free_on reads only the spec's system and model, and takes a
+    # letter of degree one
+    spec = SimpleNamespace(system=system, model=lambda _: model)
+    pres = system.presentation
+    for x, name in enumerate(pres.generator_names()):
+        if pres.z_degrees[x] == 1:
+            assert torsion_free_on(spec, name, bound) == torsion_free(x), name
+
+
+def _random_element(draw, degrees, top):
+    """A nonzero homogeneous element of some degree 1..top that has words,
+    with small integer coefficients."""
+    deg = draw(st.sampled_from([d for d in range(1, top + 1) if words_of_degree(degrees, d)]))
+    words = words_of_degree(degrees, deg)
+    support = draw(st.lists(st.sampled_from(words), min_size=1, max_size=3, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool),
+                           min_size=len(support), max_size=len(support)))
+    return NcPoly(dict(zip(support, coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weighted_presentations(), st.data())
+def test_cyclic_model_matches_all_rows_on_weighted_presentations(pres, data):
+    degrees = pres.z_degrees
+    precedence = tuple(data.draw(st.permutations(range(len(degrees)))))
+    system = complete(pres, TermOrder.from_precedence(degrees, precedence), max_degree=5)
+    gens = tuple(_random_element(data.draw, degrees, 3)
+                 for _ in range(data.draw(st.integers(1, 3))))
+    _check_against_reference(system, gens, 5)
+
+
+@lru_cache(maxsize=None)
+def _preset_system(name, bound):
+    return complete(preset(name), max_degree=bound)
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("sl2_A", 4), ("sl11_H", 4), ("sl11_Hhat", 4), ("slc_H", 4), ("sl21_Hhat", 3),
+])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_cyclic_model_matches_all_rows_on_presets(name, bound, data):
+    system = _preset_system(name, bound)
+    degrees = system.presentation.z_degrees
+    gens = tuple(_random_element(data.draw, degrees, 2)
+                 for _ in range(data.draw(st.integers(1, 3))))
+    _check_against_reference(system, gens, bound)
+
+
+@pytest.mark.parametrize("gens", [("1",), ("e", "1")])
+def test_a_constant_generator_kills_the_module(a_system, gens):
+    # NF(1) = 1 has the empty leading word, a suffix of every word
+    pres = a_system.presentation
+    model = cyclic_module_model(a_system, tuple(parse_expression(g, pres) for g in gens), 4)
+    assert list(model.leads) == [()]
+    assert model.dims(4) == [0, 0, 0, 0, 0]
+
+
+def test_a_generator_in_the_two_sided_ideal_leaves_the_algebra(a_system):
+    relation = a_system.presentation.relations[0]
+    model = cyclic_module_model(a_system, (relation,), 4)
+    assert model.leads == {}
+    assert model.dims(4) == hilbert_algebra(a_system, 4)
 
 
 # ----------------------------------------------------------------------
