@@ -7,11 +7,14 @@ about the line is read from that plane's integer Plücker coordinates
 ``q``, containment in a plane from the three-term minors, incidence from
 the Klein pairing, and the point span and point Plücker coordinates from
 the Hodge dual of ``q``.
+A quadric is an integer matrix over one denominator, so its value at the
+integer points of a line is one integer sum and one ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import RankDeficientError
 from .linalg import IntegerPlane, fraction_vector, normalize_integer_vector
@@ -90,41 +93,46 @@ def lines_meet(L1: Line, L2: Line) -> bool:
 
 
 class Quadric:
-    """A quadric surface, as a nonzero symmetric 4x4 rational matrix."""
+    """A quadric surface, as a nonzero symmetric 4x4 rational matrix: the
+    integer matrix ``ints`` over the least positive denominator ``den``.
+    ``Quadric(matrix, den)``, ``den > 0``, is the quadric of ``matrix / den``."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("ints", "den")
 
-    def __init__(self, matrix):
-        M = tuple(map(fraction_vector, matrix))
-        if len(M) != 4 or any(len(r) != 4 for r in M):
+    def __init__(self, matrix, den: int = 1):
+        if len(matrix) != 4 or any(len(r) != 4 for r in matrix):
             raise ValueError("quadric matrix must be 4x4")
-        if all(c == 0 for row in M for c in row):
+        if not all(type(c) is int for row in matrix for c in row):
+            matrix = [[c if type(c) is int else Fraction(c) for c in row] for row in matrix]
+            m = lcm(*(c.denominator for row in matrix for c in row))
+            matrix = [[c.numerator * (m // c.denominator) for c in row] for row in matrix]
+            den *= m
+        if not any(map(any, matrix)):
             raise ValueError("quadric matrix must be nonzero")
-        for i in range(4):
-            for j in range(4):
-                if M[i][j] != M[j][i]:
-                    raise ValueError("quadric matrix must be symmetric")
-        self.matrix = M
+        if any(matrix[i][j] != matrix[j][i] for i in range(4) for j in range(i)):
+            raise ValueError("quadric matrix must be symmetric")
+        g = gcd(den, *(c for row in matrix for c in row))
+        self.ints = tuple(tuple(c // g for c in row) for row in matrix)
+        self.den = den // g
 
     def evaluate(self, point) -> Fraction:
         return self.polarize(point, point)
 
     def polarize(self, p, q) -> Fraction:
-        p, q, M = fraction_vector(p), fraction_vector(q), self.matrix
-        return sum(M[i][j] * p[i] * q[j] for i in range(4) for j in range(4) if M[i][j])
+        """``p^T M q``: one sum over the integer matrix, divided by ``den``
+        once."""
+        return Fraction(sum(p[i] * sum(c * q[j] for j, c in enumerate(row) if c)
+                            for i, row in enumerate(self.ints) if p[i]), self.den)
 
 
 def quadric_from_coeffs(coeffs: dict) -> Quadric:
-    """Build a quadric from monomial coefficients {(i, j): c} with i <= j."""
-    M = [[Fraction(0)] * 4 for _ in range(4)]
+    """Build a quadric from monomial coefficients {(i, j): c} with i <= j,
+    as twice its matrix over 2, which halves the off-diagonal ones."""
+    M = [[0] * 4 for _ in range(4)]
     for (i, j), c in coeffs.items():
-        c = Fraction(c)
-        if i == j:
-            M[i][i] += c
-        else:
-            M[i][j] += c / 2
-            M[j][i] += c / 2
-    return Quadric(tuple(tuple(row) for row in M))
+        M[i][j] += c
+        M[j][i] += c
+    return Quadric(M, 2)
 
 
 def _restriction(Q: Quadric, p, q) -> tuple:

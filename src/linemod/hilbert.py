@@ -23,6 +23,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import NamedTuple
 
+from . import dsl
 from .errors import InhomogeneousError, LinemodError, OracleCapError
 from .linalg import SparseEchelon, normalize_integer_vector
 from .ncalg import EMPTY_WORD, Word
@@ -97,11 +98,14 @@ def normal_word_counts(system: RewriteSystem, max_degree: int) -> list:
 
 def require_graded(p: Presentation) -> None:
     """Raise InhomogeneousError unless the relations of ``p`` are homogeneous
-    in the integer degree: the one check of every graded route."""
-    if not p.is_z_homogeneous():
-        raise InhomogeneousError(
-            f"{p.name!r} is not graded; use filtered_cyclic_dims for filtered dimensions"
-        )
+    in the integer degree, naming the first that is not: the one check of
+    every graded route."""
+    degrees = p.z_degrees
+    for n, rel in enumerate(p.relations, 1):
+        if not rel.is_z_homogeneous(degrees):
+            text = dsl.format_poly(rel, p.generator_names(), p.default_order())
+            raise InhomogeneousError(f"{p.name!r} is not graded: relation {n}, {text}, "
+                                     "is not homogeneous in the integer degree")
 
 
 def hilbert_algebra(system: RewriteSystem, max_degree: int) -> list:
@@ -446,18 +450,22 @@ class FilteredModel(NamedTuple):
     def _shift_rows(self, shift_generators):
         """The rows u*s of the left ideal of the shifts, restricted to
         filtration level <= max_degree: by degree of u, and for each word u
-        one row per shift generator."""
+        one row per shift generator.  A generator enters as its primitive
+        integer multiple, which generates the same left ideal, so every row
+        is an int row."""
         degrees = self.presentation.z_degrees
         column = self.column
         shifts = []
         for s in shift_generators:
             if not s.is_zero():
-                shifts.append((s, self.max_degree - s.max_z_degree(degrees)))
+                words, coeffs = zip(*s.items())
+                shifts.append((tuple(zip(words, normalize_integer_vector(coeffs))),
+                               self.max_degree - s.max_z_degree(degrees)))
         for i in range(max((top for _, top in shifts), default=-1) + 1):
             for u in words_of_degree(degrees, i):
                 for s, top in shifts:
                     if i <= top:
-                        yield {column[u + w]: c for w, c in s.items()}
+                        yield {column[u + w]: c for w, c in s}
 
     def ideal_echelon(self, shift_generators) -> SparseEchelon:
         """Echelon of (two-sided relation ideal) + (left ideal of shifts),

@@ -6,6 +6,9 @@ for the non-domain certificate).  Subalgebras here are subspaces closed
 under the bracket; admissibility of a linear functional means that it
 defines a one-dimensional module over the subalgebra, and is decided by
 two independent routes that must agree.
+Planes are read through their rows over one denominator (``basis``,
+``den``); ``Fraction`` values are made for phi's values, canonical
+parameters and shift-generator coefficients, and for reports and messages.
 """
 
 from __future__ import annotations
@@ -65,19 +68,15 @@ class BracketTable:
         return len(self.basis_names)
 
 
-def _bracket(x, y, T: BracketTable, zero) -> tuple:
-    """The bracket with every coordinate starting at ``zero``: with 0, int
-    vectors on an integer table stay in int arithmetic."""
-    out = [zero] * T.dimension
+def bracket(x, y, T: BracketTable) -> tuple:
+    """Bilinear extension of the structure-constant table.  Every coordinate
+    starts at the int 0, so int vectors on an integral table stay in int
+    arithmetic."""
+    out = [0] * T.dimension
     for i, j, k, c in T._terms:
         if x[i] and y[j]:
             out[k] += c * x[i] * y[j]
     return tuple(out)
-
-
-def bracket(x, y, T: BracketTable) -> tuple:
-    """Bilinear extension of the structure-constant table."""
-    return _bracket(x, y, T, Fraction(0))
 
 
 # a two-dimensional subspace, given by two coefficient vectors (``v1``,
@@ -106,7 +105,7 @@ def is_subalgebra(S: SubalgebraSpec, T: BracketTable) -> bool:
     """Closure under the bracket, tested on all four ordered pairs of the
     integer basis."""
     S.require_rank2()
-    return all(S.contains(_bracket(x, y, T, 0)) for x in S.ints for y in S.ints)
+    return all(S.contains(bracket(x, y, T)) for x in S.ints for y in S.ints)
 
 
 def require_subalgebra(S: SubalgebraSpec, T: BracketTable) -> None:
@@ -164,10 +163,10 @@ def sl11_form(S: SubalgebraSpec):
         raise SubalgebraFormError("subspace does not contain the even basis vector")
     # with h in S, a basis vector off the h axis is alpha e + beta f plus a
     # multiple of h; v1 is off it unless it is a multiple of h, and then v2 is
-    w = S.v1
-    if not w[0] and not w[1]:
-        w = S.v2
-    return (w[0], w[1]), sl11_basis(w[0], w[1])
+    u, v = S.basis
+    w = u if u[0] or u[1] else v
+    alpha, beta = Fraction(w[0], S.den), Fraction(w[1], S.den)
+    return (alpha, beta), sl11_basis(alpha, beta)
 
 
 def color_form(S: SubalgebraSpec):
@@ -254,18 +253,24 @@ def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
     require_subalgebra(S, T)
     if T.kind != "lie":
         return closed_form_on_pair(T.kind, canonical_pair(S, phi, T))
-    value = phi_at(S, phi, bracket(S.v1, S.v2, T))
+    # [v1, v2] = [u, v] / den^2 for the rows u, v of S over den
+    value = phi_at(S, phi, bracket(*S.basis, T))
     if value == 0:
         return True, ""
-    return False, f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
+    return False, ("phi does not vanish on the derived subalgebra: "
+                   f"phi([v1,v2]) = {value / S.den ** 2}")
 
 
 def shift_generators(S: SubalgebraSpec, phi: Functional, unit: NcPoly) -> tuple:
     """The left-ideal generators x - phi(x) unit for x = v1, v2: with unit 1
     over the enveloping alphabet, with the homogenizer for the line module.
-    The left ideal they generate depends on S, not on its basis."""
-    return tuple(NcPoly.linear(vec) - unit.scale(value)
-                 for vec, value in zip((S.v1, S.v2), phi.values()))
+    The left ideal they generate depends on S, not on its basis.  Each is
+    one polynomial, built from a row of S over its denominator and phi's
+    value; ``unit`` is a monomial."""
+    (word, c), = unit.items()
+    return tuple(NcPoly([*(((i,), Fraction(x, S.den)) for i, x in enumerate(row) if x),
+                         (word, -value * c)])
+                 for row, value in zip(S.basis, phi.values()))
 
 
 def properness_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable,
@@ -373,7 +378,7 @@ def family_member(S: SubalgebraSpec, T: BracketTable) -> bool:
     if T.kind == "lie":
         # solvable nonabelian plane: the derived subalgebra is one
         # dimensional and inside the plane (a Borel of sl2)
-        w = _bracket(*S.ints, T, 0)
+        w = bracket(*S.ints, T)
         return any(w) and S.contains(w)
     try:
         canonical_form(S, T)

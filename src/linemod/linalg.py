@@ -19,7 +19,8 @@ copy; elimination reads its columns moved by the offset.
 Two-dimensional subspaces (subalgebra planes, lines of ``P^3`` as planes of
 forms) need no echelon: ``IntegerPlane``, the one type for the span of two
 vectors, reads rank, membership and coordinates from the integer Plücker
-coordinates of its basis.
+coordinates of its basis; it makes ``Fraction`` objects only in ``solve``
+and in ``v1`` and ``v2``, which reports and messages read.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from .errors import RankDeficientError
 
 
 def _integer_row(row: dict) -> tuple:
-    """Clear denominators: ``(ints, den)`` with ``row == ints / den``."""
-    den = 1
+    """Clear denominators: ``(ints, den)`` with ``row == ints / den``, in a
+    new dict, since elimination mutates it; an ``int`` row is copied."""
     for v in row.values():
-        if v.denominator != 1:
-            den = lcm(den, v.denominator)
-    if den == 1:
-        return {c: v.numerator for c, v in row.items() if v}, 1
+        if type(v) is not int:
+            break
+    else:
+        return {c: v for c, v in row.items() if v}, 1
+    den = lcm(*(v.denominator for v in row.values()))
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}, den
 
 
@@ -231,8 +233,9 @@ class IntegerPlane:
     ``p_ij``.
 
     ``v1`` and ``v2`` are the two vectors as tuples of Fractions, made when
-    they are read.  Planes compare equal when these vectors are equal, not
-    when they span the same plane, and are unhashable.
+    they are read, for reports and messages.  Planes compare equal when
+    these vectors are equal, not when they span the same plane, and are
+    unhashable.
     """
 
     __slots__ = ("basis", "den", "ints", "plucker")

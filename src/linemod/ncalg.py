@@ -110,13 +110,15 @@ class NcPoly:
         data = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for word, coeff in items:
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
-                c = data.get(word, 0) + c
-                if c:
-                    data[tuple(word)] = c
-                else:
-                    del data[tuple(word)]
+                word = tuple(word)
+                if word in data:
+                    c += data[word]
+                    if not c:
+                        del data[word]
+                        continue
+                data[word] = c
         self._terms = data
 
     # -- constructors ------------------------------------------------------

@@ -89,9 +89,6 @@ class Presentation:
     def group_labels(self) -> tuple:
         return tuple(g.group_label for g in self.generators)
 
-    def is_z_homogeneous(self) -> bool:
-        return all(r.is_z_homogeneous(self.z_degrees) for r in self.relations)
-
     def generator_names(self) -> tuple:
         return tuple(g.name for g in self.generators)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from .dsl import format_poly, format_steps, format_word
+from . import dsl
 from .errors import AdmissibilityError, RankDeficientError, RouteDisagreementError
 from .geometry import (
     COLOR_LINE_FAMILIES,
@@ -536,14 +536,14 @@ def run_sl21() -> list:
     nf_zero = normal_form(y1sq_t, system, steps).is_zero()
     # the printed trace, replayed rule by rule, also reaches zero
     replayed = replay_trace(y1sq_t, steps, system).is_zero()
-    trace_data = format_steps(steps, names)
+    trace_data = dsl.format_steps(steps, names)
     y1sq = normal_form(NcPoly.monomial((4, 4)), system)
     t_nf = normal_form(NcPoly.gen(8), system)
     factors_nonzero = (not y1sq.is_zero()) and (not t_nf.is_zero())
     derived = [
         {
-            "rule": format_word(rec.lhs, names),
-            "from_overlap": format_word(rec.overlap_word, names),
+            "rule": dsl.format_word(rec.lhs, names),
+            "from_overlap": dsl.format_word(rec.overlap_word, names),
         }
         for rec in system.trace
         if rec.overlap_word is not None
@@ -552,8 +552,8 @@ def run_sl21() -> list:
         "zero_divisor_certificate",
         nf_zero and replayed and factors_nonzero and len(steps) > 0,
         normal_form_of_y1_y1_t_is_zero=nf_zero,
-        y1_squared_normal_form=format_poly(y1sq, names, order),
-        t_normal_form=format_poly(t_nf, names, order),
+        y1_squared_normal_form=dsl.format_poly(y1sq, names, order),
+        t_normal_form=dsl.format_poly(t_nf, names, order),
         derivation_trace=trace_data,
         derived_rules=derived,
     ))

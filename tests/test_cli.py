@@ -176,6 +176,22 @@ def test_a_collapsing_algebra_is_named_in_the_error(tmp_path, capsys, command, m
     assert captured.err.startswith(message)
 
 
+@pytest.mark.parametrize("relations, named", [
+    ("x*y - 1; y*x;", "relation 1, x*y - 1,"),
+    ("x*y - y*x; x*x - 2*y + 3;", "relation 2, x*x - 2*y + 3,"),
+])
+def test_an_ungraded_algebra_is_named_with_its_first_inhomogeneous_relation(
+        tmp_path, capsys, relations, named):
+    alg = tmp_path / "C.alg"
+    alg.write_text(f"algebra C {{ generators x y; relations {{ {relations} }} }}")
+    code = main(["certify-line", "--algebra", str(alg), "--gen", "x", "--gen", "y"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: 'C' is not graded: {named} "
+                            "is not homogeneous in the integer degree\n")
+
+
 def test_admissible(capsys):
     code, out = run_cli(
         capsys, "admissible", "--preset", "sl11",

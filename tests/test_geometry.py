@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -337,8 +338,37 @@ def test_line_matches_fraction_echelon_reference(data):
     base = data.draw(_quadrics(forms))
     if data.draw(st.booleans()):
         k = data.draw(_coeffs)
-        M = [[x + k * y for x, y in zip(r, s)] for r, s in zip(base.matrix, direction.matrix)]
+        M = [[Fraction(x, base.den) + k * Fraction(y, direction.den) for x, y in zip(r, s)]
+             for r, s in zip(base.ints, direction.ints)]
         assume(any(map(any, M)))
         base = Quadric(tuple(map(tuple, M)))
     assert (pencil_membership(line, base, direction)
             == reference_pencil_membership(ref, base, direction))
+
+
+def _reference_polarize(M, p, q):
+    return sum(M[i][j] * Fraction(p[i]) * Fraction(q[j]) for i in range(4) for j in range(4))
+
+
+_points = st.one_of(st.tuples(*[st.integers(-9, 9)] * 4), _vectors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.dictionaries(st.sampled_from([(i, j) for i in range(4) for j in range(i, 4)]),
+                              _coeffs, min_size=1),
+       p=_points, q=_points)
+def test_integer_quadric_matches_a_fraction_matrix(coeffs, p, q):
+    # the matrix of a coefficient dict as the statement reads it: the
+    # off-diagonal coefficients split in Fraction halves
+    M = [[Fraction(0)] * 4 for _ in range(4)]
+    for (i, j), c in coeffs.items():
+        M[i][j] += c if i == j else c / 2
+        M[j][i] += 0 if i == j else c / 2
+    assume(any(map(any, M)))
+    for Q in (quadric_from_coeffs(coeffs), Quadric(M), Quadric([[4 * x for x in r] for r in M], 4)):
+        # one integer matrix over the least positive denominator
+        assert Q.den > 0 and math.gcd(Q.den, *(x for r in Q.ints for x in r)) == 1
+        assert [[Fraction(x, Q.den) for x in r] for r in Q.ints] == M
+        assert Q.evaluate(p) == _reference_polarize(M, p, p)
+        assert Q.polarize(p, q) == _reference_polarize(M, p, q) == Q.polarize(q, p)
+        assert type(Q.polarize(p, q)) is Fraction

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -27,6 +28,7 @@ from linemod.liealg import (
     sl11_form,
     table_consistent_with_presentation,
 )
+from linemod.hilbert import filtered_cyclic_dims
 from linemod.linalg import SparseEchelon, dense_nullspace
 from linemod.ncalg import Generator, NcPoly
 from linemod.presets import preset
@@ -536,3 +538,117 @@ def test_canonical_forms_match_nullspace_reference(T, reference, data):
     else:
         S = SubalgebraSpec(*data.draw(_planes(T)))
     assert _outcome(canonical_form, S, T) == _reference_outcome(reference, S, T)
+
+
+# ----------------------------------------------------------------------
+# the integer pair layer against Fraction references
+# ----------------------------------------------------------------------
+
+
+def _reference_phi_at(S, phi, w):
+    """phi's value on the vector w of S, from Fraction coordinates over
+    (v1, v2)."""
+    x, y = _reference_coords(w, [S.v1, S.v2])
+    return x * phi.on_v1 + y * phi.on_v2
+
+
+def _reference_closed_form(S, phi, T):
+    """The closed condition and its reason, computed on the Fraction
+    vectors v1, v2 as the statement reads it."""
+    v1, v2 = S.v1, S.v2
+    if T.kind == "lie":
+        value = _reference_phi_at(S, phi, _reference_bracket(v1, v2, T))
+        if value == 0:
+            return True, ""
+        return False, f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
+    if T.kind == "super":
+        w = v1 if v1[0] or v1[1] else v2
+        alpha, beta = w[0], w[1]
+        lam, gamma = (_reference_phi_at(S, phi, (0, 0, 1)),
+                      _reference_phi_at(S, phi, (alpha, beta, 0)))
+        if gamma * gamma == alpha * beta * lam:
+            return True, ""
+        return False, (f"phi(alpha*e+beta*f)^2 = {gamma * gamma} differs from "
+                       f"alpha*beta*phi(h) = {alpha * beta * lam}")
+    for i in range(3):
+        e_i = tuple(Fraction(int(m == i)) for m in range(3))
+        if _echelon([v1, v2, e_i]).rank == 2:
+            break
+    j, k = [m for m in range(3) if m != i]
+    w = tuple(v1[i] * b - v2[i] * a for a, b in zip(v1, v2))   # the vector of S off a_i
+    mu = w[k] / w[j]
+    val_i = _reference_phi_at(S, phi, e_i)
+    val_w = _reference_phi_at(S, phi, tuple(Fraction(int(m == j)) + mu * (m == k)
+                                            for m in range(3)))
+    if val_w == 0 or 2 * val_i == mu:
+        return True, ""
+    return False, (f"phi(a_j + mu a_k) = {val_w} is nonzero and phi(a_i) = {val_i} "
+                   f"differs from mu/2 = {mu / 2}")
+
+
+def _reference_shift_generators(S, phi, unit):
+    return tuple(NcPoly.linear(vec) - unit.scale(value)
+                 for vec, value in zip((S.v1, S.v2), phi.values()))
+
+
+_phi_values = st.one_of(st.just(Fraction(0)),
+                        st.fractions(min_value=-6, max_value=6, max_denominator=6))
+
+
+@st.composite
+def _member_pairs(draw, T):
+    """A family member of T on a new basis, with a functional.  The basis is
+    a ``random_mix`` of the member's vectors, or the integer rows s (a u +
+    b v), t (c u + d v) over a denominator den > 1, where u, v are integer
+    multiples of the member's vectors, the mix is invertible and s, t <= -2
+    make the rows non-primitive with negative content.  phi is drawn on the
+    member's basis, admissible on purpose half the time, and carried to the
+    new basis."""
+    member = draw(st.sampled_from(family_members(T)))["spec"]
+    u, v = member.v1, member.v2
+    x, y = draw(_phi_values), draw(_phi_values)
+    if draw(st.booleans()):
+        if T.kind == "lie":
+            x = Fraction(0)   # the first vector spans the derived subalgebra
+        elif T.kind == "super":
+            ab = v[0] * v[1]   # the member is span(h, alpha e + beta f)
+            if ab:
+                x = y * y / ab
+            else:
+                y = Fraction(0)
+        elif draw(st.booleans()):
+            y = Fraction(0)
+        else:
+            x = (sum(v) - 1) / 2   # mu / 2 for span(a_i, a_j + mu a_k)
+    if draw(st.booleans()):
+        S = SubalgebraSpec(*random_mix(Random(draw(st.integers(0, 2 ** 16))), u, v))
+    else:
+        a, b, c, d = draw(st.tuples(*[st.integers(-3, 3)] * 4).filter(
+            lambda m: m[0] * m[3] != m[1] * m[2]))
+        s, t = draw(st.integers(-4, -2)), draw(st.integers(-4, -2))
+        m = lcm(*(z.denominator for z in u + v))
+        U, V = [int(z * m) for z in u], [int(z * m) for z in v]
+        S = SubalgebraSpec(tuple(s * (a * p + b * q) for p, q in zip(U, V)),
+                           tuple(t * (c * p + d * q) for p, q in zip(U, V)),
+                           draw(st.integers(2, 6)))
+    base = Functional(x, y)
+    return S, Functional(*(_reference_phi_at(member, base, w) for w in (S.v1, S.v2)))
+
+
+@pytest.mark.parametrize("T", [SL2, SL11, SLC], ids=lambda T: T.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_pair_layer_matches_fraction_references(T, data):
+    S, phi = data.draw(_member_pairs(T))
+    expected = _reference_closed_form(S, phi, T)
+    assert closed_form_admissible(S, phi, T) == expected
+    t = NcPoly.gen(T.dimension)
+    for unit in (NcPoly.one(), t):
+        gens = liealg.shift_generators(S, phi, unit)
+        reference = _reference_shift_generators(S, phi, unit)
+        # the same terms in the same order, every coefficient a Fraction
+        assert [list(g.items()) for g in gens] == [list(r.items()) for r in reference]
+        assert all(type(c) is Fraction for g in gens for _, c in g.items())
+    filtered = filtered_cyclic_dims(T.enveloping,
+                                    _reference_shift_generators(S, phi, NcPoly.one()), 4)
+    assert properness_admissible(S, phi, T, 4) == (filtered[0] == 1) == expected[0]

@@ -119,9 +119,10 @@ def test_sl21_table_values():
 
 def test_pencil_quadric():
     q = sl2_pencil_quadric(Fraction(3))
-    assert q.matrix[3][3] == 9
-    assert q.matrix[0][1] == Fraction(-1, 2)
-    assert q.matrix[2][2] == -1
+    assert q.den == 2
+    assert Fraction(q.ints[3][3], q.den) == 9
+    assert Fraction(q.ints[0][1], q.den) == Fraction(-1, 2)
+    assert Fraction(q.ints[2][2], q.den) == -1
 
 
 def test_presentation_names_all_load():

@@ -69,6 +69,9 @@ def test_cli_import_runs_only_what_parsing_arguments_reads():
      {"liealg", "geometry", "modules", "dsl", "suites"}),
     (["certify-line", "--algebra", "slc_H", "--gen", "a1", "--gen", "a2 + a3", "--max-degree", "3"],
      {"modules", "hilbert", "dsl"}, {"suites", "geometry", "liealg"}),
+    # only the sl21 suite formats polynomials, so the sl2 suite reads no dsl
+    (["verify-paper", "--suite", "sl2", "--samples", "20"],
+     {"suites", "liealg", "geometry", "modules", "hilbert", "linalg"}, {"dsl"}),
 ])
 def test_a_command_runs_only_the_modules_it_reads(argv, ran, skipped):
     loaded = set(_probe(f"from linemod.cli import main\nassert main({argv!r}) == 0", _LOADED))
