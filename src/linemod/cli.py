@@ -239,7 +239,7 @@ def _admissible(args):
     table, S, phi, inputs = _pair(args)
     # both routes agree, or admissible_functional raises
     admissible = liealg.admissible_functional(S, phi, table, args.max_degree)
-    reason = liealg.closed_form_admissible(S, phi, table)[1]
+    reason = liealg.violated_condition(S, phi, table)
     return inputs, {"admissible": admissible, "closed_form": admissible,
                     "bounded_degree_properness": admissible,
                     "violated_condition": reason or None}, True

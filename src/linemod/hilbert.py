@@ -1,12 +1,13 @@
 """Graded and filtered dimensions by two independent routes.
 
 The working route counts rewrite normal forms; the audit route builds each
-graded piece of the defining ideal inside the free algebra from the pieces
-below it (left shifts of their echelon rows, the relations of that degree,
-and right shifts of the rows that gave a pivot below) and row-reduces with
-exact rational arithmetic, never consulting the rewrite system.  The
-filtered variant realizes cyclic quotients of genuinely inhomogeneous
-presentations (enveloping algebras) the same brute-force way.
+graded piece A_d of the quotient from the pieces below it, as V (x) A_{d-1}
+modulo the images of the relations of degree d and of right shifts of the
+rows stored below (the left shifts of the ideal are the tensor product
+itself), and row-reduces with exact rational arithmetic, never consulting
+the rewrite system.  The filtered variant realizes cyclic quotients of
+genuinely inhomogeneous presentations (enveloping algebras) the same
+brute-force way.
 
 The cyclic-module route completes the left ideal of its generators
 one-sidedly, bounded by degree, and counts the normal words that no
@@ -169,108 +170,94 @@ def words_of_degree(degrees: tuple, d: int) -> list:
             for w in words_of_degree(degrees, d - k)]
 
 
-def _block_starts(degrees: tuple, d: int) -> tuple:
-    """Per letter x, the column of the first degree-d word beginning with
-    x: the words beginning with x form one block, ordered like the words
-    of degree d - deg x."""
-    counts = word_counts(degrees, d)
-    starts, start = [], 0
-    for g in degrees:
-        starts.append(start)
-        if g <= d:
-            start += counts[d - g]
-    return tuple(starts)
-
-
-def _word_column(degrees: tuple, word: tuple) -> int:
-    """The column of a word among the free words of its degree."""
-    col, m = 0, sum(degrees[x] for x in word)
-    for x in word:
-        col += _block_starts(degrees, m)[x]
-        m -= degrees[x]
-    return col
-
-
-@lru_cache(maxsize=256)
-def right_shift_columns(degrees: tuple, e: int, y: int) -> tuple:
-    """Per degree-e word w, in ``words_of_degree`` order, the column of
-    w*y among the words of degree e + deg y.
-
-    Built from the block starts without listing words: the words x*u of
-    degree e fill block x in the order of u, and x*u*y lies in block x of
-    degree e + deg y at the column of u*y.
-    """
-    starts = _block_starts(degrees, e + degrees[y])
-    if e == 0:
-        return (starts[y],)
-    return tuple(starts[x] + c for x, g in enumerate(degrees) if g <= e
-                 for c in right_shift_columns(degrees, e - g, y))
-
-
 def oracle_graded_dims(p: Presentation, max_degree: int) -> list:
-    """Graded dimensions by row-reducing the ideal's graded pieces.
+    """Graded dimensions of A = T/I (T the free algebra, I the ideal of the
+    relations), row-reducing degree d in V (x) A_{d-1}, never in T_d.
 
-    Columns of degree d are the free words of degree d in
-    ``words_of_degree`` order, where the words beginning with a letter x
-    form one block ordered like the words of degree d - deg x.  The
-    degree-d piece of the two-sided ideal is built from the pieces below:
+    Degree d has one column per pair (x, b): a letter x and a basis word b
+    of A_{d - deg x}, that is, a pivot-free column of that degree, read as
+    the word x*b (degree 0 has the one column ()).  A word x*u enters as
+    x (x) NF(u), NF(u) being u reduced against its degree's echelon, kept
+    per word as an integer row over a denominator
+    (``SparseEchelon.reduce_integer``; no row of it goes in by ``add``).
+    The rows added are the images of the relations of degree d and of s*y
+    for each row s stored at degree d - deg y; dims[d] is columns minus
+    rank.
 
-        I_d = sum_x x * I_{d - deg x} + R_d + sum_y N_{d - deg y} * y
+    Proof, by induction on d:
+    - x*u -> x (x) NF(u) is the quotient map T_d -> T_d / sum_x x*I_{d-deg x},
+      as T_d is the direct sum of the x*T_{d-deg x} and NF kills I below d;
+    - a stored row sum a*(x, b), read as sum a*x*b, lies in I_d: an added
+      row, the image of some f in I_d, reads as f minus terms x*(u - NF(u))
+      in x*I, and stored rows combine added rows; so shifting s to s*y is
+      sound;
+    - the added rows span the image of I_d = sum_x x*I_{d-deg x} + R_d +
+      sum_y I_{d-deg y}*y (R_d the relations of degree d), as the first
+      term maps to 0 and I_e is sum_x x*I_{e-deg x} plus the span of its
+      stored rows;
+    - reducing against the echelon leaves only pivot-free columns, so NF(w)
+      holds the coordinates of w over the basis words.
 
-    where R_d holds the relations of degree d and N_e the echelon rows
-    that the relation and right-shift rows added at degree e gave (each as
-    reduced on entry; rows that gave no pivot add none).  Proof, by
-    induction on d: a row u*r*v with u nonempty is x*(u'*r*v), and one with
-    v = v'*y nonempty is (u*r*v')*y with u*r*v' in I_{d - deg y}; and
-    I_e = sum_x x * I_{e - deg x} + span N_e, so I_e * y lies in
-    sum_x x * I_{e + deg y - deg x} + N_e * y.
-
-    The left shifts x*p of the echelon rows p of I_{d - deg x} are
-    independent, pivoting at x*pivot(p), and go in without elimination
-    (``SparseEchelon.add_shifted``), each a reference to p under the
-    column offset of x's block, not a copy; the relation and right-shift
-    rows are reduced against them, the right shifts' columns read from
-    ``right_shift_columns``.  N_d is read back with
-    ``SparseEchelon.rows_from``, past the left shifts, so no shifted row
-    is ever built.  The quotient dimension is the number of degree-d words
-    minus the rank.  This route never consults the rewrite system.
+    A nonzero constant relation makes every dimension 0.  The cap counts
+    free words, more than the columns.  This route never consults the
+    rewrite system.
     """
     require_graded(p)
     degrees = p.z_degrees
-    reach = max(degrees, default=1)
-    counts = word_counts(degrees, max_degree)
-    over = _first_over_cap(counts)
+    over = _first_over_cap(word_counts(degrees, max_degree))
     if over:
         raise OracleCapError("degree {} has {} monomials, above the cap {}; "
                              "set {} to allow this".format(*over, ORACLE_CAP_ENV))
-    relations = {}   # degree -> relation rows over the words of that degree
+    relations = {}   # degree -> the (word, coefficient) pairs of each relation
     for rel in p.relations:
         rel_deg = next(iter(rel.z_degrees(degrees)))
+        if rel_deg == 0:   # a nonzero constant relation: A is zero
+            return [0] * (max_degree + 1)
         if rel_deg <= max_degree:
-            relations.setdefault(rel_deg, []).append(
-                {_word_column(degrees, w): c for w, c in rel.items()})
-    echelons = {}   # degree -> echelon of I_d, while a later degree still shifts it
-    gained = {}     # degree -> N_d, its echelon rows that are not left shifts
-    dims = []
-    for d in range(max_degree + 1):
-        starts = _block_starts(degrees, d)
+            relations.setdefault(rel_deg, []).append(rel.items())
+    # per degree: its echelon, each letter's first column, the word x*b of
+    # each column, and pivot-free column -> basis position; and NF by word
+    echelons, starts, columns, position = [SparseEchelon()], [[0]], [[EMPTY_WORD]], [{0: 0}]
+    memo = {EMPTY_WORD: ({0: 1}, 1)}
+
+    def nf(m, w):
+        """``(row, den)``: NF(w) = ``row / den`` over the basis of degree m."""
+        hit = memo.get(w)
+        if hit is None:
+            row, den = nf(m - degrees[w[0]], w[1:])
+            start = starts[m][w[0]]
+            red, scale = echelons[m].reduce_integer({start + i: v for i, v in row.items()})
+            hit = memo[w] = {position[m][c]: v for c, v in red.items()}, den * scale
+        return hit
+
+    def image(d, terms):
+        """The image in degree d of the sum of c*w over the (word w,
+        coefficient c) pairs; ``int`` values where the NFs are integral."""
+        row = {}
+        for w, c in terms:
+            r, e = nf(d - degrees[w[0]], w[1:])
+            f = c if e == 1 else Fraction(c, e)
+            start = starts[d][w[0]]
+            for i, v in r.items():
+                row[i + start] = row.get(i + start, 0) + f * v
+        return row
+
+    for d in range(1, max_degree + 1):
+        low = [(x, d - g) for x, g in enumerate(degrees) if g <= d]
+        starts.append(list(accumulate((len(position[d - g]) if g <= d else 0 for g in degrees),
+                                      initial=0)))
+        columns.append([(x,) + columns[e][c] for x, e in low for c in position[e]])
         ech = SparseEchelon()
-        for x, g in enumerate(degrees):
-            if g <= d:
-                ech.add_shifted(echelons[d - g], starts[x])
-        shifted = ech.rank
-        for row in relations.get(d, ()):
-            ech.add(row)
-        for y, g in enumerate(degrees):
-            if g <= d:
-                cols = right_shift_columns(degrees, d - g, y)
-                for row in gained[d - g]:
-                    ech.add({cols[c]: v for c, v in row.items()})
-        dims.append(counts[d] - ech.rank)
-        echelons[d], gained[d] = ech, ech.rows_from(shifted)
-        echelons.pop(d - reach, None)   # degree d + 1 and above shift no lower
-        gained.pop(d - reach, None)
-    return dims
+        echelons.append(ech)
+        for terms in relations.get(d, ()):
+            ech.add(image(d, terms))
+        for y, e in low:
+            for s in echelons[e].rows():
+                ech.add(image(d, [(columns[e][c] + (y,), v) for c, v in s.items()]))
+        pivots = set(ech.pivot_columns())
+        free = [c for c in range(len(columns[d])) if c not in pivots]
+        position.append({c: i for i, c in enumerate(free)})
+    return [len(basis) for basis in position]
 
 
 def hilbert_two_routes(system: RewriteSystem, max_degree: int, oracle_degree: int) -> tuple:

@@ -222,43 +222,58 @@ def canonical_pair(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> tuple
 # ----------------------------------------------------------------------
 
 
-def closed_form_on_pair(kind: str, pair) -> tuple:
-    """The per-family closed condition on a canonical pair, as returned by
-    ``canonical_pair`` for a table of the given kind.  Returns (bool,
-    reason string)."""
+def _pair_violation(kind: str, pair):
+    """None when the per-family closed condition holds on a canonical pair,
+    as returned by ``canonical_pair`` for a table of the given kind; else a
+    function that formats the condition it violates."""
     if kind == "super":
         (alpha, beta), (lam, gamma) = pair
         if gamma * gamma == alpha * beta * lam:
-            return True, ""
-        return False, (
-            f"phi(alpha*e+beta*f)^2 = {gamma * gamma} differs from "
-            f"alpha*beta*phi(h) = {alpha * beta * lam}"
-        )
+            return None
+        return lambda: (f"phi(alpha*e+beta*f)^2 = {gamma * gamma} differs from "
+                        f"alpha*beta*phi(h) = {alpha * beta * lam}")
     if kind == "color":
         (i, j, k, mu), (val_i, val_w) = pair
         if val_w == 0 or 2 * val_i == mu:
-            return True, ""
-        return False, (
-            f"phi(a_j + mu a_k) = {val_w} is nonzero and phi(a_i) = {val_i} "
-            f"differs from mu/2 = {Fraction(mu, 2)}"
-        )
+            return None
+        return lambda: (f"phi(a_j + mu a_k) = {val_w} is nonzero and phi(a_i) = {val_i} "
+                        f"differs from mu/2 = {Fraction(mu, 2)}")
     raise ValueError(f"no canonical pairs for bracket kind {kind!r}")
 
 
-def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
-    """Per-family closed condition.  Returns (bool, reason string).
+def _violation(S: SubalgebraSpec, phi: Functional, T: BracketTable):
+    """None when phi meets its family's closed condition, else a function
+    that formats the condition it violates.
 
     Raises SubalgebraFormError, for every kind of table, when S is not
     closed under the bracket, before any canonical form is read."""
     require_subalgebra(S, T)
     if T.kind != "lie":
-        return closed_form_on_pair(T.kind, canonical_pair(S, phi, T))
+        return _pair_violation(T.kind, canonical_pair(S, phi, T))
     # [v1, v2] = [u, v] / den^2 for the rows u, v of S over den
     value = phi_at(S, phi, bracket(*S.basis, T))
     if value == 0:
-        return True, ""
-    return False, ("phi does not vanish on the derived subalgebra: "
-                   f"phi([v1,v2]) = {value / S.den ** 2}")
+        return None
+    return lambda: ("phi does not vanish on the derived subalgebra: "
+                    f"phi([v1,v2]) = {value / S.den ** 2}")
+
+
+def closed_form_on_pair(kind: str, pair) -> bool:
+    """The per-family closed condition on a canonical pair."""
+    return _pair_violation(kind, pair) is None
+
+
+def closed_form_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> bool:
+    """The per-family closed condition; the reason for a failure is made
+    only where it is read (``violated_condition``)."""
+    return _violation(S, phi, T) is None
+
+
+def violated_condition(S: SubalgebraSpec, phi: Functional, T: BracketTable) -> str:
+    """The closed condition that phi violates, formatted, or "" when phi
+    meets it."""
+    why = _violation(S, phi, T)
+    return why() if why else ""
 
 
 def shift_generators(S: SubalgebraSpec, phi: Functional, unit: NcPoly) -> tuple:
@@ -289,7 +304,7 @@ def admissible_functional(S: SubalgebraSpec, phi: Functional, T: BracketTable,
     The closed-form and bounded-degree answers are always both computed; a
     disagreement raises RouteDisagreementError.
     """
-    closed, _ = closed_form_admissible(S, phi, T)
+    closed = closed_form_admissible(S, phi, T)
     proper = properness_admissible(S, phi, T, max_degree)
     if closed != proper:
         raise RouteDisagreementError(
@@ -300,8 +315,8 @@ def admissible_functional(S: SubalgebraSpec, phi: Functional, T: BracketTable,
 
 
 def require_admissible(S: SubalgebraSpec, phi: Functional, T: BracketTable):
-    ok, reason = closed_form_admissible(S, phi, T)
-    if not ok:
+    reason = violated_condition(S, phi, T)
+    if reason:
         raise AdmissibilityError(reason)
 
 

@@ -295,14 +295,16 @@ class TermOrder:
     multiplicative, and well-founded on each degree.
     """
 
-    __slots__ = ("degrees", "ranks", "_index_precedence")
+    __slots__ = ("degrees", "ranks", "_index_precedence", "_unit_degrees")
 
     def __init__(self, degrees: tuple, ranks: tuple):
         self.degrees = degrees
         self.ranks = ranks
         # under index-order precedence the word itself is the lexicographic
-        # part of ``heap_key``
+        # part of ``heap_key``; with every generator of degree 1 a word's
+        # degree is its length
         self._index_precedence = ranks == tuple(range(len(ranks)))
+        self._unit_degrees = all(g == 1 for g in degrees)
 
     @staticmethod
     def from_precedence(degrees: tuple, precedence: "tuple | None" = None) -> "TermOrder":
@@ -325,7 +327,8 @@ class TermOrder:
         """Key decreasing along the order: the greatest word has the least
         key, so a min-heap or an ascending sort takes it first."""
         lex = word if self._index_precedence else tuple(self.ranks[g] for g in word)
-        return (-self.word_degree(word), -len(word), lex)
+        n = len(word)
+        return (-n if self._unit_degrees else -self.word_degree(word), -n, lex)
 
     def compare(self, a: Word, b: Word) -> int:
         """-1, 0 or 1 according to a < b, a == b, a > b."""

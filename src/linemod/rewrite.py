@@ -453,17 +453,19 @@ def complete(presentation: Presentation, order: TermOrder | None = None, *,
         # new lhs as a factor can change.
         changed = False
         for r in list(rules.values()):
-            if any(_contains(w, rule.lhs) for w in r.rhs.terms):
+            if any(_find_match(w, automaton) for w in r.rhs.terms):
                 red_rhs = NcPoly(_reduce(r.rhs.terms, automaton, order))
                 if red_rhs != r.rhs:
                     rules[r.lhs] = Rule(r.lhs, red_rhs)
                     changed = True
         if changed:
             automaton = LhsAutomaton(rules.values(), ngens)
-        # schedule overlaps of the new rule with every live rule
+        # schedule the pairs of the new rule and a live rule that overlap:
+        # a proper suffix of the first lhs is a proper prefix of the second
         for lhs in rules:
-            pair_queue.append((rule.lhs, lhs))
-            if lhs != rule.lhs:
+            if any(_overlaps(rule.lhs, lhs)):
+                pair_queue.append((rule.lhs, lhs))
+            if lhs != rule.lhs and any(_overlaps(lhs, rule.lhs)):
                 pair_queue.append((lhs, rule.lhs))
 
     system = RewriteSystem(
@@ -553,12 +555,19 @@ def replay_trace(x: NcPoly, steps, system: RewriteSystem) -> NcPoly:
 
 def confluence_certificate(system: RewriteSystem) -> bool:
     """Re-check every bounded overlap of the final rules; True if all
-    ambiguities resolve to the same normal form."""
+    ambiguities resolve to the same normal form.  The partners of a rule
+    are found by its lhs's proper suffixes in an index of the proper
+    prefixes of the lhs set."""
+    order = system.order
+    starting = {}   # proper prefix -> rules whose lhs starts with it
+    for r in system.rules:
+        for k in range(1, len(r.lhs)):
+            starting.setdefault(r.lhs[:k], []).append(r)
     for r1 in system.rules:
-        for r2 in system.rules:
-            for ov in _overlaps(r1.lhs, r2.lhs):
-                if system.order.word_degree(ov) > system.confluent_up_to:
-                    continue
-                if _spolynomial(ov, r1, r2, system.automaton, system.order):
+        for k in range(1, len(r1.lhs)):
+            for r2 in starting.get(r1.lhs[-k:], ()):
+                ov = r1.lhs + r2.lhs[k:]
+                if order.word_degree(ov) <= system.confluent_up_to and _spolynomial(
+                        ov, r1, r2, system.automaton, order):
                     return False
     return True

@@ -420,7 +420,7 @@ def run_slc(samples: int, seed: int, max_degree: int, oracle_degree: int) -> lis
         # already the canonical pair's value part
         params, _ = canonical_form(S, table)
         admissible_points = {(x, y) for x in grid for y in grid
-                             if closed_form_on_pair(table.kind, (params, (x, y)))[0]}
+                             if closed_form_on_pair(table.kind, (params, (x, y)))}
         expected_points = {(x, y) for x in grid for y in grid
                            if y == 0 or x == Fraction(mu, 2)}
         grid_data.append({

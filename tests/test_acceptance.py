@@ -144,7 +144,7 @@ def test_criterion_4_admissibility_equivalence():
         found = {
             (x, y)
             for x in grid for y in grid
-            if closed_form_admissible(member["spec"], Functional(x, y), slc)[0]
+            if closed_form_admissible(member["spec"], Functional(x, y), slc)
         }
         expected = {(x, y) for x in grid for y in grid if y == 0 or x == Fraction(mu, 2)}
         grid_ok = grid_ok and found == expected
@@ -227,7 +227,7 @@ def test_criterion_6_geometry_cross_checks(hhat_system, color_system):
             p01, p02, _, _, p13, p23 = Line(((0, 0, 1, -lam), (a, b, 0, -gamma))).plucker()
             tangency = p01 * p01 + p02 * p13
             S, phi = sl11_pair(a, b, lam, gamma)
-            admissible = closed_form_admissible(S, phi, sl11)[0]
+            admissible = closed_form_admissible(S, phi, sl11)
             if p23 != 0 or (tangency == 0) != admissible or admissible != (gamma == g):
                 geometry_failures.append(f"{params} plucker: p23 {p23}, p01^2 + p02 p13 "
                                          f"{tangency}, closed form admissible {admissible}")

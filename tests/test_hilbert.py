@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -17,7 +18,6 @@ from linemod.hilbert import (
     normal_words_by_degree,
     oracle_degree_within_cap,
     oracle_graded_dims,
-    right_shift_columns,
     word_counts,
     words_of_degree,
 )
@@ -79,9 +79,9 @@ def test_two_routes_sl21(sl21_system, monkeypatch):
     rewrite = hilbert_algebra(sl21_system, 4)
     oracle = oracle_graded_dims(preset("sl21_Hhat"), 4)
     assert list(oracle) == list(rewrite)
-    # the left shifts go in without elimination; 36 quadratic relations at
-    # degree 2, their 36 * 9 right shifts at degree 3, and 9 right shifts
-    # of each of the 568 - 324 degree-3 rows that gave a pivot at degree 4
+    # the left shifts are the quotient V (x) A_{d-1} itself; 36 quadratic
+    # relations at degree 2, their 36 * 9 right shifts at degree 3, and 9
+    # right shifts of each of the 244 rows stored at degree 3
     assert len(added) == 36 + 324 + 2196
 
 
@@ -151,15 +151,71 @@ def test_oracle_matches_all_rows_on_presets(name, bound):
     assert list(oracle_graded_dims(pres, bound)) == _naive_oracle(pres, bound)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(1, 2), min_size=1, max_size=3), st.integers(0, 5))
-def test_right_shift_columns_match_word_lists(degrees, e):
-    degrees = tuple(degrees)
-    for y, g in enumerate(degrees):
-        cols = right_shift_columns(degrees, e, y)
-        words, longer = words_of_degree(degrees, e), words_of_degree(degrees, e + g)
-        assert len(cols) == len(words)
-        assert all(w + (y,) == longer[c] for w, c in zip(words, cols))
+@st.composite
+def _rational_presentations(draw):
+    """Weighted presentations as above, with rational coefficients whose
+    denominators differ from relation to relation."""
+    pres = draw(_weighted_presentations())
+    coeff = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), 1, -1])
+    relations = tuple(NcPoly({w: c * draw(coeff) for w, c in rel.items()}) for rel in pres.relations)
+    return Presentation(name="rational", generators=pres.generators, relations=relations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_presentations(), st.integers(0, 5))
+def test_oracle_matches_all_rows_with_rational_coefficients(pres, bound):
+    assert list(oracle_graded_dims(pres, bound)) == _naive_oracle(pres, bound)
+
+
+_QUOTIENT_CASES = {
+    # rational coefficients, and a cubic relation next to a quadratic one
+    "fractions": ("""algebra q {
+  generators x y;
+  relations { x*y - 1/2*y*x; 1/3*x*x*y - y*x*x; }
+}""", None),
+    # z has degree 3, above bounds 0-2; x*x*x - 2*z mixes word lengths
+    "heavy": ("""algebra heavy {
+  generators x y z;
+  degree 1 1 3;
+  relations { x*y - y*x; x*x*x - 2*z; y*z - 2/3*z*y; }
+}""", None),
+    # the exterior algebra on two generators, zero from degree 3 on
+    "vanishing": ("""algebra ext {
+  generators x y;
+  relations { x*x; y*y; x*y + y*x; }
+}""", [1, 2, 1, 0, 0]),
+    # a nonzero constant relation: every graded piece is zero
+    "constant": ("""algebra zero {
+  generators x y;
+  relations { 3; x*y - y*x; }
+}""", [0, 0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 4])
+@pytest.mark.parametrize("name", sorted(_QUOTIENT_CASES))
+def test_oracle_matches_all_rows_on_quotient_edge_cases(name, bound):
+    text, expected = _QUOTIENT_CASES[name]
+    pres = parse_algebra(text)
+    dims = list(oracle_graded_dims(pres, bound))
+    assert dims == _naive_oracle(pres, bound)
+    if expected:
+        assert dims == expected[:bound + 1]
+
+
+def test_oracle_memory_at_sl21_degree_five(monkeypatch):
+    # the echelon of degree 5 has 9 * 459 columns, not one per each of the
+    # 59 049 free words
+    monkeypatch.setenv("LINEMOD_ORACLE_CAP", "60000")
+    pres = preset("sl21_Hhat")
+    tracemalloc.start()
+    try:
+        dims = oracle_graded_dims(pres, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == [1, 9, 45, 161, 459, 1113]
+    assert peak < 5_000_000
 
 
 def test_zero_relation_ideal_is_free():

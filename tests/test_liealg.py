@@ -27,6 +27,7 @@ from linemod.liealg import (
     random_mix,
     sl11_form,
     table_consistent_with_presentation,
+    violated_condition,
 )
 from linemod.hilbert import filtered_cyclic_dims
 from linemod.linalg import SparseEchelon, dense_nullspace
@@ -113,13 +114,14 @@ def test_canonical_forms():
 
 def test_admissibility_closed_form_examples():
     S = SubalgebraSpec((0, 0, 1), (1, 1, 0))
-    assert closed_form_admissible(S, Functional(4, 2), SL11)[0]
-    ok, reason = closed_form_admissible(S, Functional(1, 0), SL11)
-    assert not ok and reason
+    assert closed_form_admissible(S, Functional(4, 2), SL11)
+    assert violated_condition(S, Functional(4, 2), SL11) == ""
+    assert not closed_form_admissible(S, Functional(1, 0), SL11)
+    assert violated_condition(S, Functional(1, 0), SL11)
     Sc = SubalgebraSpec((0, 0, 1), (1, 1, 0))
-    assert closed_form_admissible(Sc, Functional(Fraction(1, 2), 7), SLC)[0]
-    assert closed_form_admissible(Sc, Functional(5, 0), SLC)[0]
-    assert not closed_form_admissible(Sc, Functional(0, 1), SLC)[0]
+    assert closed_form_admissible(Sc, Functional(Fraction(1, 2), 7), SLC)
+    assert closed_form_admissible(Sc, Functional(5, 0), SLC)
+    assert not closed_form_admissible(Sc, Functional(0, 1), SLC)
 
 
 def test_admissibility_routes_agree_random():
@@ -200,8 +202,8 @@ def test_properness_detects_collapse():
 
 def test_sl2_functional_vanishes_on_derived():
     borel = SubalgebraSpec((1, 0, 0), (0, 0, 1))  # span(e, h); [h, e] = 2e
-    assert closed_form_admissible(borel, Functional(0, 7), SL2)[0]
-    assert not closed_form_admissible(borel, Functional(1, 0), SL2)[0]
+    assert closed_form_admissible(borel, Functional(0, 7), SL2)
+    assert not closed_form_admissible(borel, Functional(1, 0), SL2)
 
 
 def test_classification_reports():
@@ -376,7 +378,7 @@ def test_lie_closed_form_matches_fraction_coordinates(data, phi):
         return
     coeffs = _reference_coords(_reference_bracket(S.v1, S.v2, SL2), [S.v1, S.v2])
     value = coeffs[0] * phi.on_v1 + coeffs[1] * phi.on_v2
-    ok, reason = closed_form_admissible(S, phi, SL2)
+    ok, reason = closed_form_admissible(S, phi, SL2), violated_condition(S, phi, SL2)
     assert ok == (value == 0)
     if not ok:
         assert reason == f"phi does not vanish on the derived subalgebra: phi([v1,v2]) = {value}"
@@ -394,11 +396,14 @@ def test_integer_closure_rescales_and_rank():
 
 
 def test_closed_form_on_pair():
-    assert closed_form_on_pair("super", ((1, 1), (Fraction(4), Fraction(2)))) == (True, "")
-    assert closed_form_on_pair("color", ((2, 0, 1, -1), (Fraction(-1, 2), 3))) == (True, "")
-    ok, reason = closed_form_on_pair("color", ((2, 0, 1, 1), (Fraction(0), Fraction(1))))
-    assert not ok and reason == ("phi(a_j + mu a_k) = 1 is nonzero and phi(a_i) = 0 "
-                                 "differs from mu/2 = 1/2")
+    assert closed_form_on_pair("super", ((1, 1), (Fraction(4), Fraction(2))))
+    assert closed_form_on_pair("color", ((2, 0, 1, -1), (Fraction(-1, 2), 3)))
+    assert not closed_form_on_pair("color", ((2, 0, 1, 1), (Fraction(0), Fraction(1))))
+    # span(a3, a1 + a2) with phi = (1, 0) has that canonical pair
+    S = SubalgebraSpec((1, 1, 1), (0, 0, 1))
+    assert canonical_pair(S, Functional(1, 0), SLC) == ((2, 0, 1, 1), (0, 1))
+    assert violated_condition(S, Functional(1, 0), SLC) == (
+        "phi(a_j + mu a_k) = 1 is nonzero and phi(a_i) = 0 differs from mu/2 = 1/2")
     with pytest.raises(ValueError):
         closed_form_on_pair("lie", ((), ()))
     # a classified member's basis is its canonical basis: the slc grid reads
@@ -641,7 +646,7 @@ def _member_pairs(draw, T):
 def test_integer_pair_layer_matches_fraction_references(T, data):
     S, phi = data.draw(_member_pairs(T))
     expected = _reference_closed_form(S, phi, T)
-    assert closed_form_admissible(S, phi, T) == expected
+    assert (closed_form_admissible(S, phi, T), violated_condition(S, phi, T)) == expected
     t = NcPoly.gen(T.dimension)
     for unit in (NcPoly.one(), t):
         gens = liealg.shift_generators(S, phi, unit)

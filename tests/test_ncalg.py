@@ -119,3 +119,18 @@ def test_scalar_arithmetic():
     p = NcPoly({(0,): Fraction(1, 2)})
     assert 2 * p == NcPoly.gen(0)
     assert p * 0 == NcPoly.zero()
+
+
+@given(st.data(), st.lists(st.integers(1, 3), min_size=1, max_size=4))
+def test_heap_key_matches_the_degree_sum(data, degrees):
+    # with every degree 1 the key reads the degree as the word's length;
+    # the order must be the one of the summed degree
+    degrees = data.draw(st.sampled_from([tuple(degrees), (1,) * len(degrees)]))
+    n = len(degrees)
+    precedence = data.draw(st.permutations(range(n)))
+    order = TermOrder.from_precedence(degrees, precedence)
+    words = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6).map(tuple),
+                               min_size=1, max_size=8))
+    for word in words:
+        lex = tuple(order.ranks[g] for g in word)
+        assert order.heap_key(word) == (-sum(degrees[g] for g in word), -len(word), lex)

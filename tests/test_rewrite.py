@@ -221,6 +221,35 @@ def test_completion_certified_with_linear_tails(drawn, bound):
         assert normal_form(rel, system).is_zero()
 
 
+def _all_pairs_certificate(system):
+    """Every bounded overlap of every ordered pair of rules resolves."""
+    order = system.order
+    return not any(rewrite._spolynomial(ov, r1, r2, system.automaton, order)
+                   for r1 in system.rules for r2 in system.rules
+                   for ov in rewrite._overlaps(r1.lhs, r2.lhs)
+                   if order.word_degree(ov) <= system.confluent_up_to)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_presentations(), st.integers(3, 4))
+def test_certificate_matches_all_pairs(drawn, bound):
+    # rules completed to degree 2 but claimed up to ``bound`` may leave an
+    # overlap unresolved; the prefix index must find the same answer
+    pres, precedence = drawn
+    order = TermOrder.from_precedence(pres.z_degrees, precedence)
+    low = complete(pres, order=order, max_degree=2)
+    claimed = RewriteSystem(pres, order, low.rules, bound, [], False)
+    assert confluence_certificate(claimed) == _all_pairs_certificate(claimed)
+
+
+def test_certificate_finds_an_unresolved_overlap():
+    pres = preset("sl21_Hhat")
+    low = complete(pres, max_degree=2)
+    claimed = RewriteSystem(pres, low.order, low.rules, 3, [], False)
+    assert not _all_pairs_certificate(claimed)
+    assert not confluence_certificate(claimed)
+
+
 def test_complete_raises_when_certificate_fails(monkeypatch):
     monkeypatch.setattr(rewrite, "confluence_certificate", lambda system: False)
     with pytest.raises(RuntimeError, match="'sl11_Hhat' to degree 5"):
